@@ -7,6 +7,16 @@ restriction, the set-consensus power recursion (with a replayable witness
 chain), minimum hitting sets, the superset-closed / symmetric / fair
 classification, and derivation of an adversary's agreement function.
 
+Set-consensus power is computed by region tables.  Restricting twice
+equals restricting to the intersection, so every family the recursion
+visits is the live sets inside some region R.  For a touching mask T, one
+pass over the subset lattice gives the power of {S in F : S meets T}
+restricted to every region R.  setcon, the witness chain and the agreement
+function read the T = full table; the fairness scan and the selection
+layer's power queries read the tables of other touching masks.  Each
+Adversary keeps its own tables, keyed by T, so nothing is cached at module
+level.
+
 Everything here is exhaustive by design and meant for universes of at
 most 16 processes.
 """
@@ -14,7 +24,7 @@ most 16 processes.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from math import comb
 from typing import Iterable, Optional
 
@@ -32,6 +42,7 @@ class Adversary:
 
     n: int
     live_sets: tuple[ProcessSet, ...]
+    _tables: dict[int, bytes] = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not 1 <= self.n <= MAX_UNIVERSE:
@@ -51,9 +62,20 @@ class Adversary:
     def of(cls, n: int, sets: Iterable[Iterable[int]]) -> "Adversary":
         return cls(n, tuple(s if isinstance(s, ProcessSet) else ProcessSet.of(n, s) for s in sets))
 
-    def key(self) -> tuple:
-        """Canonical identity of the live-set family, used as memo key."""
-        return (self.n, tuple(s.bits for s in self.live_sets))
+    def region_table(self, touching: int) -> bytes:
+        """Set-consensus power of the live sets meeting `touching`, for every region.
+
+        Entry R is setcon of {S in F : S & touching != 0, S subseteq R},
+        indexed by R's bit mask.  Each table is built once and kept on this
+        instance, keyed by the touching mask.
+        """
+        table = self._tables.get(touching)
+        if table is None:
+            if not 0 <= touching < 1 << self.n:
+                raise ValueError(f"touching mask {touching:#x} outside a universe of size {self.n}")
+            masks = [s.bits for s in self.live_sets if s.bits & touching]
+            table = self._tables[touching] = _region_powers(self.n, masks)
+        return table
 
     def __repr__(self) -> str:
         body = ",".join("{" + ",".join(map(str, s.members())) + "}" for s in self.live_sets)
@@ -99,37 +121,41 @@ def restrict_intersecting(adversary: Adversary, region: ProcessSet, targets: Pro
     )
 
 
-# Memo table for the set-consensus power recursion, keyed by the canonical
-# live-set family.  Entries are (value, choice) with choice the arg-max live
-# set and arg-min removed process of the top recursion level, or None for
-# the empty family.  Writes are idempotent, so sharing across threads under
-# the GIL is safe.
-_SETCON_MEMO: dict[tuple, tuple[int, Optional[tuple[int, int]]]] = {}
+def _region_powers(n: int, masks: list[int]) -> bytes:
+    """Set-consensus power of the family `masks` restricted to every region.
 
-
-def _setcon_solve(adversary: Adversary) -> tuple[int, Optional[tuple[int, int]]]:
-    key = adversary.key()
-    hit = _SETCON_MEMO.get(key)
-    if hit is not None:
-        return hit
-    if not adversary.live_sets:
-        result: tuple[int, Optional[tuple[int, int]]] = (0, None)
-    else:
-        best_val = 0
-        best: Optional[tuple[int, int]] = None
-        for s in adversary.live_sets:  # ascending mask: ties keep the smallest encoding
-            inner_val: Optional[int] = None
-            inner_a = 0
-            for a in s.members():  # ascending id: ties keep the smallest process
-                v, _ = _setcon_solve(restrict(adversary, s.without(a)))
-                if inner_val is None or v < inner_val:
-                    inner_val, inner_a = v, a
-            assert inner_val is not None
-            if inner_val + 1 > best_val:
-                best_val, best = inner_val + 1, (s.bits, inner_a)
-        result = (best_val, best)
-    _SETCON_MEMO[key] = result
-    return result
+    Restricting twice equals restricting to the intersection, so the
+    recursion only ever meets restrictions to some region R, and
+    alpha(R) = max(max_i alpha(R - i), [R in F] * (1 + min_i alpha(R - i)))
+    with alpha(empty) = 0.  Every R - i precedes R in increasing mask order,
+    so one pass over the subset lattice fills the table in O(n * 2**n).
+    Every live set lies inside their union U, so alpha(R) = alpha(R & U):
+    a region reaching outside U copies a smaller entry, which keeps sparse
+    families over large universes cheap.  Entries are at most n, so a byte
+    each.
+    """
+    size = 1 << n
+    live = bytearray(size)
+    union = 0
+    for m in masks:
+        live[m] = 1
+        union |= m
+    table = bytearray(size)
+    for region in range(1, size):
+        if region & ~union:
+            table[region] = table[region & union]
+            continue
+        hi, lo, rest = 0, n, region
+        while rest:
+            low = rest & -rest
+            v = table[region ^ low]
+            if v > hi:
+                hi = v
+            if v < lo:
+                lo = v
+            rest ^= low
+        table[region] = hi + 1 if live[region] and lo == hi else hi
+    return bytes(table)
 
 
 def setcon(adversary: Adversary) -> int:
@@ -138,7 +164,8 @@ def setcon(adversary: Adversary) -> int:
     over choices of a live set S and a process a in S, each level recursing
     into the family restricted to S minus {a} and adding one.
     """
-    return _setcon_solve(adversary)[0]
+    full = (1 << adversary.n) - 1
+    return adversary.region_table(full)[full]
 
 
 @dataclass(frozen=True)
@@ -159,16 +186,22 @@ def setcon_witness(adversary: Adversary) -> SetconWitness:
     Ties in the arg-max live set are broken by smallest bit-mask encoding,
     ties in the arg-min process by smallest id.
     """
+    full = (1 << adversary.n) - 1
+    power = adversary.region_table(full)
     chain = []
-    current = adversary
-    while True:
-        _, choice = _setcon_solve(current)
-        if choice is None:
-            break
-        s_bits, a = choice
-        s = ProcessSet(adversary.n, s_bits)
+    region = full
+    while power[region]:
+        for s in adversary.live_sets:  # ascending mask: ties keep the smallest encoding
+            if s.bits & ~region:
+                continue
+            # ascending id: ties keep the smallest process
+            low, a = min((power[s.bits & ~(1 << (p - 1))], p) for p in s.members())
+            if low + 1 == power[region]:
+                break
+        else:
+            raise AssertionError(f"no live set realizes the power of region {region:#x}")
         chain.append((s, a))
-        current = restrict(current, s.without(a))
+        region = s.bits & ~(1 << (a - 1))
     return SetconWitness(len(chain), tuple(chain))
 
 
@@ -243,20 +276,18 @@ def fairness_counterexample(adversary: Adversary) -> Optional[tuple[ProcessSet, 
     bit encoding downward and Q upward, so the reported pair is the most
     global violation, which keeps golden outputs stable.
     """
-    full = (1 << adversary.n) - 1
+    n = adversary.n
+    full = (1 << n) - 1
+    base = adversary.region_table(full)
     for p_bits in range(full, 0, -1):
-        region = ProcessSet(adversary.n, p_bits)
-        base = setcon(restrict(adversary, region))
+        descending = []
         q_bits = p_bits
-        ascending = []
         while q_bits:
-            ascending.append(q_bits)
+            descending.append(q_bits)
             q_bits = (q_bits - 1) & p_bits
-        for q_bits in sorted(ascending):
-            targets = ProcessSet(adversary.n, q_bits)
-            got = setcon(restrict_intersecting(adversary, region, targets))
-            if got != min(len(targets), base):
-                return region, targets
+        for q_bits in reversed(descending):  # ascending; each Q's table is built on first use
+            if adversary.region_table(q_bits)[p_bits] != min(q_bits.bit_count(), base[p_bits]):
+                return ProcessSet(n, p_bits), ProcessSet(n, q_bits)
     return None
 
 
@@ -277,10 +308,7 @@ def symmetric_setcon(adversary: Adversary) -> int:
 
 def agreement_function(adversary: Adversary) -> AgreementFunction:
     """The adversary's agreement function: each subset maps to the power of its restriction."""
-    table = tuple(
-        setcon(restrict(adversary, ProcessSet(adversary.n, bits))) for bits in range(1 << adversary.n)
-    )
-    return AgreementFunction(adversary.n, table)
+    return AgreementFunction(adversary.n, tuple(adversary.region_table((1 << adversary.n) - 1)))
 
 
 def adversary_to_json_obj(adversary: Adversary) -> dict:

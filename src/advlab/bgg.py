@@ -26,7 +26,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
-from .adversary import Adversary, agreement_function, restrict_intersecting, setcon
+from .adversary import Adversary, agreement_function
+# Unused here; kept as attributes of this module because the benchmark's
+# tracer (perfbench/tracing.py) wraps them under these names.
+from .adversary import restrict_intersecting, setcon  # noqa: F401
 from .alpha import AgreementFunction
 from .checkers import Verdict
 from .processes import ProcessSet
@@ -83,7 +86,9 @@ def read_participation(shared: BGShared) -> tuple[ProcessSet, ProcessSet]:
 
 def power_within(adversary: Adversary, region: ProcessSet, active: ProcessSet) -> int:
     """Set-consensus power of the region's live sets that touch the active processes."""
-    return setcon(restrict_intersecting(adversary, region, region & active))
+    if region.n != adversary.n or active.n != adversary.n:
+        raise ValueError("universe mismatch between adversary and arguments")
+    return adversary.region_table(active.bits)[region.bits]
 
 
 def compute_window(

@@ -159,8 +159,8 @@ def cmd_classify(args) -> int:
     ]
     if pair is not None:
         region, targets = pair
-        got = adv_mod.setcon(adv_mod.restrict_intersecting(adversary, region, targets))
-        bound = min(len(targets), adv_mod.setcon(adv_mod.restrict(adversary, region)))
+        got = adversary.region_table(targets.bits)[region.bits]
+        bound = min(len(targets), adversary.region_table((1 << adversary.n) - 1)[region.bits])
         obj["counterexample"] = {
             "P": list(region.members()),
             "Q": list(targets.members()),
@@ -293,7 +293,8 @@ def cmd_simulate(args) -> int:
         raise InputError("simulate needs --adversary or --alpha")
     budget = _budget(args, DEFAULT_SIM_BUDGET)
     base = args.seed
-    print(f"seed={base} seeds={args.seeds} budget={budget}")
+    if args.format == "text":
+        print(f"seed={base} seeds={args.seeds} budget={budget}")
     schedules = []
     for seed in range(base, base + args.seeds):
         if adversary is not None:
@@ -331,7 +332,11 @@ def cmd_check(args) -> int:
     all_lines: list[str] = []
     reports = []
     for path in args.trace:
-        trace = trace_from_json_obj(_load_json(path))
+        obj = _load_json(path)
+        try:
+            trace = trace_from_json_obj(obj)
+        except (AttributeError, KeyError, TypeError, ValueError) as exc:
+            raise InputError(f"bad trace file {path}: {type(exc).__name__}: {exc}") from exc
         verdicts = [check_validity(trace), check_termination(trace, among=among)]
         if fn is not None:
             verdicts.append(check_alpha_agreement(trace, fn))
@@ -355,13 +360,18 @@ def cmd_bgg(args) -> int:
     adversary = _load_adversary(args.adversary)
     fair = adv_mod.is_fair(adversary)
     budget = _budget(args, 400 * adversary.n)
+    sim_count = adv_mod.setcon(adversary)
     pattern: dict[int, int] = {}
     for item in args.halt or []:
         try:
-            sid, rounds = item.split(":")
-            pattern[int(sid)] = int(rounds)
+            sid, rounds = (int(x) for x in item.split(":"))
         except ValueError as exc:
             raise InputError(f"bad --halt value {item!r}, expected SIM:ROUNDS") from exc
+        if not 1 <= sid <= sim_count:
+            raise InputError(f"--halt {item}: simulator ids run 1..{sim_count} for this adversary")
+        if rounds < 0:
+            raise InputError(f"--halt {item}: the round count must not be negative")
+        pattern[sid] = rounds
     history = bgg_mod.run_bgg_selection(
         adversary, pattern=pattern, budget=budget, gate_mode=args.gate
     )

@@ -7,7 +7,6 @@ avoids the package's own recursion, memoization, and search strategies.
 from __future__ import annotations
 
 import itertools
-from functools import reduce
 
 
 def brute_setcon(masks: frozenset[int]) -> int:
@@ -26,6 +25,29 @@ def brute_setcon(masks: frozenset[int]) -> int:
                     worst = v
         best = max(best, worst + 1)
     return best
+
+
+def brute_witness(masks: frozenset[int]) -> list[tuple[int, int]]:
+    """Witness chain of (live-set mask, removed process id) by direct recursion.
+
+    Each link takes the arg-max live set with the smallest mask, then the
+    arg-min process with the smallest id, and recurses into the family
+    restricted to that set minus that process.
+    """
+    if not masks:
+        return []
+    best = None
+    for s in sorted(masks):
+        worst = None
+        for i in range(16):
+            if s >> i & 1:
+                v = brute_setcon(brute_restrict(masks, s & ~(1 << i)))
+                if worst is None or v < worst[0]:
+                    worst = (v, i + 1)
+        if best is None or worst[0] + 1 > best[0]:
+            best = (worst[0] + 1, s, worst[1])
+    _, s, a = best
+    return [(s, a)] + brute_witness(brute_restrict(masks, s & ~(1 << (a - 1))))
 
 
 def brute_min_hitting(masks: frozenset[int], n: int) -> int:
@@ -108,19 +130,3 @@ def symmetric_families(n: int):
         itertools.combinations(range(1, n + 1), r) for r in range(n + 1)
     ):
         yield frozenset(m for m in range(1, 1 << n) if bin(m).count("1") in sizes)
-
-
-def multinomial(counts) -> int:
-    total = sum(counts)
-    out = 1
-    remaining = total
-    for c in counts:
-        out *= reduce(lambda a, b: a * b, (comb_count(remaining, c),), 1)
-        remaining -= c
-    return out
-
-
-def comb_count(n: int, k: int) -> int:
-    from math import comb
-
-    return comb(n, k)

@@ -31,8 +31,10 @@ from advlab import (
 )
 from oracles import (
     all_families,
+    brute_fair,
     brute_min_hitting,
     brute_setcon,
+    brute_witness,
     distinct_sizes,
 )
 
@@ -93,6 +95,15 @@ class TestAdversaryType:
             Adversary.of(3, [[]])
         with pytest.raises(ValueError):
             Adversary.of(3, [[4]])
+
+    def test_region_tables_are_per_instance(self, unfair_triple):
+        table = unfair_triple.region_table(0b110)
+        assert unfair_triple.region_table(0b110) is table
+        twin = family(3, [0b001, 0b110, 0b111])
+        assert twin == unfair_triple and hash(twin) == hash(unfair_triple)
+        assert twin.region_table(0b110) == table and twin.region_table(0b110) is not table
+        with pytest.raises(ValueError):
+            unfair_triple.region_table(0b1000)
 
     def test_file_roundtrip(self, unfair_triple):
         obj = adversary_to_json_obj(unfair_triple)
@@ -191,6 +202,20 @@ class TestSetcon:
             assert len(w.chain) == w.value
             assert replay_witness(adv, w) == w.value
 
+    def test_witness_matches_brute_chain_on_all_n3_families(self):
+        for masks in all_families(3):
+            chain = [(s.bits, a) for s, a in setcon_witness(family(3, masks)).chain]
+            assert chain == brute_witness(masks), masks
+
+    @pytest.mark.parametrize("n", [4, 5])
+    def test_witness_matches_brute_chain_on_seeded_families(self, n):
+        rng = random.Random(f"witness:{n}")
+        for _ in range(40):
+            density = rng.uniform(0.1, 0.7)
+            masks = frozenset(m for m in range(1, 1 << n) if rng.random() < density)
+            chain = [(s.bits, a) for s, a in setcon_witness(family(n, masks)).chain]
+            assert chain == brute_witness(masks), sorted(masks)
+
     def test_witness_is_deterministic(self, unfair_triple):
         w1 = setcon_witness(unfair_triple)
         w2 = setcon_witness(unfair_triple)
@@ -269,6 +294,10 @@ class TestFairness:
         assert is_fair(one_resilient_3)
         assert is_fair(family(3, []))
 
+    def test_matches_brute_fair_on_all_n3_families(self):
+        for masks in all_families(3):
+            assert is_fair(family(3, masks)) == brute_fair(masks, 3), masks
+
     def test_power_bound_property_all_n3(self):
         # The intersecting restriction never beats min(|targets|, restricted power).
         for masks in all_families(3):
@@ -307,6 +336,17 @@ class TestAgreementFunctionDerivation:
 
         fn = agreement_function(t_resilient_adversary(3, 1))
         assert fn.table == AgreementFunction.t_resilient(3, 1).table
+
+    def test_wait_free_table_at_n16(self):
+        from advlab import AgreementFunction
+
+        assert agreement_function(all_nonempty(16)) == AgreementFunction.wait_free(16)
+
+    def test_t_resilient_tables_at_n12(self):
+        from advlab import AgreementFunction
+
+        for t in range(12):
+            assert agreement_function(t_resilient_adversary(12, t)) == AgreementFunction.t_resilient(12, t), t
 
     def test_monotonic_on_all_n3_families(self):
         for masks in all_families(3):

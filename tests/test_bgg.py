@@ -1,6 +1,7 @@
 """Live-set selection: windows, validity, selection, rounds, bounded properties."""
 
 import itertools
+import random
 
 import pytest
 
@@ -27,7 +28,7 @@ from advlab.bgg import (
     selection_valid,
 )
 
-from oracles import all_families
+from oracles import all_families, brute_restrict_touching, brute_setcon
 
 
 def fair_example():
@@ -208,6 +209,24 @@ class TestBoundedProperties:
                     for p in s.members():
                         rest = s.without(p)
                         assert power_within(adv, rest, rest & active) >= whole - 1
+
+    def test_power_within_matches_brute_on_every_region_and_active_set(self):
+        rng = random.Random("power-within")
+        sampled = [(3, masks) for masks in all_families(3)]
+        sampled += [(4, frozenset(rng.sample(range(1, 16), rng.randint(1, 12)))) for _ in range(20)]
+        for n, masks in sampled:
+            adv = Adversary(n, tuple(ProcessSet(n, m) for m in masks))
+            for region in range(1 << n):
+                for active in range(1 << n):
+                    got = power_within(adv, ProcessSet(n, region), ProcessSet(n, active))
+                    assert got == brute_setcon(brute_restrict_touching(masks, region, region & active))
+
+    def test_power_within_rejects_universe_mismatch(self):
+        adv = all_nonempty(3)
+        with pytest.raises(ValueError):
+            power_within(adv, ProcessSet.full(4), ProcessSet.full(3))
+        with pytest.raises(ValueError):
+            power_within(adv, ProcessSet.full(3), ProcessSet.full(4))
 
     def test_window_stability_checker_catches_drift(self):
         adv = fair_example()

@@ -125,6 +125,14 @@ class TestSimulate:
         assert code == 0, out
         assert "runs=40" in out
 
+    def test_json_output_is_one_document(self, unfair_file, capsys):
+        argv = ["simulate", "--protocol", "adaptive", "--adversary", unfair_file, "--seeds", "3", "--budget", "72"]
+        assert main(argv + ["--format", "json"]) == 0
+        obj = json.loads(capsys.readouterr().out)
+        assert (obj["runs"], obj["failed"]) == (3, 0)
+        assert main(argv) == 0
+        assert capsys.readouterr().out.startswith("seed=1 seeds=3 budget=72\n")
+
     def test_unknown_protocol_exits_2(self, unfair_file):
         assert main(["simulate", "--protocol", "nope", "--adversary", unfair_file]) == 2
 
@@ -222,6 +230,14 @@ class TestCheckCommand:
         assert code == 1
         assert (out_dir / "witnesses.json").exists()
 
+    @pytest.mark.parametrize("obj", [{"n": 3}, [], {"n": 3, "schedule": []}, {"n": 3, "schedule": {"steps": 5}}])
+    def test_malformed_trace_exits_2(self, tmp_path, capsys, obj):
+        path = tmp_path / "trace.json"
+        path.write_text(json.dumps(obj))
+        assert main(["check", "--trace", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: bad trace file") and "Traceback" not in err
+
 
 class TestBgg:
     def test_fair_adversary_properties_pass(self, fair_file, capsys):
@@ -264,6 +280,14 @@ class TestBgg:
         history = json.loads((out_dir / "bgg-history.json").read_text())
         assert history["gate_mode"] == "adaptive"
         assert history["halt_pattern"] == {"2": 30}
+
+    @pytest.mark.parametrize("halt", ["9:10", "2:10", "0:10", "1:-1", "1:2:3"])
+    def test_bad_halt_exits_2(self, tmp_path, capsys, halt):
+        path = tmp_path / "one-sim.json"
+        path.write_text(json.dumps({"n": 3, "live_sets": [[1, 2, 3]]}))
+        assert main(["bgg", "--adversary", str(path), "--halt", halt]) == 2
+        assert capsys.readouterr().err.startswith("error:")
+        assert main(["bgg", "--adversary", str(path), "--halt", "1:10"]) == 0
 
     def test_default_gate_is_verbatim(self, fair_file, capsys):
         code = main(["bgg", "--adversary", fair_file])
