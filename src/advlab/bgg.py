@@ -6,7 +6,7 @@ choices of higher simulators, re-selects a live set when the current one
 stops being valid, and drives one simulated process step per round,
 rotating over its live set on success.
 
-The step/abort machinery underneath is a pluggable oracle.  The default
+The step machinery underneath is a pluggable oracle.  The default
 oracle models agreement contention deterministically: a step on a process
 is blocked exactly while a higher-id simulator that is still taking rounds
 targets the same process, and steps held by stopped simulators never block
@@ -164,9 +164,6 @@ class ContentionOracle:
                 return BLOCKED
         return SUCCESS
 
-    def abort_step(self, sid: int, pid: int, round_no: int) -> None:
-        pass
-
     def outputted(self, pid: int) -> bool:
         return False
 
@@ -180,9 +177,6 @@ class ScriptedOracle:
 
     def simulate_step(self, sid: int, pid: int, round_no: int) -> str:
         return self._step_fn(sid, pid, round_no)
-
-    def abort_step(self, sid: int, pid: int, round_no: int) -> None:
-        pass
 
     def outputted(self, pid: int) -> bool:
         return bool(self._output_fn and self._output_fn(pid))
@@ -237,8 +231,6 @@ def simulator_round(
         if oracle.outputted(local.p_cur):
             shared.pmem[local.p_cur - 1] = PM_DONE
         local.p_cur = _next_in_cycle(local.s_cur, local.p_cur)
-    else:
-        oracle.abort_step(local.sid, local.p_cur, round_no)
     record["p_cur"] = local.p_cur
     return record
 

@@ -6,6 +6,9 @@ or was not applicable, 1 means at least one property violation (a witness
 file is written), 2 means an input error.  All randomness flows from an
 explicit seed, which is printed; ADVLAB_BUDGET overrides the default
 budget where none is given on the command line.
+
+`run_campaign` is the one campaign engine: `simulate`, `enumerate` and the
+test suite all check protocol runs through it.
 """
 
 from __future__ import annotations
@@ -15,10 +18,11 @@ import json
 import os
 import sys
 from pathlib import Path
+from typing import Callable, Iterable, NamedTuple, Optional
 
 from . import adversary as adv_mod
 from . import bgg as bgg_mod
-from .alpha import AgreementFunction, compare_pointwise
+from .alpha import AgreementFunction, admits_trace, compare_pointwise
 from .checkers import (
     Verdict,
     check_alpha_agreement,
@@ -31,13 +35,15 @@ from .protocols import (
     AdaptiveSetConsensus,
     Cons23,
     EmbeddedAgreement,
+    Protocol,
     RoundRobinSetConsensus,
     SafeAgreement,
     default_inputs,
     safe_agreement_unsafe_halt,
 )
 from .sim import (
-    check_alpha_compliance,
+    RunTrace,
+    Schedule,
     enumerate_schedules,
     generate_admissible_schedule,
     generate_schedule,
@@ -48,7 +54,6 @@ from .sim import (
 
 DEFAULT_SEED = 1
 DEFAULT_SIM_BUDGET = 96
-PROTOCOLS = ("safe-agreement", "alpha-setcons", "adaptive", "cons23")
 
 
 class InputError(Exception):
@@ -95,10 +100,15 @@ def _out_dir(args) -> Path:
     return path
 
 
-def _write_witnesses(args, witnesses: list[dict]) -> Path:
-    path = _out_dir(args) / "witnesses.json"
-    path.write_text(json.dumps(witnesses, sort_keys=True, indent=2))
-    return path
+def _report(args, obj: dict, lines: list[str], failures: list[dict]) -> int:
+    """Write the witness file when anything failed, print the report, return the exit code."""
+    if failures:
+        path = _out_dir(args) / "witnesses.json"
+        path.write_text(json.dumps(failures, sort_keys=True, indent=2))
+        obj["witness_file"] = str(path)
+        lines.append(f"witness_file={path}")
+    _emit(args, obj, lines)
+    return 1 if failures else 0
 
 
 def _budget(args, default: int) -> int:
@@ -114,7 +124,7 @@ def _budget(args, default: int) -> int:
 
 
 def _parse_inputs(args, n: int) -> dict[int, int]:
-    if not getattr(args, "inputs", None):
+    if not args.inputs:
         return default_inputs(n)
     try:
         values = [int(x) for x in args.inputs.split(",")]
@@ -197,64 +207,74 @@ def cmd_compare(args) -> int:
     return 0
 
 
-def _fresh_protocol(name: str, n: int, inputs: dict, fn: AgreementFunction | None):
-    if name == "safe-agreement":
-        return SafeAgreement(n, inputs)
-    if name == "alpha-setcons":
-        if fn is None:
-            raise InputError("alpha-setcons needs --alpha or --adversary")
-        return RoundRobinSetConsensus(n, inputs, fn)
-    if name == "adaptive":
-        if fn is None:
-            raise InputError("adaptive needs --alpha or --adversary")
-        return AdaptiveSetConsensus(n, inputs, EmbeddedAgreement(fn))
-    if name == "cons23":
-        return Cons23(n, inputs)
-    raise InputError(f"unknown protocol {name!r} (choose from {', '.join(PROTOCOLS)})")
+class Policy(NamedTuple):
+    """How runs of one protocol are checked, besides validity on every run."""
+
+    agreement: Callable[[RunTrace, Optional[AgreementFunction]], Verdict]  # checked on every run
+    live: Callable[[RunTrace, Optional[AgreementFunction]], bool]  # when termination is checked
+    among: Optional[tuple[int, ...]] = None  # the processes that must terminate; None: all correct
 
 
-def _check_run(name: str, trace, fn: AgreementFunction | None, schedule) -> list[Verdict]:
-    verdicts = [check_validity(trace)]
-    if name == "safe-agreement":
-        verdicts.append(check_k_agreement(trace, 1))
-        if not safe_agreement_unsafe_halt(schedule):
-            verdicts.append(check_termination(trace))
-    elif name == "alpha-setcons":
-        assert fn is not None
-        designated = ProcessSet.of(trace.n, trace.inputs)
-        verdicts.append(check_k_agreement(trace, fn.value_of(designated)))
-        if check_alpha_compliance(trace, fn):
-            verdicts.append(check_termination(trace))
-    elif name == "adaptive":
-        assert fn is not None
-        verdicts.append(check_alpha_agreement(trace, fn))
-        if check_alpha_compliance(trace, fn):
-            verdicts.append(check_termination(trace))
-    elif name == "cons23":
-        verdicts.append(check_k_agreement(trace, 1))
-        verdicts.append(check_termination(trace, among=(2, 3)))
-    return verdicts
+# Keyed by the protocol's `name`.  The checkers are looked up in this module
+# when a run is checked, not when the table is built.
+POLICIES = {
+    "safe-agreement": Policy(
+        lambda trace, fn: check_k_agreement(trace, 1),
+        lambda trace, fn: not safe_agreement_unsafe_halt(trace.schedule),
+    ),
+    "alpha-setcons": Policy(
+        lambda trace, fn: check_k_agreement(trace, fn.value_of(ProcessSet.of(trace.n, trace.inputs))),
+        lambda trace, fn: admits_trace(fn, trace),
+    ),
+    "adaptive": Policy(
+        lambda trace, fn: check_alpha_agreement(trace, fn),
+        lambda trace, fn: admits_trace(fn, trace),
+    ),
+    "cons23": Policy(
+        lambda trace, fn: check_k_agreement(trace, 1),
+        lambda trace, fn: True,
+        among=(2, 3),
+    ),
+}
 
 
-def _campaign(args, name: str, fn, adversary, schedules, write_traces: bool) -> int:
-    counts: dict[str, int] = {}
+class CampaignResult(NamedTuple):
+    runs: int
+    violations: dict[str, int]  # property -> violated runs, for every property checked at least once
+    failures: list[dict]  # one record per violation, in run order
+
+
+def run_campaign(
+    make_protocol: Callable[[], Protocol],
+    schedules: Iterable[tuple[object, Schedule]],
+    fn: Optional[AgreementFunction],
+    max_tail: int,
+    trace_dir: Optional[Path] = None,
+) -> CampaignResult:
+    """Run a fresh protocol to quiescence on each labelled schedule and check it.
+
+    The protocol's `name` selects its policy in POLICIES: validity and the
+    agreement property on every run, termination only where the policy's
+    condition holds.  With trace_dir, each trace is written there as
+    trace-<label>.json.
+    """
+    violations: dict[str, int] = {}
     failures: list[dict] = []
     runs = 0
     for label, schedule in schedules:
-        n = schedule.n
-        inputs = _parse_inputs(args, n)
-        if name == "cons23":
-            required = {p for p in (2, 3) if p in schedule.correct}
-        else:
-            required = None
-        protocol = _fresh_protocol(name, n, inputs, fn)
-        trace = run_to_quiescence(protocol, schedule, max_tail=args.tail, required=required)
+        protocol = make_protocol()
+        policy = POLICIES[protocol.name]
+        required = None if policy.among is None else {p for p in policy.among if p in schedule.correct}
+        trace = run_to_quiescence(protocol, schedule, max_tail=max_tail, required=required)
         runs += 1
-        if write_traces and args.out:
-            path = _out_dir(args) / f"trace-{label}.json"
+        if trace_dir is not None:
+            path = trace_dir / f"trace-{label}.json"
             path.write_text(json.dumps(trace_to_json_obj(trace), sort_keys=True))
-        for verdict in _check_run(name, trace, fn, schedule):
-            counts[verdict.prop] = counts.get(verdict.prop, 0) + (0 if verdict.passed else 1)
+        verdicts = [check_validity(trace), policy.agreement(trace, fn)]
+        if policy.live(trace, fn):
+            verdicts.append(check_termination(trace, among=policy.among))
+        for verdict in verdicts:
+            violations[verdict.prop] = violations.get(verdict.prop, 0) + (0 if verdict.passed else 1)
             if not verdict.passed:
                 failures.append(
                     {
@@ -265,26 +285,43 @@ def _campaign(args, name: str, fn, adversary, schedules, write_traces: bool) -> 
                         "halted_at": {str(p): i for p, i in schedule.halted_at.items()},
                     }
                 )
+    return CampaignResult(runs, violations, failures)
+
+
+def _protocol_maker(name: str, n: int, inputs: dict, fn: Optional[AgreementFunction]):
+    if name == "safe-agreement":
+        return lambda: SafeAgreement(n, inputs)
+    if name == "cons23":
+        return lambda: Cons23(n, inputs)
+    if fn is None:
+        raise InputError(f"{name} needs --alpha or --adversary")
+    if name == "alpha-setcons":
+        return lambda: RoundRobinSetConsensus(n, inputs, fn)
+    return lambda: AdaptiveSetConsensus(n, inputs, EmbeddedAgreement(fn))
+
+
+def _require_known_protocol(name: str) -> None:
+    if name not in POLICIES:
+        raise InputError(f"unknown protocol {name!r} (choose from {', '.join(POLICIES)})")
+
+
+def _campaign(args, fn, n: int, schedules, trace_dir: Optional[Path] = None) -> int:
+    name = args.protocol
+    make_protocol = _protocol_maker(name, n, _parse_inputs(args, n), fn)
+    result = run_campaign(make_protocol, schedules, fn, args.tail, trace_dir)
+    counts = sorted(result.violations.items())
     obj = {
         "protocol": name,
-        "runs": runs,
-        "violations": {k: v for k, v in sorted(counts.items())},
-        "failed": len(failures),
+        "runs": result.runs,
+        "violations": dict(counts),
+        "failed": len(result.failures),
     }
-    lines = [f"protocol={name}", f"runs={runs}"] + [
-        f"violations[{k}]={v}" for k, v in sorted(counts.items())
-    ]
-    if failures:
-        path = _write_witnesses(args, failures)
-        obj["witness_file"] = str(path)
-        lines.append(f"witness_file={path}")
-    _emit(args, obj, lines)
-    return 1 if failures else 0
+    lines = [f"protocol={name}", f"runs={result.runs}"] + [f"violations[{k}]={v}" for k, v in counts]
+    return _report(args, obj, lines, result.failures)
 
 
 def cmd_simulate(args) -> int:
-    if args.protocol not in PROTOCOLS:
-        raise InputError(f"unknown protocol {args.protocol!r} (choose from {', '.join(PROTOCOLS)})")
+    _require_known_protocol(args.protocol)
     adversary = _load_adversary(args.adversary) if args.adversary else None
     fn = _load_alpha(args.alpha) if args.alpha else None
     if fn is None and adversary is not None:
@@ -295,13 +332,14 @@ def cmd_simulate(args) -> int:
     base = args.seed
     if args.format == "text":
         print(f"seed={base} seeds={args.seeds} budget={budget}")
-    schedules = []
-    for seed in range(base, base + args.seeds):
-        if adversary is not None:
-            schedules.append((seed, generate_schedule(adversary, seed, budget)))
-        else:
-            schedules.append((seed, generate_admissible_schedule(fn, seed, budget)))
-    return _campaign(args, args.protocol, fn, adversary, schedules, write_traces=bool(args.out))
+    seeds = range(base, base + args.seeds)
+    if adversary is not None:
+        n = adversary.n
+        schedules = [(seed, generate_schedule(adversary, seed, budget)) for seed in seeds]
+    else:
+        n = fn.n
+        schedules = [(seed, generate_admissible_schedule(fn, seed, budget)) for seed in seeds]
+    return _campaign(args, fn, n, schedules, _out_dir(args) if args.out else None)
 
 
 def cmd_enumerate(args) -> int:
@@ -309,15 +347,11 @@ def cmd_enumerate(args) -> int:
         count = sum(1 for _ in enumerate_schedules(args.n, args.steps, args.halts))
         _emit(args, {"schedules": count}, [f"schedules={count}"])
         return 0
-    if args.protocol not in PROTOCOLS:
-        raise InputError(f"unknown protocol {args.protocol!r} (choose from {', '.join(PROTOCOLS)})")
+    _require_known_protocol(args.protocol)
     fn = _load_alpha(args.alpha) if args.alpha else None
     if fn is None and args.adversary:
         fn = adv_mod.agreement_function(_load_adversary(args.adversary))
-    schedules = (
-        (i, sched) for i, sched in enumerate(enumerate_schedules(args.n, args.steps, args.halts))
-    )
-    return _campaign(args, args.protocol, fn, None, schedules, write_traces=False)
+    return _campaign(args, fn, args.n, enumerate(enumerate_schedules(args.n, args.steps, args.halts)))
 
 
 def cmd_check(args) -> int:
@@ -347,13 +381,7 @@ def cmd_check(args) -> int:
             all_lines.append(f"{path}: {v.prop}={'pass' if v.passed else 'FAIL'}")
             if not v.passed:
                 failures.append({"trace": path, "property": v.prop, "witness": v.witness})
-    obj: dict = {"reports": reports, "failed": len(failures)}
-    if failures:
-        path = _write_witnesses(args, failures)
-        obj["witness_file"] = str(path)
-        all_lines.append(f"witness_file={path}")
-    _emit(args, obj, all_lines)
-    return 1 if failures else 0
+    return _report(args, {"reports": reports, "failed": len(failures)}, all_lines, failures)
 
 
 def cmd_bgg(args) -> int:
@@ -410,15 +438,10 @@ def cmd_bgg(args) -> int:
         path.write_text(json.dumps(history.to_json_obj(), sort_keys=True))
         lines.append(f"history={path}")
         obj["history_file"] = str(path)
-    if failures:
-        path = _write_witnesses(args, failures)
-        lines.append(f"witness_file={path}")
-        obj["witness_file"] = str(path)
     obj["warnings"] = warnings
     if warnings:
         lines.append(f"warnings={warnings}")
-    _emit(args, obj, lines)
-    return 1 if failures else 0
+    return _report(args, obj, lines, failures)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -498,10 +521,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except InputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
+    except (InputError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

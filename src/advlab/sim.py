@@ -83,6 +83,8 @@ class Schedule:
                 raise ValueError(f"step {idx} names process {pid} outside 1..{self.n}")
             last[pid] = idx
         for pid, at in self.halted_at.items():
+            if not 1 <= pid <= self.n:
+                raise ValueError(f"halted process {pid} outside 1..{self.n}")
             if pid in self.correct:
                 raise ValueError(f"process {pid} is both correct and halted")
             if at == -1:
@@ -215,17 +217,6 @@ class _Executor:
         )
 
 
-def execute(protocol: "Protocol", schedule: Schedule) -> RunTrace:
-    """Run the protocol under exactly the given schedule; pure in its inputs."""
-    if protocol.n != schedule.n:
-        raise ValueError(f"protocol arity {protocol.n} does not match schedule n {schedule.n}")
-    schedule.validate()
-    ex = _Executor(protocol, schedule.n)
-    for idx, pid in enumerate(schedule.steps):
-        ex.activate(idx, pid)
-    return ex.trace(schedule)
-
-
 def run_to_quiescence(
     protocol: "Protocol",
     schedule: Schedule,
@@ -236,8 +227,9 @@ def run_to_quiescence(
 
     The tail is the finite stand-in for correct processes taking infinitely
     many steps; it stops once every required process decided (default: every
-    correct process) or after max_tail extra activations.  The trace's
-    schedule reflects the steps actually taken.
+    correct process) or after max_tail extra activations; with max_tail=0
+    the run is exactly the given schedule.  The trace's schedule reflects
+    the steps actually taken.
     """
     if protocol.n != schedule.n:
         raise ValueError(f"protocol arity {protocol.n} does not match schedule n {schedule.n}")
@@ -275,18 +267,7 @@ def generate_schedule(adversary, seed: int, budget: int) -> Schedule:
     rng = random.Random(seed)
     live = rng.choice(adversary.live_sets)
     extras = [p for p in range(1, adversary.n + 1) if p not in live and rng.random() < 0.5]
-    quota = budget // (2 * len(live))
-    slots: list[int] = []
-    for p in live:
-        slots.extend([p] * quota)
-    for p in extras:
-        slots.extend([p] * rng.randint(1, max(1, budget // (4 * adversary.n))))
-    correct_ids = list(live.members())
-    while len(slots) < budget:
-        slots.append(rng.choice(correct_ids))
-    rng.shuffle(slots)
-    halted_at = {p: _last_index(slots, p) for p in extras}
-    return Schedule(adversary.n, tuple(slots), halted_at, live)
+    return _fill_slots(rng, adversary.n, budget, live, extras)
 
 
 def generate_admissible_schedule(alpha: alpha_mod.AgreementFunction, seed: int, budget: int) -> Schedule:
@@ -308,19 +289,26 @@ def generate_admissible_schedule(alpha: alpha_mod.AgreementFunction, seed: int, 
     faulty_count = rng.randint(0, min(level - 1, len(part) - 1))
     ids = list(part.members())
     faulty = rng.sample(ids, faulty_count)
-    correct_ids = [p for p in ids if p not in faulty]
+    correct = ProcessSet.of(alpha.n, [p for p in ids if p not in faulty])
+    return _fill_slots(rng, alpha.n, budget, correct, faulty)
+
+
+def _fill_slots(rng: random.Random, n: int, budget: int, correct: ProcessSet, faulty: list[int]) -> Schedule:
+    """Fair quotas for the correct processes, a short random prefix for each
+    faulty one, random correct activations up to the budget, all shuffled;
+    each faulty process halts at its last slot."""
+    correct_ids = list(correct.members())
     quota = budget // (2 * len(correct_ids))
     slots: list[int] = []
     for p in correct_ids:
         slots.extend([p] * quota)
     for p in faulty:
-        slots.extend([p] * rng.randint(1, max(1, budget // (4 * alpha.n))))
+        slots.extend([p] * rng.randint(1, max(1, budget // (4 * n))))
     while len(slots) < budget:
         slots.append(rng.choice(correct_ids))
     rng.shuffle(slots)
     halted_at = {p: _last_index(slots, p) for p in faulty}
-    correct = ProcessSet.of(alpha.n, correct_ids)
-    return Schedule(alpha.n, tuple(slots), halted_at, correct)
+    return Schedule(n, tuple(slots), halted_at, correct)
 
 
 def _last_index(slots: list[int], pid: int) -> int:
@@ -388,11 +376,6 @@ def _interleavings(counts: dict[int, int]) -> Iterator[list[int]]:
     yield from rec()
 
 
-def check_alpha_compliance(trace: RunTrace, alpha: alpha_mod.AgreementFunction) -> bool:
-    """Filter hook for simulation pipelines; same contract as admits_trace."""
-    return alpha_mod.admits_trace(alpha, trace)
-
-
 def truncate_trace(trace: RunTrace, step: int) -> RunTrace:
     """The prefix of a trace up to and including the given step index."""
     events = [e for e in trace.events if e.step <= step]
@@ -416,9 +399,7 @@ def canonical_json(obj: object) -> str:
 
 
 def _jsonify(value: object) -> object:
-    if isinstance(value, tuple):
-        return [_jsonify(v) for v in value]
-    if isinstance(value, list):
+    if isinstance(value, (tuple, list)):
         return [_jsonify(v) for v in value]
     if isinstance(value, dict):
         return {str(k): _jsonify(v) for k, v in value.items()}
@@ -444,6 +425,7 @@ def trace_to_json_obj(trace: RunTrace) -> dict:
 
 
 def trace_from_json_obj(obj: dict) -> RunTrace:
+    """Parse a trace file object; ValueError on an invalid schedule or a process id outside 1..n."""
     n = obj["n"]
     sched = obj["schedule"]
     schedule = Schedule(
@@ -452,14 +434,12 @@ def trace_from_json_obj(obj: dict) -> RunTrace:
         {int(p): at for p, at in sched["halted_at"].items()},
         ProcessSet.of(n, sched["correct_set"]),
     )
+    schedule.validate()
     events = [Event(e["step"], e["process"], e["kind"], e["payload"]) for e in obj["events"]]
     decisions = [Decision(d["step"], d["process"], d["value"]) for d in obj["decisions"]]
     participating = ProcessSet.of(n, {e.pid for e in events})
-    return RunTrace(
-        schedule,
-        {int(p): v for p, v in obj["inputs"].items()},
-        events,
-        decisions,
-        participating,
-        {int(p): s for p, s in obj["statuses"].items()},
-    )
+    inputs = {int(p): v for p, v in obj["inputs"].items()}
+    statuses = {int(p): s for p, s in obj["statuses"].items()}
+    for pids in ([d.pid for d in decisions], inputs, statuses):
+        ProcessSet.of(n, pids)  # raises on an id outside 1..n
+    return RunTrace(schedule, inputs, events, decisions, participating, statuses)

@@ -1,8 +1,9 @@
 """Acceptance suite: one test per release criterion, each printing a verdict line.
 
 Run with `pytest tests/test_acceptance.py -s` to see the per-criterion lines.
-Every tolerance and time bound is pinned here; the drivers live in
-campaigns.py and the independent oracles in oracles.py.
+Every tolerance and time bound is pinned here; protocol campaigns run on
+the CLI's engine (`advlab.cli.run_campaign`) and the independent oracles
+live in oracles.py.
 """
 
 import itertools
@@ -35,20 +36,26 @@ from advlab.bgg import (
     check_window_stability,
     run_bgg_selection,
 )
-from advlab.cli import main as cli_main
-
-from campaigns import (
-    adaptive_exhaustive,
-    adaptive_seeded,
-    round_robin_exhaustive,
-    round_robin_seeded,
-    safe_agreement_exhaustive,
+from advlab.cli import main as cli_main, run_campaign
+from advlab.protocols import (
+    AdaptiveSetConsensus,
+    EmbeddedAgreement,
+    RoundRobinSetConsensus,
+    SafeAgreement,
+    default_inputs,
 )
+from advlab.sim import enumerate_schedules, generate_admissible_schedule
+
 from oracles import all_families, brute_setcon, superset_closed_families, symmetric_families
 
 UNFAIR_TRIPLE = Adversary.of(3, [[1], [2, 3], [1, 2, 3]])
 FAIR_NONSTRUCTURED = Adversary.of(3, [[1], [2], [3], [1, 3], [2, 3], [1, 2, 3]])
 ONE_RESILIENT_3 = t_resilient_adversary(3, 1)
+
+
+def adaptive(fn: AgreementFunction):
+    """A fresh-protocol factory for adaptive set consensus under fn."""
+    return lambda: AdaptiveSetConsensus(fn.n, default_inputs(fn.n), EmbeddedAgreement(fn))
 
 
 @contextmanager
@@ -160,8 +167,13 @@ def test_criterion_05_fair_nonstructured_example():
 
 def test_criterion_06_safe_agreement_exhaustive():
     with criterion(6, "safe-agreement-exhaustive", 120.0):
-        failures = safe_agreement_exhaustive(steps_per_process=(1, 2, 3, 4, 5, 6), halts=1)
-        assert failures == [], failures[:3]
+        def safe_agreement():
+            return SafeAgreement(2, default_inputs(2))
+
+        for sp in (1, 2, 3, 4, 5, 6):
+            schedules = enumerate(enumerate_schedules(2, sp, 1))
+            failures = run_campaign(safe_agreement, schedules, None, max_tail=40).failures
+            assert failures == [], failures[:3]
 
 
 def test_criterion_07_adaptive_campaign():
@@ -174,20 +186,30 @@ def test_criterion_07_adaptive_campaign():
             AgreementFunction.t_resilient(3, 1),
         ]
         for fn in configs:
-            failures = adaptive_seeded(fn, seeds=range(10_000), budget=72)
+            schedules = ((seed, generate_admissible_schedule(fn, seed, 72)) for seed in range(10_000))
+            failures = run_campaign(adaptive(fn), schedules, fn, max_tail=400).failures
             assert failures == [], (fn.table, failures[:3])
         for fn in (AgreementFunction.wait_free(2), AgreementFunction.t_resilient(2, 0)):
-            failures = adaptive_exhaustive(fn, steps_per_process=(4, 6), halts=1)
-            assert failures == [], (fn.table, failures[:3])
+            for sp in (4, 6):
+                schedules = enumerate(enumerate_schedules(2, sp, 1))
+                failures = run_campaign(adaptive(fn), schedules, fn, max_tail=120).failures
+                assert failures == [], (fn.table, failures[:3])
 
 
 def test_criterion_08_round_robin_construction():
     with criterion(8, "round-robin-construction", 600.0):
         fn = AgreementFunction.k_concurrent(3, 2)
         assert fn.value_of(ProcessSet.full(3)) == 2
-        failures = round_robin_exhaustive(fn, steps_per_process=(2, 3, 4), halts=1)
-        assert failures == [], failures[:3]
-        failures = round_robin_seeded(fn, seeds=range(2000), budget=60)
+
+        def round_robin():
+            return RoundRobinSetConsensus(3, default_inputs(3), fn)
+
+        for sp in (2, 3, 4):
+            schedules = enumerate(enumerate_schedules(3, sp, 1))
+            failures = run_campaign(round_robin, schedules, fn, max_tail=80).failures
+            assert failures == [], failures[:3]
+        schedules = ((seed, generate_admissible_schedule(fn, seed, 60)) for seed in range(2000))
+        failures = run_campaign(round_robin, schedules, fn, max_tail=120).failures
         assert failures == [], failures[:3]
 
 

@@ -8,7 +8,7 @@ from advlab.checkers import (
     check_validity,
 )
 from advlab.protocols import EchoProtocol, SafeAgreement, default_inputs
-from advlab.sim import Decision, Event, RunTrace, Schedule, execute, run_to_quiescence, truncate_trace
+from advlab.sim import Decision, Event, RunTrace, Schedule, run_to_quiescence, truncate_trace
 
 
 def hand_trace(n, steps, decisions, inputs, halted=None):
@@ -34,7 +34,7 @@ def hand_trace(n, steps, decisions, inputs, halted=None):
 
 class TestValidity:
     def test_own_inputs_pass(self):
-        trace = execute(EchoProtocol(2, {1: 5, 2: 7}), Schedule(2, (1, 2, 1, 2)))
+        trace = run_to_quiescence(EchoProtocol(2, {1: 5, 2: 7}), Schedule(2, (1, 2, 1, 2)), max_tail=0)
         assert check_validity(trace).passed
 
     def test_foreign_value_fails_with_witness(self):
@@ -85,7 +85,7 @@ class TestAlphaAgreement:
 
 class TestTermination:
     def test_completed_solo_run(self):
-        trace = execute(EchoProtocol(1, {1: 3}), Schedule(1, (1, 1)))
+        trace = run_to_quiescence(EchoProtocol(1, {1: 3}), Schedule(1, (1, 1)), max_tail=0)
         assert check_termination(trace).passed
 
     def test_undecided_correct_process_fails(self):

@@ -4,7 +4,10 @@ import json
 
 import pytest
 
+from advlab import cli
 from advlab.cli import main
+from advlab.protocols import EchoProtocol, default_inputs
+from advlab.sim import Schedule, run_to_quiescence, trace_to_json_obj
 
 
 @pytest.fixture
@@ -237,6 +240,72 @@ class TestCheckCommand:
         assert main(["check", "--trace", str(path)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: bad trace file") and "Traceback" not in err
+
+    @pytest.mark.parametrize("edit", ["steps-and-decision", "halted_at", "inputs", "statuses"])
+    def test_out_of_range_process_ids_exit_2(self, tmp_path, capsys, edit):
+        trace = run_to_quiescence(EchoProtocol(3, default_inputs(3)), Schedule(3, (1, 2, 3, 1, 2, 3)), max_tail=0)
+        obj = trace_to_json_obj(trace)
+        if edit == "steps-and-decision":
+            # process 7 steps, process 9 decides an input value: validity alone would pass
+            obj["schedule"]["steps"].append(7)
+            obj["decisions"].append({"step": 6, "process": 9, "value": 101})
+        elif edit == "halted_at":
+            obj["schedule"]["halted_at"]["9"] = -1
+        else:
+            obj[edit]["9"] = obj[edit]["1"]
+        path = tmp_path / "trace.json"
+        path.write_text(json.dumps(obj))
+        assert main(["check", "--trace", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: bad trace file") and "outside 1..3" in err
+
+
+class TestCampaignEngine:
+    class SplitCons23(EchoProtocol):
+        """Claims the cons23 policy but decides each process's own input."""
+
+        name = "cons23"
+
+    @pytest.mark.parametrize(
+        "protocol, expected",
+        [
+            ("safe-agreement", {"validity", "k-agreement", "termination"}),
+            ("alpha-setcons", {"validity", "k-agreement", "termination"}),
+            ("adaptive", {"validity", "alpha-agreement", "termination"}),
+            ("cons23", {"validity", "k-agreement", "termination"}),
+        ],
+    )
+    def test_policy_table_properties(self, unfair_file, capsys, protocol, expected):
+        argv = ["simulate", "--protocol", protocol, "--adversary", unfair_file, "--seeds", "8", "--budget", "72"]
+        assert main(argv + ["--format", "json"]) == 0
+        obj = json.loads(capsys.readouterr().out)
+        assert set(obj["violations"]) == expected
+        assert obj["failed"] == 0 and set(obj["violations"].values()) == {0}
+
+    def test_policy_breach_is_recorded(self):
+        schedule = Schedule(3, (2, 3, 1, 2, 3), {1: 2})
+        result = cli.run_campaign(lambda: self.SplitCons23(3, default_inputs(3)), [("run-a", schedule)], None, 10)
+        assert result.runs == 1
+        assert result.violations == {"validity": 0, "k-agreement": 1, "termination": 0}
+        assert result.failures == [
+            {
+                "run": "run-a",
+                "property": "k-agreement",
+                "witness": {"step": 4, "process": 3, "distinct": 2, "k": 1},
+                "steps": [2, 3, 1, 2, 3],
+                "halted_at": {"1": 2},
+            }
+        ]
+
+    def test_policy_breach_exits_1_with_witnesses(self, resilient_file, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "Cons23", self.SplitCons23)
+        out_dir = tmp_path / "w"
+        argv = ["simulate", "--protocol", "cons23", "--adversary", resilient_file, "--seeds", "4", "--budget", "48"]
+        assert main(argv + ["--out", str(out_dir)]) == 1
+        assert "witness_file=" in capsys.readouterr().out
+        witnesses = json.loads((out_dir / "witnesses.json").read_text())
+        assert {w["property"] for w in witnesses} == {"k-agreement"}
+        assert {w["run"] for w in witnesses} == {"1", "2", "3", "4"}
 
 
 class TestBgg:

@@ -4,6 +4,7 @@ import pytest
 
 from advlab import AgreementFunction, agreement_function
 from advlab.checkers import check_validity
+from advlab.cli import run_campaign
 from advlab.protocols import (
     AdaptiveSetConsensus,
     Cons23,
@@ -16,20 +17,45 @@ from advlab.protocols import (
     default_inputs,
     safe_agreement_unsafe_halt,
 )
-from advlab.sim import Schedule, execute, generate_admissible_schedule, run_to_quiescence
-
-from campaigns import (
-    adaptive_exhaustive,
-    adaptive_seeded,
-    cons23_seeded,
-    round_robin_exhaustive,
-    safe_agreement_exhaustive,
+from advlab.sim import (
+    Schedule,
+    enumerate_schedules,
+    generate_admissible_schedule,
+    generate_schedule,
+    run_to_quiescence,
 )
+
+
+def exhaustive_failures(make_protocol, fn, n, steps_per_process, halts, max_tail):
+    """Engine failures over every small schedule at each per-process step count."""
+    failures = []
+    for sp in steps_per_process:
+        schedules = enumerate(enumerate_schedules(n, sp, halts))
+        failures += run_campaign(make_protocol, schedules, fn, max_tail).failures
+    return failures
+
+
+def admissible_failures(make_protocol, fn, seeds, budget, max_tail):
+    """Engine failures over seeded schedules admitted by the agreement function."""
+    schedules = ((seed, generate_admissible_schedule(fn, seed, budget)) for seed in seeds)
+    return run_campaign(make_protocol, schedules, fn, max_tail).failures
+
+
+def safe_agreement():
+    return SafeAgreement(2, default_inputs(2))
+
+
+def round_robin(fn):
+    return lambda: RoundRobinSetConsensus(fn.n, default_inputs(fn.n), fn)
+
+
+def adaptive(fn, subroutine=EmbeddedAgreement):
+    return lambda: AdaptiveSetConsensus(fn.n, default_inputs(fn.n), subroutine(fn))
 
 
 class TestSafeAgreement:
     def test_solo_decides_own_input(self):
-        trace = execute(SafeAgreement(2, {1: 5}), Schedule(2, (1, 1, 1, 1)))
+        trace = run_to_quiescence(SafeAgreement(2, {1: 5}), Schedule(2, (1, 1, 1, 1)), max_tail=0)
         assert trace.decided_value(1) == 5
 
     def test_equal_inputs_force_that_value(self):
@@ -51,14 +77,11 @@ class TestSafeAgreement:
         assert not safe_agreement_unsafe_halt(Schedule(2, (1, 2, 2, 2), {2: 3}))
 
     def test_exhaustive_small_schedules(self):
-        failures = safe_agreement_exhaustive(steps_per_process=(1, 2, 3, 4), halts=1)
-        assert failures == []
+        assert exhaustive_failures(safe_agreement, None, 2, (1, 2, 3, 4), 1, max_tail=40) == []
 
     def test_enumeration_reaches_blocked_runs(self):
         # the exhaustive sweep must include genuinely blocking halts, or the
         # conditional-termination clause would be vacuous
-        from advlab.sim import enumerate_schedules
-
         blocked = 0
         for sched in enumerate_schedules(2, 3, 1):
             if not safe_agreement_unsafe_halt(sched):
@@ -79,21 +102,17 @@ class TestRoundRobinSetConsensus:
 
     def test_consensus_when_level_is_one(self):
         fn = AgreementFunction.k_concurrent(2, 1)
-        failures = round_robin_exhaustive(fn, steps_per_process=(2, 3, 4), halts=0)
-        assert failures == []
+        assert exhaustive_failures(round_robin(fn), fn, 2, (2, 3, 4), 0, max_tail=80) == []
 
     def test_two_instances_bound_two_values(self):
         fn = AgreementFunction.k_concurrent(3, 2)
-        failures = round_robin_exhaustive(fn, steps_per_process=(2, 3), halts=1)
-        assert failures == []
+        assert exhaustive_failures(round_robin(fn), fn, 3, (2, 3), 1, max_tail=80) == []
 
     def test_bound_under_derived_function(self, unfair_triple):
         # full designated set has level 2 under the derived function
-        from campaigns import round_robin_seeded
-
         fn = agreement_function(unfair_triple)
-        assert round_robin_seeded(fn, seeds=range(400), budget=60) == []
-        assert round_robin_exhaustive(fn, steps_per_process=(2, 3), halts=1) == []
+        assert admissible_failures(round_robin(fn), fn, range(400), 60, max_tail=120) == []
+        assert exhaustive_failures(round_robin(fn), fn, 3, (2, 3), 1, max_tail=80) == []
 
     def test_wait_free_everyone_decides(self):
         fn = AgreementFunction.wait_free(2)
@@ -126,7 +145,7 @@ class TestAdaptiveSetConsensus:
     def test_solo_decides_own_input(self):
         fn = AgreementFunction.wait_free(3)
         proto = AdaptiveSetConsensus(3, {1: 7}, EmbeddedAgreement(fn))
-        trace = execute(proto, Schedule(3, (1,) * 8))
+        trace = run_to_quiescence(proto, Schedule(3, (1,) * 8), max_tail=0)
         assert trace.decided_value(1) == 7
 
     def test_equal_inputs(self):
@@ -137,13 +156,13 @@ class TestAdaptiveSetConsensus:
 
     @pytest.mark.parametrize("subroutine", ["embedded", "oracle"])
     def test_exhaustive_two_process(self, subroutine):
+        make = {"embedded": EmbeddedAgreement, "oracle": OracleAgreement}[subroutine]
         for fn in (AgreementFunction.wait_free(2), AgreementFunction.t_resilient(2, 0)):
-            failures = adaptive_exhaustive(fn, steps_per_process=(4,), halts=1, subroutine=subroutine)
-            assert failures == []
+            assert exhaustive_failures(adaptive(fn, make), fn, 2, (4,), 1, max_tail=120) == []
 
     def test_seeded_under_derived_function(self, unfair_triple):
         fn = agreement_function(unfair_triple)
-        assert adaptive_seeded(fn, seeds=range(300)) == []
+        assert admissible_failures(adaptive(fn), fn, range(300), 72, max_tail=400) == []
 
     def test_zero_level_start_escapes_on_growth(self, unfair_triple):
         # process 2 alone sits at a level-0 estimate until process 3 shows up
@@ -171,7 +190,7 @@ class TestCons23:
     def test_both_decide_p2_value(self):
         proto = Cons23(3, {2: 11, 3: 12})
         sched = Schedule(3, (2, 3, 2, 3, 3, 2))
-        trace = execute(proto, sched)
+        trace = run_to_quiescence(proto, sched, max_tail=0)
         assert trace.decided_value(2) == 11
         assert trace.decided_value(3) == 11
 
@@ -183,14 +202,15 @@ class TestCons23:
 
     def test_process_one_never_decides(self):
         proto = Cons23(3, {2: 11, 3: 12})
-        trace = execute(proto, Schedule(3, (1,) * 6))
+        trace = run_to_quiescence(proto, Schedule(3, (1,) * 6), max_tail=0)
         assert not trace.decisions
 
     def test_seeded_adversary_campaign(self, unfair_triple):
-        assert cons23_seeded(unfair_triple, seeds=range(300)) == []
+        schedules = ((seed, generate_schedule(unfair_triple, seed, 48)) for seed in range(300))
+        assert run_campaign(lambda: Cons23(3, default_inputs(3)), schedules, None, max_tail=60).failures == []
 
     def test_waiting_p3_blocks_until_p2_writes(self):
         proto = Cons23(3, {2: 11, 3: 12})
         sched = Schedule(3, (3, 3, 3, 3, 2, 3, 3))
-        trace = execute(proto, sched)
+        trace = run_to_quiescence(proto, sched, max_tail=0)
         assert trace.decided_value(3) == 11

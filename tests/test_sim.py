@@ -5,7 +5,7 @@ from math import factorial
 
 import pytest
 
-from advlab import Adversary, AgreementFunction, ProcessSet
+from advlab import Adversary, AgreementFunction, ProcessSet, admits_trace
 from advlab.protocols import EchoProtocol, Protocol, SafeAgreement
 from advlab.sim import (
     ProtocolFault,
@@ -13,9 +13,7 @@ from advlab.sim import (
     SNAPSHOT,
     Update,
     canonical_json,
-    check_alpha_compliance,
     enumerate_schedules,
-    execute,
     generate_admissible_schedule,
     generate_schedule,
     run_to_quiescence,
@@ -65,7 +63,7 @@ class TestSchedule:
 
 class TestExecute:
     def test_echo_solo(self):
-        trace = execute(EchoProtocol(2, {1: 5}), Schedule(2, (1, 1)))
+        trace = run_to_quiescence(EchoProtocol(2, {1: 5}), Schedule(2, (1, 1)), max_tail=0)
         assert [e.kind for e in trace.events] == ["update", "snapshot"]
         assert trace.participating.members() == (1,)
         assert trace.decisions[0].value == 5
@@ -74,27 +72,27 @@ class TestExecute:
 
     def test_determinism(self):
         sched = Schedule(2, (1, 2, 1, 2, 2, 1))
-        t1 = execute(EchoProtocol(2, {1: 5, 2: 7}), sched)
-        t2 = execute(EchoProtocol(2, {1: 5, 2: 7}), sched)
+        t1 = run_to_quiescence(EchoProtocol(2, {1: 5, 2: 7}), sched, max_tail=0)
+        t2 = run_to_quiescence(EchoProtocol(2, {1: 5, 2: 7}), sched, max_tail=0)
         assert canonical_json(trace_to_json_obj(t1)) == canonical_json(trace_to_json_obj(t2))
 
     def test_decided_process_noops(self):
-        trace = execute(EchoProtocol(2, {1: 5}), Schedule(2, (1, 1, 1, 1)))
+        trace = run_to_quiescence(EchoProtocol(2, {1: 5}), Schedule(2, (1, 1, 1, 1)), max_tail=0)
         assert len(trace.events) == 2
         assert len(trace.decisions) == 1
 
     def test_parity_enforced(self):
         with pytest.raises(ProtocolFault):
-            execute(BadParityProtocol(1, {1: 0}), Schedule(1, (1,)))
+            run_to_quiescence(BadParityProtocol(1, {1: 0}), Schedule(1, (1,)), max_tail=0)
 
     def test_arity_mismatch(self):
         with pytest.raises(ValueError):
-            execute(EchoProtocol(2, {1: 5}), Schedule(3, (1,)))
+            run_to_quiescence(EchoProtocol(2, {1: 5}), Schedule(3, (1,)), max_tail=0)
 
     def test_snapshot_atomicity(self):
         # every snapshot equals the per-cell value of the latest preceding update
         sched = Schedule(3, (1, 2, 1, 3, 2, 3, 1, 2, 3, 1, 2, 3))
-        trace = execute(CountingProtocol(3, {}), sched)
+        trace = run_to_quiescence(CountingProtocol(3, {}), sched, max_tail=0)
         cells = [None, None, None]
         for ev in trace.events:
             if ev.kind == "update":
@@ -106,7 +104,7 @@ class TestExecute:
         # successive views of one process never lose writes: per-cell write
         # counts only grow
         sched = Schedule(2, (1, 2, 2, 1, 2, 1, 1, 2, 1, 2))
-        trace = execute(CountingProtocol(2, {}), sched)
+        trace = run_to_quiescence(CountingProtocol(2, {}), sched, max_tail=0)
         counts = [0, 0]
         last_seen = {}
         for ev in trace.events:
@@ -226,8 +224,8 @@ class TestTraceFiles:
 
         fn = agreement_function(unfair_triple)
         sched = Schedule(3, (2, 2))
-        trace = execute(EchoProtocol(3, {2: 9}), sched)
-        assert not check_alpha_compliance(trace, fn)
+        trace = run_to_quiescence(EchoProtocol(3, {2: 9}), sched, max_tail=0)
+        assert not admits_trace(fn, trace)
         full = Schedule(3, (1, 2, 3, 1, 2, 3))
-        trace2 = execute(EchoProtocol(3, {1: 1, 2: 2, 3: 3}), full)
-        assert check_alpha_compliance(trace2, fn)
+        trace2 = run_to_quiescence(EchoProtocol(3, {1: 1, 2: 2, 3: 3}), full, max_tail=0)
+        assert admits_trace(fn, trace2)
