@@ -6,13 +6,23 @@ choices of higher simulators, re-selects a live set when the current one
 stops being valid, and drives one simulated process step per round,
 rotating over its live set on success.
 
-The step machinery underneath is a pluggable oracle.  The default
-oracle models agreement contention deterministically: a step on a process
-is blocked exactly while a higher-id simulator that is still taking rounds
-targets the same process, and steps held by stopped simulators never block
-anyone (departed blockers get cleaned up).  A scripted oracle can inject
-other block patterns, subject to the same "blocked only while another
-simulator holds the process" rule.
+Every set in the round loop is a bit mask (bit i-1 for process i), the
+same form the round records and the history file use.  Every power
+question is one lookup in a region table of the adversary: a live set s
+is powered for simulator sid when it lies inside the window and
+`adversary.region_table(active)[s] >= sid` (`powered`), and the level
+α(P) of a participating set P is `adversary.region_table(full)[P]`, the
+table the adversary's agreement function wraps.
+
+The step machinery underneath is a pluggable oracle, built by a factory
+called with (is_live, locals) so it can observe the simulators' current
+targets; `ContentionOracle` is the default factory.  It models agreement
+contention deterministically: a step on a process is blocked exactly
+while a higher-id simulator that is still taking rounds targets the same
+process, and steps held by stopped simulators never block anyone
+(departed blockers get cleaned up).  A scripted oracle can inject other
+block patterns, subject to the same "blocked only while another simulator
+holds the process" rule.
 
 Activation gate: the loop body verbatim runs when the simulator id is at
 least min(|unfinished|, level(participating)).  That direction leaves the
@@ -26,11 +36,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
-from .adversary import Adversary, agreement_function
+from .adversary import Adversary, adversary_to_json_obj
 # Unused here; kept as attributes of this module because the benchmark's
 # tracer (perfbench/tracing.py) wraps them under these names.
-from .adversary import restrict_intersecting, setcon  # noqa: F401
-from .alpha import AgreementFunction
+from .adversary import agreement_function, restrict_intersecting, setcon  # noqa: F401
 from .checkers import Verdict
 from .processes import ProcessSet
 
@@ -45,24 +54,26 @@ GATE_VERBATIM = "verbatim"
 GATE_ADAPTIVE = "adaptive"
 
 
+def warm_up_budget(n: int) -> int:
+    """Rounds after which the bounded selection properties are meaningful."""
+    return 400 * n
+
+
 class SelectionImpossible(Exception):
     """No live set fits the participating region; the caller must surface this."""
 
 
 @dataclass
 class BGShared:
-    """Shared arrays: per-simulator selections and per-process status."""
+    """Shared arrays: per-simulator (process, live-set mask) selections and per-process status."""
 
-    n: int
-    selections: list[tuple[Optional[int], ProcessSet]]
+    selections: list[tuple[Optional[int], int]]
     pmem: list[object]
 
     @classmethod
     def fresh(cls, n: int, sim_count: int, pmem: Optional[list] = None) -> "BGShared":
-        empty = ProcessSet(n, 0)
         return cls(
-            n,
-            [(None, empty) for _ in range(sim_count + 1)],  # index 0 unused
+            [(None, 0) for _ in range(sim_count + 1)],  # index 0 unused
             list(pmem) if pmem is not None else [PM_ACTIVE] * n,
         )
 
@@ -70,18 +81,24 @@ class BGShared:
 @dataclass
 class SimulatorLocal:
     sid: int
-    s_cur: ProcessSet
+    s_cur: int = 0
     p_cur: Optional[int] = None
 
 
-def read_participation(shared: BGShared) -> tuple[ProcessSet, ProcessSet]:
-    """(initialized processes, initialized-and-unfinished processes)."""
-    part = ProcessSet.of(shared.n, [p for p in range(1, shared.n + 1) if shared.pmem[p - 1] is not PM_UNSET])
-    active = ProcessSet.of(
-        shared.n,
-        [p for p in range(1, shared.n + 1) if shared.pmem[p - 1] not in (PM_UNSET, PM_DONE)],
-    )
+def participation(pmem: list) -> tuple[int, int]:
+    """(initialized, initialized-and-unfinished) processes of a status array, as masks."""
+    part = active = 0
+    for i, status in enumerate(pmem):
+        if status is not PM_UNSET:
+            part |= 1 << i
+            if status != PM_DONE:
+                active |= 1 << i
     return part, active
+
+
+def gate_threshold(adversary: Adversary, part: int, active: int) -> int:
+    """min(|A|, α(P)): the activation gate's threshold and the eligibility bound."""
+    return min(active.bit_count(), adversary.region_table((1 << adversary.n) - 1)[part])
 
 
 def power_within(adversary: Adversary, region: ProcessSet, active: ProcessSet) -> int:
@@ -91,64 +108,50 @@ def power_within(adversary: Adversary, region: ProcessSet, active: ProcessSet) -
     return adversary.region_table(active.bits)[region.bits]
 
 
-def compute_window(
-    sid: int,
-    shared: BGShared,
-    part: ProcessSet,
-    active: ProcessSet,
-    adversary: Adversary,
-    sim_count: int,
-    trail: Optional[list] = None,
-) -> ProcessSet:
+def powered(table: bytes, s: int, window: int, sid: int) -> bool:
+    """Live set s fits the window and carries power at least sid.
+
+    `table` is `adversary.region_table(active)`, read once per round.
+    """
+    return s & ~window == 0 and table[s] >= sid
+
+
+def compute_window(sid: int, shared: BGShared, part: int, table: bytes, trail: Optional[list] = None) -> int:
     """Narrow the participation down the higher simulators' registered choices.
 
     From the top simulator down to sid+1: a registered (process, live set)
     pair narrows the window to that live set minus its process, provided the
-    set sits inside the current window and still carries enough power for
-    its owner's id.  Pure in (selections above sid, part, active).
+    set is powered for its owner's id in the current window.  Pure in
+    (selections above sid, part, table).
     """
     window = part
-    for j in range(sim_count, sid, -1):
+    for j in range(len(shared.selections) - 1, sid, -1):
         p_tmp, s_tmp = shared.selections[j]
-        if p_tmp is not None and s_tmp.issubset(window) and power_within(adversary, s_tmp, active) >= j:
-            window = s_tmp.without(p_tmp)
+        if p_tmp is not None and powered(table, s_tmp, window, j):
+            window = s_tmp & ~(1 << (p_tmp - 1))
         if trail is not None:
-            trail.append((j, window.bits))
+            trail.append((j, window))
     return window
 
 
-def selection_valid(
-    s_cur: ProcessSet, window: ProcessSet, active: ProcessSet, sid: int, adversary: Adversary
-) -> bool:
-    """A selection stays valid while it fits the window and keeps enough power."""
-    return s_cur.issubset(window) and power_within(adversary, s_cur, active) >= sid
-
-
-def _select(
-    window: ProcessSet, active: ProcessSet, sid: int, part: ProcessSet, adversary: Adversary
-) -> tuple[ProcessSet, bool]:
+def select_live_set(adversary: Adversary, table: bytes, window: int, part: int, sid: int) -> tuple[int, bool]:
+    """(live set, fallback): the first powered one in the window, else the first in the region."""
     for s in adversary.live_sets:  # ascending mask: deterministic tie-break
-        if s.issubset(window) and power_within(adversary, s, active) >= sid:
-            return s, False
+        if powered(table, s.bits, window, sid):
+            return s.bits, False
     for s in adversary.live_sets:
-        if s.issubset(part):
-            return s, True
-    raise SelectionImpossible(f"no live set fits the participating region {part}")
+        if s.bits & ~part == 0:
+            return s.bits, True
+    raise SelectionImpossible(f"no live set fits the participating region {ProcessSet(adversary.n, part)}")
 
 
-def select_live_set(
-    window: ProcessSet, active: ProcessSet, sid: int, part: ProcessSet, adversary: Adversary
-) -> ProcessSet:
-    """A live set in the window with power at least sid, else any one in the region."""
-    return _select(window, active, sid, part, adversary)[0]
+def _lowest(s: int) -> int:
+    return (s & -s).bit_length()
 
 
-def _next_in_cycle(s: ProcessSet, pid: int) -> int:
-    members = s.members()
-    for q in members:
-        if q > pid:
-            return q
-    return members[0]
+def _next_in_cycle(s: int, pid: int) -> int:
+    higher = s >> pid  # members above pid
+    return pid + _lowest(higher) if higher else _lowest(s)
 
 
 class ContentionOracle:
@@ -164,22 +167,15 @@ class ContentionOracle:
                 return BLOCKED
         return SUCCESS
 
-    def outputted(self, pid: int) -> bool:
-        return False
-
 
 class ScriptedOracle:
-    """Test oracle driven by explicit functions for stepping and task outputs."""
+    """Test oracle driven by an explicit step function."""
 
-    def __init__(self, step_fn: Callable[[int, int, int], str], output_fn: Optional[Callable[[int], bool]] = None):
+    def __init__(self, step_fn: Callable[[int, int, int], str]):
         self._step_fn = step_fn
-        self._output_fn = output_fn
 
     def simulate_step(self, sid: int, pid: int, round_no: int) -> str:
         return self._step_fn(sid, pid, round_no)
-
-    def outputted(self, pid: int) -> bool:
-        return bool(self._output_fn and self._output_fn(pid))
 
 
 def simulator_round(
@@ -187,23 +183,22 @@ def simulator_round(
     shared: BGShared,
     oracle,
     adversary: Adversary,
-    fn: AgreementFunction,
     gate_mode: str = GATE_VERBATIM,
     round_no: int = 0,
 ) -> dict:
     """One full loop iteration of a simulator; returns the round record."""
-    part, active = read_participation(shared)
-    threshold = min(len(active), fn.value_of(part))
+    part, active = participation(shared.pmem)
+    threshold = gate_threshold(adversary, part, active)
     gated_in = local.sid >= threshold if gate_mode == GATE_VERBATIM else local.sid <= threshold
     record = {
         "round": round_no,
         "simulator": local.sid,
-        "P": part.bits,
-        "A": active.bits,
+        "P": part,
+        "A": active,
         "gated": gated_in,
         "W": None,
         "trail": (),
-        "s_cur": local.s_cur.bits,
+        "s_cur": local.s_cur,
         "p_cur": local.p_cur,
         "reselected": False,
         "fallback": False,
@@ -212,24 +207,21 @@ def simulator_round(
     }
     if not gated_in:
         return record
+    table = adversary.region_table(active)
     trail: list = []
-    window = compute_window(local.sid, shared, part, active, adversary, len(shared.selections) - 1, trail)
-    record["W"] = window.bits
+    window = compute_window(local.sid, shared, part, table, trail)
+    record["W"] = window
     record["trail"] = tuple(trail)
-    if not selection_valid(local.s_cur, window, active, local.sid, adversary):
-        chosen, fallback = _select(window, active, local.sid, part, adversary)
-        local.s_cur = chosen
-        local.p_cur = chosen.members()[0]
+    if not powered(table, local.s_cur, window, local.sid):
+        local.s_cur, record["fallback"] = select_live_set(adversary, table, window, part, local.sid)
+        local.p_cur = _lowest(local.s_cur)
         shared.selections[local.sid] = (local.p_cur, local.s_cur)
         record["reselected"] = True
-        record["fallback"] = fallback
-    record["s_cur"] = local.s_cur.bits
+    record["s_cur"] = local.s_cur
     record["stepped"] = local.p_cur
     result = oracle.simulate_step(local.sid, local.p_cur, round_no)
     record["result"] = result
     if result == SUCCESS:
-        if oracle.outputted(local.p_cur):
-            shared.pmem[local.p_cur - 1] = PM_DONE
         local.p_cur = _next_in_cycle(local.s_cur, local.p_cur)
     record["p_cur"] = local.p_cur
     return record
@@ -240,35 +232,21 @@ class SelectionHistory:
     """Round-by-round record of a selection run, plus the configuration header."""
 
     adversary: Adversary
-    fn: AgreementFunction
     gate_mode: str
     sim_count: int
     budget: int
     pattern: dict[int, int]
     records: list[dict] = field(default_factory=list)
-    final_selections: list = field(default_factory=list)
     final_pmem: list = field(default_factory=list)
 
     def live_sims(self) -> list[int]:
         return [s for s in range(1, self.sim_count + 1) if s not in self.pattern]
-
-    def final_participation(self) -> tuple[int, int]:
-        part = 0
-        active = 0
-        for i, st in enumerate(self.final_pmem):
-            if st is not PM_UNSET:
-                part |= 1 << i
-                if st is not PM_DONE:
-                    active |= 1 << i
-        return part, active
 
     def quarter_records(self) -> list[dict]:
         cut = 3 * self.budget // 4
         return [r for r in self.records if r["round"] >= cut]
 
     def to_json_obj(self) -> dict:
-        from .adversary import adversary_to_json_obj
-
         return {
             "adversary": adversary_to_json_obj(self.adversary),
             "gate_mode": self.gate_mode,
@@ -283,59 +261,53 @@ class SelectionHistory:
 
 def run_bgg_selection(
     adversary: Adversary,
-    fn: Optional[AgreementFunction] = None,
-    initial_pmem: Optional[list] = None,
+    *,
+    budget: int,
     pattern: Optional[dict[int, int]] = None,
-    budget: int = 0,
     gate_mode: str = GATE_VERBATIM,
-    oracle=None,
+    initial_pmem: Optional[list] = None,
+    oracle: Callable[[Callable[[int], bool], dict[int, SimulatorLocal]], object] = ContentionOracle,
 ) -> SelectionHistory:
     """Replay all simulators round-robin for `budget` global rounds.
 
     The pattern maps a simulator id to the number of rounds it takes before
     halting; absent ids run for the whole budget.  The simulator count is
-    the agreement level of the full universe.  `oracle` may be an oracle
-    object or a factory called with (is_live, locals) so scripted oracles
-    can observe the simulators' current targets.
+    the agreement level of the full universe.  `oracle` is a factory called
+    with (is_live, locals), so scripted oracles can observe the simulators'
+    current targets.
     """
     if gate_mode not in (GATE_VERBATIM, GATE_ADAPTIVE):
         raise ValueError(f"unknown gate mode {gate_mode!r}")
-    if fn is None:
-        fn = agreement_function(adversary)
-    sim_count = fn.of_bits((1 << adversary.n) - 1)
-    if budget <= 0:
-        budget = 400 * adversary.n
+    if budget < 1:
+        raise ValueError(f"the budget must be at least 1 round, got {budget}")
+    full = (1 << adversary.n) - 1
+    sim_count = adversary.region_table(full)[full]
     pattern = dict(pattern or {})
-    history = SelectionHistory(adversary, fn, gate_mode, sim_count, budget, pattern)
+    history = SelectionHistory(adversary, gate_mode, sim_count, budget, pattern)
     if sim_count == 0:
         return history
     shared = BGShared.fresh(adversary.n, sim_count, initial_pmem)
-    locals_ = {sid: SimulatorLocal(sid, ProcessSet(adversary.n, 0)) for sid in range(1, sim_count + 1)}
+    locals_ = {sid: SimulatorLocal(sid) for sid in range(1, sim_count + 1)}
     taken = {sid: 0 for sid in locals_}
 
     def is_live(sid: int) -> bool:
         limit = pattern.get(sid)
         return limit is None or taken[sid] < limit
 
-    if oracle is None:
-        oracle = ContentionOracle(is_live, locals_)
-    elif callable(oracle):
-        oracle = oracle(is_live, locals_)
+    step_oracle = oracle(is_live, locals_)
     for round_no in range(budget):
         sid = round_no % sim_count + 1
         if not is_live(sid):
             continue
-        record = simulator_round(locals_[sid], shared, oracle, adversary, fn, gate_mode, round_no)
+        record = simulator_round(locals_[sid], shared, step_oracle, adversary, gate_mode, round_no)
         taken[sid] += 1
         history.records.append(record)
-    history.final_selections = list(shared.selections)
     history.final_pmem = list(shared.pmem)
     return history
 
 
 def _eligible_live(history: SelectionHistory) -> tuple[list[int], Optional[int]]:
-    part_bits, active_bits = history.final_participation()
-    bound = min(bin(active_bits).count("1"), history.fn.of_bits(part_bits))
+    bound = gate_threshold(history.adversary, *participation(history.final_pmem))
     live = [s for s in history.live_sims() if s <= bound]
     return live, (max(live) if live else None)
 
@@ -386,12 +358,8 @@ def check_selection_feasibility(history: SelectionHistory) -> Verdict:
         sid = r["simulator"]
         if sid not in live or not r["gated"]:
             continue
-        window = ProcessSet(adversary.n, r["W"])
-        active = ProcessSet(adversary.n, r["A"])
-        ok = any(
-            s.issubset(window) and power_within(adversary, s, active) >= sid for s in adversary.live_sets
-        )
-        if not ok:
+        table = adversary.region_table(r["A"])
+        if not any(powered(table, s.bits, r["W"], sid) for s in adversary.live_sets):
             return Verdict(
                 "selection-feasibility", False, {"round": r["round"], "simulator": sid, "window": r["W"]}
             )
@@ -411,7 +379,7 @@ def check_liveset_coverage(history: SelectionHistory) -> Verdict:
     live, top = _eligible_live(history)
     if top is None:
         return Verdict("liveset-coverage", True, {"note": "no live eligible simulator"})
-    _, active_bits = history.final_participation()
+    _, active_bits = participation(history.final_pmem)
     quarter = history.quarter_records()
     stepped_ok = 0
     for r in quarter:

@@ -320,13 +320,28 @@ def _campaign(args, fn, n: int, schedules, trace_dir: Optional[Path] = None) -> 
     return _report(args, obj, lines, result.failures)
 
 
-def cmd_simulate(args) -> int:
-    _require_known_protocol(args.protocol)
+def _load_model(args, n: Optional[int] = None):
+    """(adversary, agreement function) from --adversary and --alpha, either possibly None.
+
+    Each given file is loaded and validated.  Both, and the universe size n
+    when given, must agree.  Without --alpha the function is derived from
+    the adversary.
+    """
     adversary = _load_adversary(args.adversary) if args.adversary else None
     fn = _load_alpha(args.alpha) if args.alpha else None
+    sizes = {"--n": n} if n is not None else {}
+    sizes.update((flag, model.n) for flag, model in (("--adversary", adversary), ("--alpha", fn)) if model is not None)
+    if len(set(sizes.values())) > 1:
+        raise InputError("universe mismatch: " + ", ".join(f"{flag} has n={v}" for flag, v in sizes.items()))
     if fn is None and adversary is not None:
         fn = adv_mod.agreement_function(adversary)
-    if adversary is None and fn is None:
+    return adversary, fn
+
+
+def cmd_simulate(args) -> int:
+    _require_known_protocol(args.protocol)
+    adversary, fn = _load_model(args)
+    if fn is None:
         raise InputError("simulate needs --adversary or --alpha")
     budget = _budget(args, DEFAULT_SIM_BUDGET)
     base = args.seed
@@ -348,9 +363,7 @@ def cmd_enumerate(args) -> int:
         _emit(args, {"schedules": count}, [f"schedules={count}"])
         return 0
     _require_known_protocol(args.protocol)
-    fn = _load_alpha(args.alpha) if args.alpha else None
-    if fn is None and args.adversary:
-        fn = adv_mod.agreement_function(_load_adversary(args.adversary))
+    _, fn = _load_model(args, args.n)
     return _campaign(args, fn, args.n, enumerate(enumerate_schedules(args.n, args.steps, args.halts)))
 
 
@@ -387,7 +400,10 @@ def cmd_check(args) -> int:
 def cmd_bgg(args) -> int:
     adversary = _load_adversary(args.adversary)
     fair = adv_mod.is_fair(adversary)
-    budget = _budget(args, 400 * adversary.n)
+    warm_up = bgg_mod.warm_up_budget(adversary.n)
+    budget = _budget(args, warm_up)
+    if budget < 1:
+        raise InputError(f"the bgg budget must be at least 1 round, got {budget}")
     sim_count = adv_mod.setcon(adversary)
     pattern: dict[int, int] = {}
     for item in args.halt or []:
@@ -403,7 +419,6 @@ def cmd_bgg(args) -> int:
     history = bgg_mod.run_bgg_selection(
         adversary, pattern=pattern, budget=budget, gate_mode=args.gate
     )
-    warmed_up = budget >= 400 * adversary.n
     obj: dict = {
         "gate_mode": history.gate_mode,
         "simulators": history.sim_count,
@@ -422,10 +437,10 @@ def cmd_bgg(args) -> int:
     if not fair:
         obj["properties"] = "not-applicable"
         lines.append("properties=not-applicable (adversary is not fair)")
-    elif not warmed_up:
+    elif budget < warm_up:
         warnings += 1
         obj["properties"] = "inconclusive"
-        lines.append(f"properties=inconclusive (budget {budget} below warm-up {400 * adversary.n})")
+        lines.append(f"properties=inconclusive (budget {budget} below warm-up {warm_up})")
     else:
         verdicts = bgg_mod.selection_report(history)
         obj["properties"] = [v.to_json_obj() for v in verdicts]

@@ -73,11 +73,6 @@ class ProcessSet:
         self._check(other)
         return self.bits & ~other.bits == 0
 
-    def with_(self, pid: int) -> "ProcessSet":
-        if not 1 <= pid <= self.n:
-            raise ValueError(f"process id {pid} outside 1..{self.n}")
-        return ProcessSet(self.n, self.bits | 1 << (pid - 1))
-
     def without(self, pid: int) -> "ProcessSet":
         if not 1 <= pid <= self.n:
             raise ValueError(f"process id {pid} outside 1..{self.n}")

@@ -227,9 +227,7 @@ def test_criterion_09_selection_property_suite():
             for rsize in range(sims + 1):
                 for halted in itertools.combinations(range(1, sims + 1), rsize):
                     pattern = {s: budget // 6 + 3 * s for s in halted}
-                    history = run_bgg_selection(
-                        adv, fn, pattern=pattern, budget=budget, gate_mode=GATE_ADAPTIVE
-                    )
+                    history = run_bgg_selection(adv, pattern=pattern, budget=budget, gate_mode=GATE_ADAPTIVE)
                     for verdict in (
                         check_participation_stability(history),
                         check_window_stability(history),

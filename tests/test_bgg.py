@@ -20,12 +20,13 @@ from advlab.bgg import (
     check_selection_feasibility,
     check_window_stability,
     compute_window,
-    selection_report,
+    participation,
     power_within,
-    read_participation,
+    powered,
     run_bgg_selection,
     select_live_set,
-    selection_valid,
+    selection_report,
+    warm_up_budget,
 )
 
 from oracles import all_families, brute_restrict_touching, brute_setcon
@@ -38,100 +39,87 @@ def fair_example():
 class TestReadParticipation:
     def test_all_unset(self):
         shared = BGShared.fresh(3, 2, pmem=[None, None, None])
-        part, active = read_participation(shared)
-        assert part.bits == 0 and active.bits == 0
+        assert participation(shared.pmem) == (0, 0)
 
     def test_mixed(self):
         shared = BGShared.fresh(3, 2, pmem=[PM_ACTIVE, PM_DONE, None])
-        part, active = read_participation(shared)
-        assert part.members() == (1, 2)
-        assert active.members() == (1,)
+        assert participation(shared.pmem) == (0b011, 0b001)
 
     def test_all_done(self):
         shared = BGShared.fresh(3, 2, pmem=[PM_DONE] * 3)
-        part, active = read_participation(shared)
-        assert part.members() == (1, 2, 3)
-        assert active.bits == 0
+        assert participation(shared.pmem) == (0b111, 0)
 
 
 class TestComputeWindow:
     def test_empty_registers_leave_full_window(self):
         adv = fair_example()
         shared = BGShared.fresh(3, 2)
-        part, active = read_participation(shared)
-        assert compute_window(1, shared, part, active, adv, 2) == part
+        part, active = participation(shared.pmem)
+        assert compute_window(1, shared, part, adv.region_table(active)) == part
 
     def test_hand_traced_narrowing(self):
         adv = fair_example()
         shared = BGShared.fresh(3, 2)
-        full = ProcessSet.full(3)
-        shared.selections[2] = (1, full)
-        window = compute_window(1, shared, full, full, adv, 2)
-        assert window.members() == (2, 3)
+        shared.selections[2] = (1, 0b111)
+        window = compute_window(1, shared, 0b111, adv.region_table(0b111))
+        assert window == 0b110
 
     def test_hand_traced_narrowing_partial_set(self):
         adv = fair_example()
         shared = BGShared.fresh(3, 2)
         full = ProcessSet.full(3)
-        shared.selections[2] = (1, ProcessSet.of(3, [1, 3]))
+        shared.selections[2] = (1, 0b101)
         assert power_within(adv, ProcessSet.of(3, [1, 3]), full) == 2
-        window = compute_window(1, shared, full, full, adv, 2)
-        assert window.members() == (3,)
+        window = compute_window(1, shared, 0b111, adv.region_table(0b111))
+        assert window == 0b100
 
     def test_window_only_shrinks_along_the_trail(self):
         adv = all_nonempty(3)
         sim_count = agreement_function(adv).of_bits(7)
         shared = BGShared.fresh(3, sim_count)
-        full = ProcessSet.full(3)
-        shared.selections[3] = (2, full)
-        shared.selections[2] = (3, ProcessSet.of(3, [1, 3]))
+        shared.selections[3] = (2, 0b111)
+        shared.selections[2] = (3, 0b101)
         trail = []
-        window = compute_window(1, shared, full, full, adv, sim_count, trail)
-        bits = [full.bits] + [b for _, b in trail]
+        window = compute_window(1, shared, 0b111, adv.region_table(0b111), trail)
+        bits = [0b111] + [b for _, b in trail]
         for before, after in zip(bits, bits[1:]):
             assert after & ~before == 0
-        assert window.bits == bits[-1]
+        assert window == bits[-1]
 
 
 class TestSelection:
     def test_empty_selection_is_invalid(self):
         adv = fair_example()
-        full = ProcessSet.full(3)
-        assert not selection_valid(ProcessSet(3, 0), full, full, 1, adv)
+        assert not powered(adv.region_table(0b111), 0, 0b111, 1)
 
     def test_valid_pair(self):
         adv = fair_example()
-        w = ProcessSet.of(3, [2, 3])
-        assert selection_valid(w, w, ProcessSet.full(3), 1, adv)
+        assert powered(adv.region_table(0b111), 0b110, 0b110, 1)
 
     def test_outside_window_is_invalid(self):
         adv = fair_example()
-        assert not selection_valid(ProcessSet.full(3), ProcessSet.of(3, [2, 3]), ProcessSet.full(3), 1, adv)
+        assert not powered(adv.region_table(0b111), 0b111, 0b110, 1)
 
     def test_smallest_encoding_wins(self):
         adv = fair_example()
-        full = ProcessSet.full(3)
-        assert select_live_set(full, full, 1, full, adv).members() == (1,)
+        assert select_live_set(adv, adv.region_table(0b111), 0b111, 0b111, 1) == (0b001, False)
 
     def test_fallback_branch(self):
         adv = Adversary.of(3, [[1], [2]])
-        full = ProcessSet.full(3)
         assert setcon(adv) == 1
         # no live set reaches power 2, so any region member is returned
-        assert select_live_set(full, full, 2, full, adv).members() == (1,)
+        assert select_live_set(adv, adv.region_table(0b111), 0b111, 0b111, 2) == (0b001, True)
 
     def test_selection_impossible_surfaces(self):
         adv = fair_example()
-        empty = ProcessSet(3, 0)
         with pytest.raises(SelectionImpossible):
-            select_live_set(empty, empty, 1, empty, adv)
+            select_live_set(adv, adv.region_table(0), 0, 0, 1)
 
 
 class TestSimulatorRound:
     def test_round_robin_cycling(self):
         adv = Adversary.of(3, [[1, 2, 3]])
-        fn = agreement_function(adv)
-        history = run_bgg_selection(adv, fn, budget=7, gate_mode=GATE_ADAPTIVE)
+        history = run_bgg_selection(adv, budget=7, gate_mode=GATE_ADAPTIVE)
         assert [r["stepped"] for r in history.records] == [1, 2, 3, 1, 2, 3, 1]
         assert all(r["result"] == SUCCESS for r in history.records)
 
@@ -191,6 +179,11 @@ class TestBoundedProperties:
     def test_nonfair_adversary_still_runs(self, unfair_triple):
         history = run_bgg_selection(unfair_triple, budget=200, gate_mode=GATE_ADAPTIVE)
         assert history.records
+
+    @pytest.mark.parametrize("budget", [0, -7])
+    def test_budget_below_one_rejected(self, budget):
+        with pytest.raises(ValueError, match="at least 1 round"):
+            run_bgg_selection(fair_example(), budget=budget)
 
     def test_empty_adversary_trivial_history(self):
         history = run_bgg_selection(Adversary(3, ()), budget=100)
@@ -254,12 +247,37 @@ class TestSelectionPropertySweep:
             for rsize in range(sims + 1):
                 for halted in itertools.combinations(range(1, sims + 1), rsize):
                     pattern = {s: budget // 6 + 3 * s for s in halted}
-                    history = run_bgg_selection(
-                        adv, fn, pattern=pattern, budget=budget, gate_mode=GATE_ADAPTIVE
-                    )
+                    history = run_bgg_selection(adv, pattern=pattern, budget=budget, gate_mode=GATE_ADAPTIVE)
                     for verdict in (
                         check_window_stability(history),
                         check_selection_feasibility(history),
                         check_liveset_coverage(history),
                     ):
                         assert verdict.passed, (adv, pattern, verdict)
+
+
+class TestVerbatimGateDeviation:
+    """ROADMAP item 5: the verbatim gate polarity breaks live-set coverage.
+
+    On {{1},{2},{3},{1,2,3}} with simulator 2 halted after 206 rounds, the
+    gate threshold min(|A|, α(P)) is 2, so the verbatim gate (id at least the
+    threshold) lets only simulator 2 through.  Once it halts, the one live
+    simulator stays gated out and nothing is stepped in the final quarter.
+    """
+
+    ADV = Adversary.of(3, [[1], [2], [3], [1, 2, 3]])
+
+    def run(self, gate_mode):
+        return run_bgg_selection(self.ADV, pattern={2: 206}, budget=warm_up_budget(3), gate_mode=gate_mode)
+
+    def test_verbatim_fails_liveset_coverage(self):
+        history = self.run(GATE_VERBATIM)
+        assert not any(r["gated"] for r in history.records if r["simulator"] == 1)
+        verdicts = selection_report(history)
+        assert [v.passed for v in verdicts] == [True, True, True, False]
+        assert verdicts[3].prop == "liveset-coverage"
+        assert verdicts[3].witness == {"stepped": 0, "top": 1, "top_steps": []}
+
+    def test_adaptive_passes(self):
+        verdicts = selection_report(self.run(GATE_ADAPTIVE))
+        assert all(v.passed for v in verdicts), verdicts

@@ -211,6 +211,33 @@ class TestEnumerate:
         assert main(["enumerate", "--n", "3", "--steps", "5"]) == 2
 
 
+class TestModelLoading:
+    """simulate and enumerate load --adversary and --alpha through one helper."""
+
+    @pytest.fixture
+    def wf2_file(self, tmp_path):
+        path = tmp_path / "wf2.json"
+        path.write_text(json.dumps({"n": 2, "table": [0, 1, 1, 2]}))
+        return str(path)
+
+    def test_enumerate_loads_adversary_beside_alpha(self, wf2_file, tmp_path, capsys):
+        argv = ["enumerate", "--n", "2", "--steps", "2", "--protocol", "adaptive", "--alpha", wf2_file]
+        assert main(argv + ["--adversary", str(tmp_path / "nonexistent.json")]) == 2
+        assert capsys.readouterr().err.startswith("error: cannot read")
+        assert main(argv) == 0
+
+    @pytest.mark.parametrize("protocol", ["safe-agreement", "cons23", "alpha-setcons", "adaptive"])
+    def test_simulate_universe_mismatch_exits_2(self, wf2_file, resilient_file, capsys, protocol):
+        argv = ["simulate", "--protocol", protocol, "--adversary", resilient_file, "--alpha", wf2_file]
+        assert main(argv + ["--seeds", "3"]) == 2
+        assert capsys.readouterr().err == "error: universe mismatch: --adversary has n=3, --alpha has n=2\n"
+
+    def test_enumerate_universe_mismatch_exits_2(self, resilient_file, capsys):
+        argv = ["enumerate", "--n", "2", "--steps", "2", "--protocol", "safe-agreement", "--adversary", resilient_file]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == "error: universe mismatch: --n has n=2, --adversary has n=3\n"
+
+
 class TestCheckCommand:
     def test_failing_trace_exits_1_with_witness(self, tmp_path, capsys):
         # craft a trace with a foreign decision value
@@ -364,6 +391,34 @@ class TestBgg:
         assert code == 0
         assert "gate_mode=verbatim" in out
 
+    @pytest.mark.parametrize("budget", ["0", "-7"])
+    def test_budget_below_one_exits_2(self, fair_file, tmp_path, capsys, budget):
+        out_dir = tmp_path / "h"
+        assert main(["bgg", "--adversary", fair_file, "--budget", budget, "--out", str(out_dir)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: the bgg budget must be at least 1 round, got {budget}\n"
+        assert not (out_dir / "bgg-history.json").exists()
+
+    def test_verbatim_gate_deviation_witness(self, tmp_path, capsys):
+        # ROADMAP item 5: under the verbatim gate, halting simulator 2 after
+        # 206 rounds leaves simulator 1 gated out, so nothing is stepped late
+        path = tmp_path / "singletons.json"
+        path.write_text(json.dumps({"n": 3, "live_sets": [[1], [1, 2, 3], [2], [3]]}))
+        out_dir = tmp_path / "w"
+        argv = ["bgg", "--adversary", str(path), "--halt", "2:206", "--format", "json", "--out", str(out_dir)]
+        assert main(argv) == 1
+        obj = json.loads(capsys.readouterr().out)
+        assert (obj["gate_mode"], obj["budget"]) == ("verbatim", 1200)
+        assert [v["pass"] for v in obj["properties"]] == [True, True, True, False]
+        witness = {"stepped": 0, "top": 1, "top_steps": []}
+        assert json.loads((out_dir / "witnesses.json").read_text()) == [
+            {"property": "liveset-coverage", "witness": witness}
+        ]
+        assert main(argv[:-2] + ["--gate", "adaptive"]) == 0
+        obj = json.loads(capsys.readouterr().out)
+        assert [v["pass"] for v in obj["properties"]] == [True, True, True, True]
+
 
 class TestCommonMachinery:
     def test_env_budget_override(self, fair_file, capsys, monkeypatch):
@@ -377,6 +432,11 @@ class TestCommonMachinery:
     def test_bad_env_budget_exits_2(self, fair_file, monkeypatch):
         monkeypatch.setenv("ADVLAB_BUDGET", "soon")
         assert main(["bgg", "--adversary", fair_file]) == 2
+
+    def test_env_budget_below_one_exits_2(self, fair_file, capsys, monkeypatch):
+        monkeypatch.setenv("ADVLAB_BUDGET", "0")
+        assert main(["bgg", "--adversary", fair_file]) == 2
+        assert capsys.readouterr().err.startswith("error: the bgg budget must be at least 1 round")
 
     def test_reports_are_deterministic(self, unfair_file, capsys):
         argv = [
