@@ -313,7 +313,13 @@ def _eligible_live(history: SelectionHistory) -> tuple[list[int], Optional[int]]
 
 
 def check_participation_stability(history: SelectionHistory) -> Verdict:
-    """The participation arrays settle: final-quarter rounds all read the same (P, A)."""
+    """The participation arrays settle: final-quarter rounds all read the same (P, A).
+
+    On a history from run_bgg_selection this cannot fail: no oracle writes
+    the status array during a run, so every round reads the initial array
+    and the check only re-reads it.  It is kept so the report keeps its four
+    properties.
+    """
     quarter = history.quarter_records()
     seen = {(r["P"], r["A"]) for r in quarter}
     if len(seen) > 1:

@@ -305,6 +305,11 @@ def _require_known_protocol(name: str) -> None:
         raise InputError(f"unknown protocol {name!r} (choose from {', '.join(POLICIES)})")
 
 
+def _check_tail(args) -> None:
+    if args.tail < 0:
+        raise InputError(f"--tail must not be negative, got {args.tail}")
+
+
 def _campaign(args, fn, n: int, schedules, trace_dir: Optional[Path] = None) -> int:
     name = args.protocol
     make_protocol = _protocol_maker(name, n, _parse_inputs(args, n), fn)
@@ -340,6 +345,9 @@ def _load_model(args, n: Optional[int] = None):
 
 def cmd_simulate(args) -> int:
     _require_known_protocol(args.protocol)
+    _check_tail(args)
+    if args.seeds < 1:
+        raise InputError(f"--seeds must be at least 1, got {args.seeds}")
     adversary, fn = _load_model(args)
     if fn is None:
         raise InputError("simulate needs --adversary or --alpha")
@@ -358,6 +366,7 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_enumerate(args) -> int:
+    _check_tail(args)
     if args.protocol is None:
         count = sum(1 for _ in enumerate_schedules(args.n, args.steps, args.halts))
         _emit(args, {"schedules": count}, [f"schedules={count}"])

@@ -2,7 +2,10 @@
 
 A run is a sequence of process ids; a process's k-th executed operation is
 an update when k is odd and a snapshot when k is even, which the executor
-enforces against the protocol's requests.  Faulty processes are modeled as
+enforces against the protocol's requests.  The executor is one function,
+`run_to_quiescence`: it keeps the shared memory as a list of n cells, steps
+each protocol program through `next`/`send`, and runs the given schedule
+and then its completion tail in one loop.  Faulty processes are modeled as
 halting after a chosen step index; "takes infinitely many steps" has no
 other finite encoding.  Schedules come from a seeded generator constrained
 by an adversary, from a direct admissibility-driven generator, or from
@@ -11,6 +14,7 @@ exhaustive enumeration at small sizes.
 
 from __future__ import annotations
 
+import itertools as it
 import json
 import random
 from dataclasses import dataclass, field
@@ -36,23 +40,6 @@ class Update:
 
 # Request sentinel for an atomic read of all cells.
 SNAPSHOT = object()
-
-
-class SnapshotMemory:
-    """Vector of n cells; update writes one process's cell, snapshot copies all.
-
-    Cells hold opaque values that must be treated as immutable once written.
-    """
-
-    def __init__(self, n: int):
-        self.n = n
-        self.cells: list[object] = [None] * n
-
-    def update(self, pid: int, value: object) -> None:
-        self.cells[pid - 1] = value
-
-    def snapshot(self) -> tuple:
-        return tuple(self.cells)
 
 
 @dataclass
@@ -149,74 +136,6 @@ class RunTrace:
         return seen
 
 
-class _Executor:
-    """Drives protocol generators one operation per activation.
-
-    The operation result is fed back immediately, so a decision lands on the
-    same step as the process's final operation.  Activations after a
-    decision are no-ops and record nothing.
-    """
-
-    def __init__(self, protocol: "Protocol", n: int):
-        self.protocol = protocol
-        self.memory = SnapshotMemory(n)
-        self.gens: dict[int, object] = {}
-        self.pending: dict[int, object] = {}
-        self.opcount: dict[int, int] = {}
-        self.decided: dict[int, object] = {}
-        self.events: list[Event] = []
-        self.decisions: list[Decision] = []
-
-    def activate(self, idx: int, pid: int) -> None:
-        if pid in self.decided:
-            return
-        gen = self.gens.get(pid)
-        if gen is None:
-            gen = self.protocol.program(pid)
-            self.gens[pid] = gen
-            try:
-                self.pending[pid] = next(gen)
-            except StopIteration:
-                raise ProtocolFault(f"process {pid} decided without taking a step")
-        request = self.pending[pid]
-        count = self.opcount.get(pid, 0)
-        if count % 2 == 0:
-            if not isinstance(request, Update):
-                raise ProtocolFault(f"process {pid} must update on odd appearances, requested snapshot")
-            self.memory.update(pid, request.value)
-            self.events.append(Event(idx, pid, "update", request.value))
-            result = None
-        else:
-            if request is not SNAPSHOT:
-                raise ProtocolFault(f"process {pid} must snapshot on even appearances, requested update")
-            view = self.memory.snapshot()
-            self.events.append(Event(idx, pid, "snapshot", view))
-            result = view
-        self.opcount[pid] = count + 1
-        try:
-            self.pending[pid] = gen.send(result)
-        except StopIteration as stop:
-            self.decided[pid] = stop.value
-            self.decisions.append(Decision(idx, pid, stop.value))
-
-    def trace(self, schedule: Schedule) -> RunTrace:
-        participating = ProcessSet.of(schedule.n, self.opcount)
-        statuses: dict[int, str] = {}
-        for pid in participating:
-            if pid in self.decided:
-                statuses[pid] = "decided"
-            else:
-                statuses[pid] = self.protocol.statuses.get(pid, "running")
-        return RunTrace(
-            schedule=schedule,
-            inputs=dict(self.protocol.inputs),
-            events=self.events,
-            decisions=self.decisions,
-            participating=participating,
-            statuses=statuses,
-        )
-
-
 def run_to_quiescence(
     protocol: "Protocol",
     schedule: Schedule,
@@ -225,31 +144,72 @@ def run_to_quiescence(
 ) -> RunTrace:
     """Execute the schedule, then keep cycling correct processes fairly.
 
-    The tail is the finite stand-in for correct processes taking infinitely
-    many steps; it stops once every required process decided (default: every
-    correct process) or after max_tail extra activations; with max_tail=0
-    the run is exactly the given schedule.  The trace's schedule reflects
-    the steps actually taken.
+    Each activation performs the process's next operation on the memory (a
+    list of n cells; a written value must be treated as immutable, since
+    snapshots share it) and feeds the result straight back, so a decision
+    lands on the same step as the process's final operation; activations
+    after a decision are no-ops and record nothing.  The tail is the finite
+    stand-in for correct processes taking infinitely many steps; it stops
+    once every required process decided (default: every correct process) or
+    after max_tail extra activations; with max_tail=0 the run is exactly the
+    given schedule.  The trace's schedule reflects the steps actually taken.
     """
     if protocol.n != schedule.n:
         raise ValueError(f"protocol arity {protocol.n} does not match schedule n {schedule.n}")
     schedule.validate()
-    ex = _Executor(protocol, schedule.n)
-    for idx, pid in enumerate(schedule.steps):
-        ex.activate(idx, pid)
+    cells: list[object] = [None] * schedule.n
+    # pid -> [program, pending request, operations taken]; program is None once decided
+    procs: dict[int, list] = {}
+    events: list[Event] = []
+    decisions: list[Decision] = []
     tail_order = sorted(schedule.correct.members())
-    need = set(required) if required is not None else set(tail_order)
+    waiting = set(tail_order if required is None else required)
+    given = len(schedule.steps)
     steps = list(schedule.steps)
-    idx = len(steps)
-    taken = 0
-    while tail_order and taken < max_tail and not need <= set(ex.decided):
-        pid = tail_order[taken % len(tail_order)]
-        ex.activate(idx, pid)
-        steps.append(pid)
-        idx += 1
-        taken += 1
+    for idx, pid in enumerate(it.chain(schedule.steps, it.cycle(tail_order))):
+        if idx >= given:
+            if idx - given >= max_tail or not waiting:
+                break
+            steps.append(pid)
+        proc = procs.get(pid)
+        if proc is None:
+            program = protocol.program(pid)
+            try:
+                proc = procs[pid] = [program, next(program), 0]
+            except StopIteration:
+                raise ProtocolFault(f"process {pid} decided without taking a step")
+        program, request, ops = proc
+        if program is None:
+            continue
+        if ops % 2 == 0:
+            if not isinstance(request, Update):
+                raise ProtocolFault(f"process {pid} must update on odd appearances, requested snapshot")
+            cells[pid - 1] = request.value
+            events.append(Event(idx, pid, "update", request.value))
+            result = None
+        else:
+            if request is not SNAPSHOT:
+                raise ProtocolFault(f"process {pid} must snapshot on even appearances, requested update")
+            result = tuple(cells)
+            events.append(Event(idx, pid, "snapshot", result))
+        proc[2] = ops + 1
+        try:
+            proc[1] = program.send(result)
+        except StopIteration as stop:
+            proc[0] = None
+            decisions.append(Decision(idx, pid, stop.value))
+            waiting.discard(pid)
     extended = Schedule(schedule.n, tuple(steps), dict(schedule.halted_at), schedule.correct)
-    return ex.trace(extended)
+    return _run_trace(extended, protocol.inputs, events, decisions, protocol.statuses)
+
+
+def _run_trace(schedule: Schedule, inputs: dict, events: list, decisions: list, statuses: dict) -> RunTrace:
+    """The participants are the processes with an event; a decided one is
+    "decided", any other has its entry in statuses, else "running"."""
+    decided = {d.pid for d in decisions}
+    participating = ProcessSet.of(schedule.n, {e.pid for e in events})
+    final = {pid: "decided" if pid in decided else statuses.get(pid, "running") for pid in participating}
+    return RunTrace(schedule, dict(inputs), events, decisions, participating, final)
 
 
 def generate_schedule(adversary, seed: int, budget: int) -> Schedule:
@@ -335,8 +295,6 @@ def enumerate_schedules(n: int, steps_per_process: int, halts_allowed: int) -> I
         raise ValueError("steps_per_process must be at least 1")
     if halts_allowed < 0:
         raise ValueError("halts_allowed must be non-negative")
-    import itertools as it
-
     pids = list(range(1, n + 1))
     for fsize in range(min(halts_allowed, n) + 1):
         for faulty in it.combinations(pids, fsize):
@@ -380,17 +338,13 @@ def truncate_trace(trace: RunTrace, step: int) -> RunTrace:
     """The prefix of a trace up to and including the given step index."""
     events = [e for e in trace.events if e.step <= step]
     decisions = [d for d in trace.decisions if d.step <= step]
-    participating = ProcessSet.of(trace.n, {e.pid for e in events})
-    statuses = {
-        pid: "decided" if any(d.pid == pid for d in decisions) else "running" for pid in participating
-    }
     prefix = Schedule(
         trace.n,
         trace.schedule.steps[: step + 1],
         {p: at for p, at in trace.schedule.halted_at.items() if at <= step},
         trace.schedule.correct,
     )
-    return RunTrace(prefix, dict(trace.inputs), events, decisions, participating, statuses)
+    return _run_trace(prefix, trace.inputs, events, decisions, {})
 
 
 def canonical_json(obj: object) -> str:

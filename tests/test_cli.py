@@ -139,6 +139,21 @@ class TestSimulate:
     def test_unknown_protocol_exits_2(self, unfair_file):
         assert main(["simulate", "--protocol", "nope", "--adversary", unfair_file]) == 2
 
+    @pytest.mark.parametrize("seeds", ["0", "-3"])
+    def test_seeds_below_one_exits_2(self, resilient_file, capsys, seeds):
+        argv = ["simulate", "--protocol", "adaptive", "--adversary", resilient_file, "--seeds", seeds]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: --seeds must be at least 1, got {seeds}\n"
+
+    def test_negative_tail_exits_2(self, resilient_file, capsys):
+        argv = ["simulate", "--protocol", "adaptive", "--adversary", resilient_file, "--tail", "-5"]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: --tail must not be negative, got -5\n"
+
     def test_bad_alpha_table_exits_2(self, tmp_path):
         bad = tmp_path / "alpha.json"
         bad.write_text(json.dumps({"n": 2, "table": [0, 1, 1, 0]}))
@@ -209,6 +224,13 @@ class TestEnumerate:
 
     def test_bound_exceeded_exits_2(self):
         assert main(["enumerate", "--n", "3", "--steps", "5"]) == 2
+
+    @pytest.mark.parametrize("protocol", [[], ["--protocol", "safe-agreement"]])
+    def test_negative_tail_exits_2(self, capsys, protocol):
+        assert main(["enumerate", "--n", "2", "--steps", "2", "--tail", "-5"] + protocol) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: --tail must not be negative, got -5\n"
 
 
 class TestModelLoading:

@@ -39,6 +39,18 @@ class BadParityProtocol(Protocol):
         yield SNAPSHOT  # must start with an update
 
 
+class DoubleUpdateProtocol(Protocol):
+    def program(self, pid):
+        yield Update(1)
+        yield Update(2)  # the second operation must be a snapshot
+
+
+class StepFreeProtocol(Protocol):
+    def program(self, pid):
+        return 0
+        yield  # a generator that returns before its first request
+
+
 class TestSchedule:
     def test_validation_catches_late_steps(self):
         sched = Schedule(2, (1, 2, 2), {2: 1})
@@ -85,6 +97,14 @@ class TestExecute:
         with pytest.raises(ProtocolFault):
             run_to_quiescence(BadParityProtocol(1, {1: 0}), Schedule(1, (1,)), max_tail=0)
 
+    def test_update_on_even_appearance_faults(self):
+        with pytest.raises(ProtocolFault, match="process 2 must snapshot on even appearances, requested update"):
+            run_to_quiescence(DoubleUpdateProtocol(2, {}), Schedule(2, (1, 2, 2)), max_tail=0)
+
+    def test_decision_without_a_step_faults(self):
+        with pytest.raises(ProtocolFault, match="process 1 decided without taking a step"):
+            run_to_quiescence(StepFreeProtocol(1, {1: 0}), Schedule(1, (1,)), max_tail=0)
+
     def test_arity_mismatch(self):
         with pytest.raises(ValueError):
             run_to_quiescence(EchoProtocol(2, {1: 5}), Schedule(3, (1,)), max_tail=0)
@@ -127,6 +147,22 @@ class TestQuiescence:
         sched = Schedule(2, (1, 2), {2: 1})
         trace = run_to_quiescence(SafeAgreement(2, {1: 5, 2: 7}), sched)
         assert set(trace.schedule.steps[2:]) == {1}
+
+    @pytest.mark.parametrize("k", [1, 4, 7])
+    def test_never_deciding_tail_runs_exactly_max_tail(self, k):
+        sched = Schedule(3, (2, 2, 3), {3: 2})
+        trace = run_to_quiescence(CountingProtocol(3, {}), sched, max_tail=k)
+        assert trace.schedule.steps == (2, 2, 3) + tuple([1, 2][i % 2] for i in range(k))
+        assert [e.step for e in trace.events] == list(range(3 + k))
+        assert [e.pid for e in trace.events[3:]] == list(trace.schedule.steps[3:])
+        assert not trace.decisions
+
+    def test_all_halted_gets_no_tail(self):
+        sched = Schedule(2, (1, 2, 1), {1: 2, 2: 1})
+        for required in (None, {1, 2}):
+            trace = run_to_quiescence(CountingProtocol(2, {}), sched, max_tail=50, required=required)
+            assert trace.schedule.steps == (1, 2, 1)
+            assert [e.step for e in trace.events] == [0, 1, 2]
 
     def test_required_filter_stops_early(self):
         sched = Schedule(2, (1, 2))
