@@ -41,8 +41,11 @@ def check_alpha_agreement(trace: RunTrace, fn: AgreementFunction) -> Verdict:
     """At each decision, the distinct decisions so far fit the current participation.
 
     Time is the trace's step index; the participating set at a decision is
-    everyone with an event at or before it.
+    everyone with an event at or before it.  Raises ValueError when the
+    trace and the function have different universe sizes.
     """
+    if trace.n != fn.n:
+        raise ValueError(f"universe mismatch: trace n={trace.n}, alpha n={fn.n}")
     first = trace.first_steps()
     distinct: set[str] = set()
     for d in trace.decisions:

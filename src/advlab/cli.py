@@ -358,10 +358,10 @@ def cmd_simulate(args) -> int:
     seeds = range(base, base + args.seeds)
     if adversary is not None:
         n = adversary.n
-        schedules = [(seed, generate_schedule(adversary, seed, budget)) for seed in seeds]
+        schedules = ((seed, generate_schedule(adversary, seed, budget)) for seed in seeds)
     else:
         n = fn.n
-        schedules = [(seed, generate_admissible_schedule(fn, seed, budget)) for seed in seeds]
+        schedules = ((seed, generate_admissible_schedule(fn, seed, budget)) for seed in seeds)
     return _campaign(args, fn, n, schedules, _out_dir(args) if args.out else None)
 
 
@@ -378,6 +378,8 @@ def cmd_enumerate(args) -> int:
 
 def cmd_check(args) -> int:
     fn = _load_alpha(args.alpha) if args.alpha else None
+    if args.k is not None and args.k < 1:
+        raise InputError(f"--k must be at least 1, got {args.k}")
     among = None
     if args.among:
         try:
@@ -393,6 +395,11 @@ def cmd_check(args) -> int:
             trace = trace_from_json_obj(obj)
         except (AttributeError, KeyError, TypeError, ValueError) as exc:
             raise InputError(f"bad trace file {path}: {type(exc).__name__}: {exc}") from exc
+        if fn is not None and fn.n != trace.n:
+            raise InputError(f"universe mismatch: trace {path} has n={trace.n}, --alpha has n={fn.n}")
+        for pid in among or ():
+            if not 1 <= pid <= trace.n:
+                raise InputError(f"--among names process {pid} outside 1..{trace.n} of trace {path}")
         verdicts = [check_validity(trace), check_termination(trace, among=among)]
         if fn is not None:
             verdicts.append(check_alpha_agreement(trace, fn))

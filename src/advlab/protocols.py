@@ -7,12 +7,16 @@ All protocols here follow the full-information discipline: the first write
 carries the process's input, every later write carries the process's whole
 current record, and a decided process takes no further actions.
 
-Safe agreement uses the three-level register scheme: a process enters an
-instance at level 1, then commits to level 2 unless it saw an earlier
-commit (level 0), and decides once no entered process is still at level 1.
-A participant that stops between entering and resolving its level blocks
-the instance; blocked processes report a "blocked" status while they keep
-re-checking.
+Safe agreement is written once, in `_round_robin_agreement`: each instance
+uses the three-level register scheme (a process enters at level 1, then
+commits to level 2 unless it saw an earlier commit, level 0, and the
+instance resolves once no entered process is still at level 1), and a
+process cycles k instances round robin until one resolves.  SafeAgreement
+is the one-instance case, RoundRobinSetConsensus sizes k by the agreement
+level of the input holders, and EmbeddedAgreement by the level of the
+observed participation.  A participant that stops between entering and
+resolving its level blocks the instance; a process that finds every
+instance blocked reports a "blocked" status while it keeps re-checking.
 """
 
 from __future__ import annotations
@@ -61,33 +65,6 @@ class EchoProtocol(Protocol):
         return v
 
 
-class SafeAgreement(Protocol):
-    """Single consensus-safe instance over the whole universe.
-
-    Validity and agreement hold in every run.  Termination holds for each
-    correct participant provided no participant halts inside its unsafe
-    window (between its level-1 write and its level write).
-    """
-
-    name = "safe-agreement"
-
-    def program(self, pid: int):
-        v = self._input(pid)
-        yield Update({"val": v, "lvl": 1})
-        view = yield SNAPSHOT
-        lvl = 0 if any(c is not None and c["lvl"] == 2 for c in view) else 2
-        yield Update({"val": v, "lvl": lvl})
-        while True:
-            view = yield SNAPSHOT
-            cells = [c for c in view if c is not None]
-            if not any(c["lvl"] == 1 for c in cells):
-                self.statuses[pid] = "running"
-                committed = [c for c in cells if c["lvl"] == 2]
-                return committed[0]["val"]  # cells come in id order: smallest committed id wins
-            self.statuses[pid] = "blocked"
-            yield Update({"val": v, "lvl": lvl})
-
-
 def safe_agreement_unsafe_halt(schedule: Schedule) -> bool:
     """True iff some halted process stops inside its unsafe window.
 
@@ -102,8 +79,13 @@ def safe_agreement_unsafe_halt(schedule: Schedule) -> bool:
     return False
 
 
-def _participants(view: tuple, n: int) -> ProcessSet:
-    return ProcessSet.of(n, [q for q in range(1, n + 1) if view[q - 1] is not None])
+def _participants(view: tuple) -> int:
+    """Bit mask of the processes with a written cell (bit q-1 for process q)."""
+    bits = 0
+    for i, cell in enumerate(view):
+        if cell is not None:
+            bits |= 1 << i
+    return bits
 
 
 def _round_robin_agreement(
@@ -111,44 +93,42 @@ def _round_robin_agreement(
     pid: int,
     instances: int,
     proposal,
-    get: Callable[[tuple, int, int], Optional[list]],
-    put: Callable[[int, object, int], None],
+    entries: dict,
+    entries_in: Callable[[object], dict],
     payload: Callable[[], object],
     escape: Optional[Callable[[tuple], bool]] = None,
 ):
     """Cycle safe-agreement instances 1..instances until one resolves.
 
-    The caller proposes the same value to every instance it enters; an
-    instance whose gate still shows an entered-but-unresolved process is
-    skipped until the next pass.  Decides the first resolved instance's
-    committed value (smallest committed id).  With an escape predicate, a
-    true observation ends the cycle and hands the proposal back unchanged.
+    `entries` is the caller's own map from instance number (as a string) to
+    [value, level], which `payload` writes out; `entries_in(cell)` reads the
+    same map from any written cell.  The caller proposes the same value to
+    every instance it enters; an instance whose gate still shows an
+    entered-but-unresolved process is skipped until the next pass.  Decides
+    the first resolved instance's committed value (smallest committed id).
+    With an escape predicate, a true observation ends the cycle and hands
+    the proposal back unchanged.
     """
-    stage: dict[int, int] = {}
     j = 1
     closed_gates = 0
     while True:
-        if stage.get(j, 0) == 0:
-            put(j, proposal, 1)
+        key = str(j)
+        if key not in entries:
+            entries[key] = [proposal, 1]
             yield Update(payload())
             view = yield SNAPSHOT
             committed_seen = any(
-                (e := get(view, q, j)) is not None and e[1] == 2 for q in range(1, proto.n + 1)
+                (e := entries_in(c).get(key)) is not None and e[1] == 2 for c in view if c is not None
             )
-            put(j, proposal, 0 if committed_seen else 2)
-            stage[j] = 1
+            entries[key] = [proposal, 0 if committed_seen else 2]
             closed_gates = 0
             proto.statuses[pid] = "running"
-            yield Update(payload())
-            view = yield SNAPSHOT
-        else:
-            yield Update(payload())
-            view = yield SNAPSHOT
-        entries = [e for q in range(1, proto.n + 1) if (e := get(view, q, j)) is not None]
-        if not any(e[1] == 1 for e in entries):
+        yield Update(payload())
+        view = yield SNAPSHOT
+        seen = [e for c in view if c is not None and (e := entries_in(c).get(key)) is not None]
+        if not any(e[1] == 1 for e in seen):
             proto.statuses[pid] = "running"
-            committed = [e for e in entries if e[1] == 2]
-            return committed[0][0]
+            return next(e[0] for e in seen if e[1] == 2)
         if escape is not None and escape(view):
             proto.statuses[pid] = "running"
             return proposal
@@ -165,7 +145,7 @@ class RoundRobinSetConsensus(Protocol):
     process cycles the instances with its own input and decides the first
     instance that resolves, so at most that many distinct values come out,
     and every correct participant decides whenever at most level-1
-    participants halt.
+    participants halt.  Each written cell is {"sa": {instance: [value, level]}}.
     """
 
     name = "alpha-setcons"
@@ -181,35 +161,43 @@ class RoundRobinSetConsensus(Protocol):
 
     def program(self, pid: int):
         v = self._input(pid)
-        slots: dict[str, list] = {}
-
-        def get(view, q, j):
-            cell = view[q - 1]
-            return None if cell is None else cell["sa"].get(str(j))
-
-        def put(j, val, lvl):
-            slots[str(j)] = [val, lvl]
-
+        entries: dict[str, list] = {}
         decision = yield from _round_robin_agreement(
-            self, pid, self.instances, v, get, put, lambda: {"sa": dict(slots)}
+            self, pid, self.instances, v, entries, lambda cell: cell["sa"], lambda: {"sa": dict(entries)}
         )
         return decision
 
 
-def _wait_for_growth(proto: Protocol, pid: int, parts: ProcessSet, proposal, payload):
+class SafeAgreement(RoundRobinSetConsensus):
+    """Single consensus-safe instance over the whole universe: the round
+    robin with one instance, so each cell reads {"sa": {"1": [value, level]}}.
+
+    Validity and agreement hold in every run.  Termination holds for each
+    correct participant provided no participant halts inside its unsafe
+    window (between its level-1 write and its level write).
+    """
+
+    name = "safe-agreement"
+    instances = 1
+
+    def __init__(self, n: int, inputs: dict[int, object]):
+        Protocol.__init__(self, n, inputs)  # one instance whoever holds inputs: no agreement function
+
+
+def _wait_for_growth(proto: Protocol, pid: int, parts: int, payload):
     """Hold position at a level-0 participation estimate.
 
     A level-0 estimate admits no run in which it persists, so the process
-    keeps observing; once participation visibly outgrows the estimate the
-    proposal is handed back for the next, larger round.
+    keeps observing until participation visibly outgrows the estimate; the
+    caller then carries its proposal into the next, larger round.
     """
     while True:
         proto.statuses[pid] = "blocked"
         yield Update(payload())
         view = yield SNAPSHOT
-        if _participants(view, proto.n) != parts:
+        if _participants(view) != parts:
             proto.statuses[pid] = "running"
-            return proposal
+            return
 
 
 class EmbeddedAgreement:
@@ -223,32 +211,17 @@ class EmbeddedAgreement:
     def __init__(self, fn: AgreementFunction):
         self.fn = fn
 
-    def run(self, proto: Protocol, pid: int, parts: ProcessSet, proposal, rec: dict, payload):
-        level = self.fn.value_of(parts)
-        if level < 1:
-            value = yield from _wait_for_growth(proto, pid, parts, proposal, payload)
-            return value
-        key = str(parts.bits)
-        space = rec["agr"].setdefault(key, {})
-
-        def get(view, q, j):
-            cell = view[q - 1]
-            if cell is None:
-                return None
-            return cell["agr"].get(key, {}).get(str(j))
-
-        def put(j, val, lvl):
-            space[str(j)] = [val, lvl]
-
+    def run(self, proto: Protocol, pid: int, parts: int, level: int, proposal, rec: dict, payload):
+        key = str(parts)
         value = yield from _round_robin_agreement(
             proto,
             pid,
             level,
             proposal,
-            get,
-            put,
+            rec["agr"].setdefault(key, {}),
+            lambda cell: cell["agr"].get(key, {}),
             payload,
-            escape=lambda view: _participants(view, proto.n) != parts,
+            escape=lambda view: _participants(view) != parts,
         )
         return value
 
@@ -279,13 +252,10 @@ class OracleAgreement:
         self.fn = fn
         self._objects: dict[int, IdealSetConsensus] = {}
 
-    def run(self, proto: Protocol, pid: int, parts: ProcessSet, proposal, rec: dict, payload):
-        level = self.fn.value_of(parts)
-        if level < 1:
-            value = yield from _wait_for_growth(proto, pid, parts, proposal, payload)
-            return value
-        obj = self._objects.setdefault(parts.bits, IdealSetConsensus(level))
-        return obj.propose(proposal)
+    def run(self, proto: Protocol, pid: int, parts: int, level: int, proposal, rec: dict, payload):
+        """A generator, like EmbeddedAgreement.run, that takes no step."""
+        yield from ()
+        return self._objects.setdefault(parts, IdealSetConsensus(level)).propose(proposal)
 
 
 class AdaptiveSetConsensus(Protocol):
@@ -296,9 +266,12 @@ class AdaptiveSetConsensus(Protocol):
     holder id on ties), run it through the subroutine sized for the current
     participation estimate, re-write it locked at the estimate's size, and
     re-read; once the estimate survives a full iteration unchanged, decide.
+    An estimate of agreement level 0 admits no run in which it persists, so
+    there the process only waits for participation to grow.  Estimates are
+    bit masks; the instance space of an estimate is keyed by str(mask).
 
     The subroutine must be a fresh EmbeddedAgreement or OracleAgreement per
-    execution.
+    execution; it is given the estimate's level, read from its `fn`.
     """
 
     name = "adaptive"
@@ -316,17 +289,21 @@ class AdaptiveSetConsensus(Protocol):
 
         yield Update(payload())
         r = yield SNAPSHOT
-        part = _participants(r, self.n)
+        part = _participants(r)
         while True:
             parts = part
-            regs = [(q, r[q - 1]["reg"]) for q in range(1, self.n + 1) if r[q - 1] is not None]
-            top = max(reg[1] for _, reg in regs)
-            v = next(reg[0] for _, reg in regs if reg[1] == top)
-            v = yield from self.subroutine.run(self, pid, parts, v, rec, payload)
-            rec["reg"] = [v, len(parts)]
+            regs = [c["reg"] for c in r if c is not None]
+            top = max(reg[1] for reg in regs)
+            v = next(reg[0] for reg in regs if reg[1] == top)
+            level = self.subroutine.fn.of_bits(parts)
+            if level < 1:
+                yield from _wait_for_growth(self, pid, parts, payload)
+            else:
+                v = yield from self.subroutine.run(self, pid, parts, level, v, rec, payload)
+            rec["reg"] = [v, parts.bit_count()]
             yield Update(payload())
             r = yield SNAPSHOT
-            part = _participants(r, self.n)
+            part = _participants(r)
             if parts == part:
                 return v
 

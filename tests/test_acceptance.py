@@ -194,6 +194,12 @@ def test_criterion_07_adaptive_campaign():
                 schedules = enumerate(enumerate_schedules(2, sp, 1))
                 failures = run_campaign(adaptive(fn), schedules, fn, max_tail=120).failures
                 assert failures == [], (fn.table, failures[:3])
+        for fn in configs:
+            # every 3-process interleaving at 3 steps per process, one halt allowed
+            schedules = enumerate(enumerate_schedules(3, 3, 1))
+            result = run_campaign(adaptive(fn), schedules, fn, max_tail=120)
+            assert result.runs == 3840
+            assert result.failures == [], (fn.table, result.failures[:3])
 
 
 def test_criterion_08_round_robin_construction():

@@ -1,5 +1,7 @@
 """Trace checkers: validity, adaptive agreement, termination, k-agreement."""
 
+import pytest
+
 from advlab import AgreementFunction, ProcessSet, agreement_function
 from advlab.checkers import (
     check_alpha_agreement,
@@ -64,6 +66,13 @@ class TestAlphaAgreement:
         fn = AgreementFunction.wait_free(3)
         trace = hand_trace(3, [1, 2, 3], [(2, 1, 5), (2, 2, 7), (2, 3, 9)], {1: 5, 2: 7, 3: 9})
         assert check_alpha_agreement(trace, fn).passed
+
+    @pytest.mark.parametrize("n", [2, 4])
+    def test_universe_mismatch_raises(self, n):
+        # the participants {1} fit inside either table, so only the size check can catch it
+        trace = hand_trace(3, [1, 1], [(1, 1, 5)], {1: 5})
+        with pytest.raises(ValueError, match=f"universe mismatch: trace n=3, alpha n={n}"):
+            check_alpha_agreement(trace, AgreementFunction.wait_free(n))
 
     def test_crafted_violation_at_partial_participation(self, unfair_triple):
         # two distinct values decided while only {1,2} participate: level 1

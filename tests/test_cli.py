@@ -159,6 +159,28 @@ class TestSimulate:
         bad.write_text(json.dumps({"n": 2, "table": [0, 1, 1, 0]}))
         assert main(["simulate", "--protocol", "adaptive", "--alpha", str(bad)]) == 2
 
+    @pytest.mark.parametrize("flag", ["--adversary", "--alpha"])
+    def test_schedules_are_generated_as_runs_go(self, resilient_file, tmp_path, monkeypatch, capsys, flag):
+        # each seed's schedule is built just before its run, not all up front
+        model = resilient_file
+        if flag == "--alpha":
+            model = str(tmp_path / "wf3.json")
+            (tmp_path / "wf3.json").write_text(json.dumps({"n": 3, "table": [0, 1, 1, 2, 1, 2, 2, 3]}))
+        calls = []
+        for name, tag in (
+            ("generate_schedule", "generate"),
+            ("generate_admissible_schedule", "generate"),
+            ("run_to_quiescence", "run"),
+        ):
+            def logged(*args, _original=getattr(cli, name), _tag=tag, **kwargs):
+                calls.append(_tag)
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(cli, name, logged)
+        argv = ["simulate", "--protocol", "adaptive", flag, model, "--seeds", "3", "--budget", "48"]
+        assert main(argv) == 0, capsys.readouterr().out
+        assert calls == ["generate", "run"] * 3
+
     def test_trace_files_written_and_checkable(self, unfair_file, tmp_path, capsys):
         out_dir = tmp_path / "traces"
         code = main(
@@ -289,6 +311,43 @@ class TestCheckCommand:
         assert main(["check", "--trace", str(path)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: bad trace file") and "Traceback" not in err
+
+    @pytest.fixture
+    def three_process_trace(self, resilient_file, tmp_path, capsys):
+        out_dir = tmp_path / "traces"
+        argv = ["simulate", "--protocol", "adaptive", "--adversary", resilient_file, "--seed", "2", "--seeds", "1"]
+        assert main(argv + ["--out", str(out_dir)]) == 0
+        capsys.readouterr()
+        return str(out_dir / "trace-2.json")
+
+    def test_alpha_of_another_universe_exits_2(self, three_process_trace, tmp_path, capsys):
+        # the 2-process table used to raise IndexError here, or pass when the
+        # participants fit inside it
+        wf2 = tmp_path / "wf2.json"
+        wf2.write_text(json.dumps({"n": 2, "table": [0, 1, 1, 2]}))
+        assert main(["check", "--trace", three_process_trace, "--alpha", str(wf2)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: universe mismatch: trace {three_process_trace} has n=3, --alpha has n=2\n"
+
+    @pytest.mark.parametrize("k", ["0", "-1"])
+    def test_k_below_one_exits_2(self, three_process_trace, capsys, k):
+        assert main(["check", "--trace", three_process_trace, "--k", k]) == 2
+        assert capsys.readouterr().err == f"error: --k must be at least 1, got {k}\n"
+
+    @pytest.mark.parametrize("among, pid", [("9", 9), ("0,2", 0), ("2,4", 4)])
+    def test_among_outside_universe_exits_2(self, three_process_trace, capsys, among, pid):
+        assert main(["check", "--trace", three_process_trace, "--among", among]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: --among names process {pid} outside 1..3 of trace {three_process_trace}\n"
+
+    def test_matching_arguments_still_pass(self, three_process_trace, tmp_path, capsys):
+        wf3 = tmp_path / "wf3.json"
+        wf3.write_text(json.dumps({"n": 3, "table": [0, 1, 1, 2, 1, 2, 2, 3]}))
+        argv = ["check", "--trace", three_process_trace, "--alpha", str(wf3), "--k", "3", "--among", "1,2,3"]
+        assert main(argv) == 0
+        out = capsys.readouterr().out
+        assert "alpha-agreement=pass" in out and "k-agreement=pass" in out
 
     @pytest.mark.parametrize("edit", ["steps-and-decision", "halted_at", "inputs", "statuses"])
     def test_out_of_range_process_ids_exit_2(self, tmp_path, capsys, edit):
