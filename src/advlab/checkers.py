@@ -25,10 +25,9 @@ class Verdict:
         return {"property": self.prop, "pass": self.passed, "witness": self.witness}
 
 
-def check_validity(trace: RunTrace, inputs: Optional[dict[int, object]] = None) -> Verdict:
+def check_validity(trace: RunTrace) -> Verdict:
     """Every decided value must be some participant's input."""
-    inputs = trace.inputs if inputs is None else inputs
-    allowed = {canonical_json(inputs[p]) for p in trace.participating if p in inputs}
+    allowed = {canonical_json(trace.inputs[p]) for p in trace.participating if p in trace.inputs}
     for d in trace.decisions:
         if canonical_json(d.value) not in allowed:
             return Verdict(
@@ -85,9 +84,9 @@ def check_termination(trace: RunTrace, among: Optional[Iterable[int]] = None) ->
     return Verdict("termination", True)
 
 
-def check_k_agreement(trace: RunTrace, k: int, inputs: Optional[dict[int, object]] = None) -> Verdict:
+def check_k_agreement(trace: RunTrace, k: int) -> Verdict:
     """At most k distinct decisions overall, and every one of them valid."""
-    validity = check_validity(trace, inputs)
+    validity = check_validity(trace)
     if not validity.passed:
         return Verdict("k-agreement", False, validity.witness)
     distinct: set[str] = set()

@@ -96,7 +96,10 @@ def _set_text(ps: ProcessSet) -> str:
 
 def _out_dir(args) -> Path:
     path = Path(args.out) if args.out else Path("advlab-out")
-    path.mkdir(parents=True, exist_ok=True)
+    try:
+        path.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise InputError(f"cannot use {path} as the output directory: {exc}") from exc
     return path
 
 
@@ -137,8 +140,8 @@ def _parse_inputs(args, n: int) -> dict[int, int]:
 
 def cmd_setcon(args) -> int:
     adversary = _load_adversary(args.adversary)
-    value = adv_mod.setcon(adversary)
     witness = adv_mod.setcon_witness(adversary)
+    value = witness.value
     obj: dict = {
         "setcon": value,
         "witness": [{"live_set": list(s.members()), "removed": a} for s, a in witness.chain],
@@ -208,32 +211,41 @@ def cmd_compare(args) -> int:
 
 
 class Policy(NamedTuple):
-    """How runs of one protocol are checked, besides validity on every run."""
+    """How one protocol is built, and how its runs are checked besides validity on every run."""
 
+    make: Callable[[int, dict, Optional[AgreementFunction]], Protocol]  # (n, inputs, fn) -> a fresh protocol
     agreement: Callable[[RunTrace, Optional[AgreementFunction]], Verdict]  # checked on every run
     live: Callable[[RunTrace, Optional[AgreementFunction]], bool]  # when termination is checked
     among: Optional[tuple[int, ...]] = None  # the processes that must terminate; None: all correct
+    needs_fn: bool = True  # whether make and the checks need an agreement function
 
 
-# Keyed by the protocol's `name`.  The checkers are looked up in this module
-# when a run is checked, not when the table is built.
+# Keyed by the protocol's `name`; the only place a protocol name maps to
+# behaviour.  Constructors and checkers are looked up in this module when a
+# protocol is built or a run is checked, not when the table is built.
 POLICIES = {
     "safe-agreement": Policy(
+        lambda n, inputs, fn: SafeAgreement(n, inputs),
         lambda trace, fn: check_k_agreement(trace, 1),
         lambda trace, fn: not safe_agreement_unsafe_halt(trace.schedule),
+        needs_fn=False,
     ),
     "alpha-setcons": Policy(
+        lambda n, inputs, fn: RoundRobinSetConsensus(n, inputs, fn),
         lambda trace, fn: check_k_agreement(trace, fn.value_of(ProcessSet.of(trace.n, trace.inputs))),
         lambda trace, fn: admits_trace(fn, trace),
     ),
     "adaptive": Policy(
+        lambda n, inputs, fn: AdaptiveSetConsensus(n, inputs, EmbeddedAgreement(fn)),
         lambda trace, fn: check_alpha_agreement(trace, fn),
         lambda trace, fn: admits_trace(fn, trace),
     ),
     "cons23": Policy(
+        lambda n, inputs, fn: Cons23(n, inputs),
         lambda trace, fn: check_k_agreement(trace, 1),
         lambda trace, fn: True,
         among=(2, 3),
+        needs_fn=False,
     ),
 }
 
@@ -288,21 +300,10 @@ def run_campaign(
     return CampaignResult(runs, violations, failures)
 
 
-def _protocol_maker(name: str, n: int, inputs: dict, fn: Optional[AgreementFunction]):
-    if name == "safe-agreement":
-        return lambda: SafeAgreement(n, inputs)
-    if name == "cons23":
-        return lambda: Cons23(n, inputs)
-    if fn is None:
-        raise InputError(f"{name} needs --alpha or --adversary")
-    if name == "alpha-setcons":
-        return lambda: RoundRobinSetConsensus(n, inputs, fn)
-    return lambda: AdaptiveSetConsensus(n, inputs, EmbeddedAgreement(fn))
-
-
-def _require_known_protocol(name: str) -> None:
+def _policy(name: str) -> Policy:
     if name not in POLICIES:
         raise InputError(f"unknown protocol {name!r} (choose from {', '.join(POLICIES)})")
+    return POLICIES[name]
 
 
 def _check_tail(args) -> None:
@@ -310,10 +311,12 @@ def _check_tail(args) -> None:
         raise InputError(f"--tail must not be negative, got {args.tail}")
 
 
-def _campaign(args, fn, n: int, schedules, trace_dir: Optional[Path] = None) -> int:
+def _campaign(args, policy: Policy, fn, n: int, schedules, trace_dir: Optional[Path] = None) -> int:
     name = args.protocol
-    make_protocol = _protocol_maker(name, n, _parse_inputs(args, n), fn)
-    result = run_campaign(make_protocol, schedules, fn, args.tail, trace_dir)
+    inputs = _parse_inputs(args, n)
+    if policy.needs_fn and fn is None:
+        raise InputError(f"{name} needs --alpha or --adversary")
+    result = run_campaign(lambda: policy.make(n, inputs, fn), schedules, fn, args.tail, trace_dir)
     counts = sorted(result.violations.items())
     obj = {
         "protocol": name,
@@ -344,7 +347,7 @@ def _load_model(args, n: Optional[int] = None):
 
 
 def cmd_simulate(args) -> int:
-    _require_known_protocol(args.protocol)
+    policy = _policy(args.protocol)
     _check_tail(args)
     if args.seeds < 1:
         raise InputError(f"--seeds must be at least 1, got {args.seeds}")
@@ -362,18 +365,18 @@ def cmd_simulate(args) -> int:
     else:
         n = fn.n
         schedules = ((seed, generate_admissible_schedule(fn, seed, budget)) for seed in seeds)
-    return _campaign(args, fn, n, schedules, _out_dir(args) if args.out else None)
+    return _campaign(args, policy, fn, n, schedules, _out_dir(args) if args.out else None)
 
 
 def cmd_enumerate(args) -> int:
     _check_tail(args)
-    if args.protocol is None:
+    policy = None if args.protocol is None else _policy(args.protocol)
+    _, fn = _load_model(args, args.n)
+    if policy is None:
         count = sum(1 for _ in enumerate_schedules(args.n, args.steps, args.halts))
         _emit(args, {"schedules": count}, [f"schedules={count}"])
         return 0
-    _require_known_protocol(args.protocol)
-    _, fn = _load_model(args, args.n)
-    return _campaign(args, fn, args.n, enumerate(enumerate_schedules(args.n, args.steps, args.halts)))
+    return _campaign(args, policy, fn, args.n, enumerate(enumerate_schedules(args.n, args.steps, args.halts)))
 
 
 def cmd_check(args) -> int:
@@ -479,7 +482,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="advlab", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, budget=False, seeds=False):
+    def common(p, func, budget=False, seeds=False):
         p.add_argument("--format", choices=("text", "json"), default="text")
         p.add_argument("--out", help="directory for traces, tables, and witness files")
         if budget:
@@ -487,27 +490,21 @@ def build_parser() -> argparse.ArgumentParser:
         if seeds:
             p.add_argument("--seed", type=int, default=DEFAULT_SEED)
             p.add_argument("--seeds", type=int, default=100)
+        p.set_defaults(func=func)
 
-    p = sub.add_parser("setcon", help="set-consensus power of an adversary, with witness")
-    p.add_argument("--adversary", required=True)
-    common(p)
-    p.set_defaults(func=cmd_setcon)
-
-    p = sub.add_parser("classify", help="superset-closed / symmetric / fair classification")
-    p.add_argument("--adversary", required=True)
-    common(p)
-    p.set_defaults(func=cmd_classify)
-
-    p = sub.add_parser("alpha", help="derive the adversary's agreement function")
-    p.add_argument("--adversary", required=True)
-    common(p)
-    p.set_defaults(func=cmd_alpha)
+    for name, func, text in (
+        ("setcon", cmd_setcon, "set-consensus power of an adversary, with witness"),
+        ("classify", cmd_classify, "superset-closed / symmetric / fair classification"),
+        ("alpha", cmd_alpha, "derive the adversary's agreement function"),
+    ):
+        p = sub.add_parser(name, help=text)
+        p.add_argument("--adversary", required=True)
+        common(p, func)
 
     p = sub.add_parser("compare", help="pointwise order of two agreement functions")
     p.add_argument("alpha_a")
     p.add_argument("alpha_b")
-    common(p)
-    p.set_defaults(func=cmd_compare)
+    common(p, cmd_compare)
 
     p = sub.add_parser("simulate", help="seeded protocol campaign with property checking")
     p.add_argument("--protocol", required=True)
@@ -515,8 +512,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alpha")
     p.add_argument("--inputs")
     p.add_argument("--tail", type=int, default=400)
-    common(p, budget=True, seeds=True)
-    p.set_defaults(func=cmd_simulate)
+    common(p, cmd_simulate, budget=True, seeds=True)
 
     p = sub.add_parser("enumerate", help="exhaustive small schedules, optionally with a protocol")
     p.add_argument("--n", type=int, required=True)
@@ -527,29 +523,29 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alpha")
     p.add_argument("--inputs")
     p.add_argument("--tail", type=int, default=120)
-    common(p)
-    p.set_defaults(func=cmd_enumerate)
+    common(p, cmd_enumerate)
 
     p = sub.add_parser("check", help="re-check recorded trace files")
     p.add_argument("--trace", action="append", required=True)
     p.add_argument("--alpha")
     p.add_argument("--k", type=int)
     p.add_argument("--among", help="restrict the termination check to these processes (CSV)")
-    common(p)
-    p.set_defaults(func=cmd_check)
+    common(p, cmd_check)
 
     p = sub.add_parser("bgg", help="live-set selection run with bounded property checks")
     p.add_argument("--adversary", required=True)
     p.add_argument("--gate", choices=(bgg_mod.GATE_VERBATIM, bgg_mod.GATE_ADAPTIVE), default=bgg_mod.GATE_VERBATIM)
     p.add_argument("--halt", action="append", metavar="SIM:ROUNDS")
-    common(p, budget=True)
-    p.set_defaults(func=cmd_bgg)
+    common(p, cmd_bgg, budget=True)
 
     return parser
 
 
+_PARSER = build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _PARSER.parse_args(argv)
     try:
         return args.func(args)
     except (InputError, ValueError) as exc:

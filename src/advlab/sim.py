@@ -308,30 +308,24 @@ def enumerate_schedules(n: int, steps_per_process: int, halts_allowed: int) -> I
 
 
 def _interleavings(counts: dict[int, int]) -> Iterator[list[int]]:
-    """All orderings of a step-count multiset, lexicographically by process id."""
-    remaining = {p: c for p, c in counts.items() if c > 0}
-    order: list[int] = []
+    """All orderings of a step-count multiset, lexicographically by process id.
 
-    def rec() -> Iterator[list[int]]:
-        if not remaining:
-            yield list(order)
+    Steps from the sorted multiset to each next permutation in place, so
+    every distinct ordering comes once.
+    """
+    order = sorted(p for p, c in counts.items() for _ in range(c))
+    while True:
+        yield list(order)
+        i = len(order) - 2
+        while i >= 0 and order[i] >= order[i + 1]:
+            i -= 1
+        if i < 0:
             return
-        for p in sorted(remaining):
-            remaining[p] -= 1
-            if remaining[p] == 0:
-                del remaining[p]
-                restore = True
-            else:
-                restore = False
-            order.append(p)
-            yield from rec()
-            order.pop()
-            if restore:
-                remaining[p] = 1
-            else:
-                remaining[p] += 1
-
-    yield from rec()
+        j = len(order) - 1
+        while order[j] <= order[i]:
+            j -= 1
+        order[i], order[j] = order[j], order[i]
+        order[i + 1 :] = reversed(order[i + 1 :])
 
 
 def truncate_trace(trace: RunTrace, step: int) -> RunTrace:

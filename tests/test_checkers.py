@@ -49,10 +49,6 @@ class TestValidity:
         trace = hand_trace(2, [1, 1], [(1, 1, 7)], {1: 5, 2: 7})
         assert not check_validity(trace).passed
 
-    def test_explicit_inputs_override(self):
-        trace = hand_trace(2, [1, 2], [(1, 1, 999)], {1: 5, 2: 7})
-        assert check_validity(trace, {1: 999, 2: 7}).passed
-
 
 class TestAlphaAgreement:
     def test_single_decision_needs_level_one(self, unfair_triple):

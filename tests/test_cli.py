@@ -1,5 +1,6 @@
 """Command-line interface: outputs, exit codes, file handling."""
 
+import argparse
 import json
 
 import pytest
@@ -276,6 +277,20 @@ class TestModelLoading:
         assert main(argv + ["--seeds", "3"]) == 2
         assert capsys.readouterr().err == "error: universe mismatch: --adversary has n=3, --alpha has n=2\n"
 
+    def test_enumerate_count_only_reads_adversary(self, resilient_file, tmp_path, capsys):
+        argv = ["enumerate", "--n", "3", "--steps", "2"]
+        assert main(argv + ["--adversary", str(tmp_path / "nonexistent.json")]) == 2
+        assert capsys.readouterr().err.startswith("error: cannot read")
+        assert main(argv + ["--adversary", resilient_file]) == 0
+        assert capsys.readouterr().out == "schedules=90\n"
+
+    def test_enumerate_count_only_universe_mismatch_exits_2(self, wf2_file, resilient_file, capsys):
+        argv = ["enumerate", "--n", "2", "--steps", "2"]
+        assert main(argv + ["--adversary", resilient_file]) == 2
+        assert capsys.readouterr().err == "error: universe mismatch: --n has n=2, --adversary has n=3\n"
+        assert main(argv + ["--alpha", wf2_file]) == 0
+        assert capsys.readouterr().out == "schedules=6\n"
+
     def test_enumerate_universe_mismatch_exits_2(self, resilient_file, capsys):
         argv = ["enumerate", "--n", "2", "--steps", "2", "--protocol", "safe-agreement", "--adversary", resilient_file]
         assert main(argv) == 2
@@ -518,6 +533,30 @@ class TestCommonMachinery:
         monkeypatch.setenv("ADVLAB_BUDGET", "0")
         assert main(["bgg", "--adversary", fair_file]) == 2
         assert capsys.readouterr().err.startswith("error: the bgg budget must be at least 1 round")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["alpha"],
+            ["simulate", "--protocol", "adaptive", "--seeds", "2", "--budget", "24"],
+            ["bgg", "--gate", "adaptive", "--budget", "10"],
+        ],
+    )
+    def test_out_naming_a_file_exits_2(self, fair_file, tmp_path, capsys, argv):
+        taken = tmp_path / "taken"
+        taken.write_text("keep")
+        assert main(argv + ["--adversary", fair_file, "--out", str(taken)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: cannot use {taken} as the output directory")
+        assert taken.read_text() == "keep"
+
+    def test_parser_is_built_once(self, fair_file, capsys, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("main built a parser")
+
+        monkeypatch.setattr(argparse, "ArgumentParser", refuse)
+        assert main(["setcon", "--adversary", fair_file]) == 0
+        assert main(["enumerate", "--n", "2", "--steps", "2"]) == 0
+        assert capsys.readouterr().out.endswith("schedules=6\n")
 
     def test_reports_are_deterministic(self, unfair_file, capsys):
         argv = [

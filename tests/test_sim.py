@@ -1,5 +1,6 @@
 """Run simulator: schedules, execution, enumeration, generation, traces."""
 
+import itertools
 import json
 from math import factorial
 
@@ -20,6 +21,7 @@ from advlab.sim import (
     trace_from_json_obj,
     trace_to_json_obj,
     truncate_trace,
+    _interleavings,
 )
 
 
@@ -195,6 +197,15 @@ class TestEnumerate:
     def test_step_bound(self):
         with pytest.raises(ValueError):
             list(enumerate_schedules(3, 5, 0))
+
+    @pytest.mark.parametrize(
+        "counts",
+        [{}, {1: 0, 2: 0}, {1: 3}, {2: 2, 1: 2}, {1: 1, 2: 0, 3: 2}, {3: 2, 1: 1, 2: 2}, {1: 3, 2: 2, 3: 2}],
+    )
+    def test_interleavings_are_the_sorted_distinct_permutations(self, counts):
+        multiset = [p for p, c in counts.items() for _ in range(c)]
+        expected = [list(order) for order in sorted(set(itertools.permutations(multiset)))]
+        assert list(_interleavings(counts)) == expected
 
 
 class TestGenerate:
