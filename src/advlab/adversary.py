@@ -12,10 +12,13 @@ equals restricting to the intersection, so every family the recursion
 visits is the live sets inside some region R.  For a touching mask T, one
 pass over the subset lattice gives the power of {S in F : S meets T}
 restricted to every region R.  setcon, the witness chain and the agreement
-function read the T = full table; the fairness scan and the selection
-layer's power queries read the tables of other touching masks.  Each
-Adversary keeps its own tables, keyed by T, so nothing is cached at module
-level.
+function read the T = full table; the selection layer's power queries read
+the tables of other touching masks.  Each Adversary keeps its own tables,
+keyed by T, so nothing is cached at module level.
+
+The fairness scan needs the power of the live sets meeting Q inside R for
+every pair Q subseteq R, and fills one 3**n-entry pair table row by row,
+checking each entry as it is filled; it keeps no table after it returns.
 
 Everything here is exhaustive by design and meant for universes of at
 most 16 processes.
@@ -275,20 +278,80 @@ def fairness_counterexample(adversary: Adversary) -> Optional[tuple[ProcessSet, 
     sides are 0 there by convention.  The search scans P from the largest
     bit encoding downward and Q upward, so the reported pair is the most
     global violation, which keeps golden outputs stable.
+
+    alpha(Q, R), the power of the live sets inside R that meet Q, is kept
+    for every Q subseteq R in one byte table indexed by the ternary code
+    t(R) + t(Q): digit i is 0 outside R, 1 in R - Q and 2 in Q.  Removing a
+    process i of R gives alpha(Q - i, R - i), which sits at idx - 3**i for
+    i outside Q (the same row Q) and at idx - 2 * 3**i for i in Q (row
+    Q - i), so the recursion of `_region_powers` fills row Q over R
+    ascending once every smaller row is done; alpha(empty, R) = 0.
+    alpha(Q, R) never exceeds cap = min(|Q|, setcon(A|R)): Q hits every set
+    counted, and power never exceeds a hitting set's size.  So a same-row
+    neighbour at the cap settles an entry, and an entry with cap 0 stays 0.
+    Rows are filled in ascending Q, and each entry below its cap is a
+    violation: one at R = full is the next step of the scan and returns at
+    once; elsewhere the largest R wins, then the earliest row.
     """
     n = adversary.n
     full = (1 << n) - 1
     base = adversary.region_table(full)
-    for p_bits in range(full, 0, -1):
-        descending = []
-        q_bits = p_bits
-        while q_bits:
-            descending.append(q_bits)
-            q_bits = (q_bits - 1) & p_bits
-        for q_bits in reversed(descending):  # ascending; each Q's table is built on first use
-            if adversary.region_table(q_bits)[p_bits] != min(q_bits.bit_count(), base[p_bits]):
-                return ProcessSet(n, p_bits), ProcessSet(n, q_bits)
-    return None
+    live = bytearray(1 << n)
+    for s in adversary.live_sets:
+        live[s.bits] = 1
+    pow3 = {1 << i: 3**i for i in range(n)}  # lowest set bit -> its ternary digit weight
+    ternary = [0] * (1 << n)
+    for m in range(1, 1 << n):
+        low = m & -m
+        ternary[m] = ternary[m ^ low] + pow3[low]
+    alpha = bytearray(3**n)
+    found = None
+    for q_bits in range(1, full + 1):
+        q_size = q_bits.bit_count()
+        outside = full ^ q_bits
+        row = 2 * ternary[q_bits]
+        previous_rows = [2 * pow3[low] for low in pow3 if q_bits & low]
+        extra = 0
+        while True:  # R = Q | extra over the subsets `extra` of the complement, ascending
+            region = q_bits | extra
+            cap = base[region]
+            if q_size < cap:
+                cap = q_size
+            if cap:
+                idx = row + ternary[extra]
+                rest = extra
+                while rest:
+                    low = rest & -rest
+                    if alpha[idx - pow3[low]] == cap:
+                        alpha[idx] = cap
+                        break
+                    rest ^= low
+                else:  # max and min inline: a list of the values costs about 30% more
+                    hi, lo, rest = 0, n, extra
+                    while rest:
+                        low = rest & -rest
+                        v = alpha[idx - pow3[low]]
+                        if v > hi:
+                            hi = v
+                        if v < lo:
+                            lo = v
+                        rest ^= low
+                    for offset in previous_rows:
+                        v = alpha[idx - offset]
+                        if v > hi:
+                            hi = v
+                        if v < lo:
+                            lo = v
+                    value = alpha[idx] = hi + 1 if live[region] and lo == hi else hi
+                    if value != cap:
+                        if region == full:
+                            return ProcessSet(n, full), ProcessSet(n, q_bits)
+                        if found is None or region > found[0]:
+                            found = (region, q_bits)
+            if extra == outside:
+                break
+            extra = (extra - outside) & outside
+    return None if found is None else (ProcessSet(n, found[0]), ProcessSet(n, found[1]))
 
 
 def is_fair(adversary: Adversary) -> bool:

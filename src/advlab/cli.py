@@ -103,11 +103,18 @@ def _out_dir(args) -> Path:
     return path
 
 
+def _write(path: Path, text: str) -> None:
+    try:
+        path.write_text(text)
+    except OSError as exc:
+        raise InputError(f"cannot write {path}: {exc}") from exc
+
+
 def _report(args, obj: dict, lines: list[str], failures: list[dict]) -> int:
     """Write the witness file when anything failed, print the report, return the exit code."""
     if failures:
         path = _out_dir(args) / "witnesses.json"
-        path.write_text(json.dumps(failures, sort_keys=True, indent=2))
+        _write(path, json.dumps(failures, sort_keys=True, indent=2))
         obj["witness_file"] = str(path)
         lines.append(f"witness_file={path}")
     _emit(args, obj, lines)
@@ -196,7 +203,7 @@ def cmd_alpha(args) -> int:
         lines.append(f"alpha({_set_text(ProcessSet(fn.n, bits))})={fn.of_bits(bits)}")
     if args.out:
         path = _out_dir(args) / (Path(args.adversary).stem + ".alpha.json")
-        path.write_text(json.dumps(obj, sort_keys=True))
+        _write(path, json.dumps(obj, sort_keys=True))
         lines.append(f"wrote {path}")
     _emit(args, obj, lines)
     return 0
@@ -268,7 +275,7 @@ def run_campaign(
     The protocol's `name` selects its policy in POLICIES: validity and the
     agreement property on every run, termination only where the policy's
     condition holds.  With trace_dir, each trace is written there as
-    trace-<label>.json.
+    trace-<label>.json; a trace that cannot be written raises InputError.
     """
     violations: dict[str, int] = {}
     failures: list[dict] = []
@@ -281,7 +288,7 @@ def run_campaign(
         runs += 1
         if trace_dir is not None:
             path = trace_dir / f"trace-{label}.json"
-            path.write_text(json.dumps(trace_to_json_obj(trace), sort_keys=True))
+            _write(path, json.dumps(trace_to_json_obj(trace), sort_keys=True))
         verdicts = [check_validity(trace), policy.agreement(trace, fn)]
         if policy.live(trace, fn):
             verdicts.append(check_termination(trace, among=policy.among))
@@ -311,11 +318,17 @@ def _check_tail(args) -> None:
         raise InputError(f"--tail must not be negative, got {args.tail}")
 
 
-def _campaign(args, policy: Policy, fn, n: int, schedules, trace_dir: Optional[Path] = None) -> int:
+def _campaign(args, policy: Policy, fn, n: int, schedules, traces: bool = False) -> int:
+    """Run and report a campaign; with traces, each run's trace goes to --out.
+
+    The output directory is made only once the arguments have passed their
+    checks, so an input error leaves nothing behind.
+    """
     name = args.protocol
     inputs = _parse_inputs(args, n)
     if policy.needs_fn and fn is None:
         raise InputError(f"{name} needs --alpha or --adversary")
+    trace_dir = _out_dir(args) if traces else None
     result = run_campaign(lambda: policy.make(n, inputs, fn), schedules, fn, args.tail, trace_dir)
     counts = sorted(result.violations.items())
     obj = {
@@ -365,7 +378,7 @@ def cmd_simulate(args) -> int:
     else:
         n = fn.n
         schedules = ((seed, generate_admissible_schedule(fn, seed, budget)) for seed in seeds)
-    return _campaign(args, policy, fn, n, schedules, _out_dir(args) if args.out else None)
+    return _campaign(args, policy, fn, n, schedules, traces=bool(args.out))
 
 
 def cmd_enumerate(args) -> int:
@@ -469,7 +482,7 @@ def cmd_bgg(args) -> int:
                 failures.append({"property": v.prop, "witness": v.witness})
     if args.out:
         path = _out_dir(args) / "bgg-history.json"
-        path.write_text(json.dumps(history.to_json_obj(), sort_keys=True))
+        _write(path, json.dumps(history.to_json_obj(), sort_keys=True))
         lines.append(f"history={path}")
         obj["history_file"] = str(path)
     obj["warnings"] = warnings

@@ -1,12 +1,16 @@
 """Independent brute-force oracles used to cross-check the package.
 
 Everything here works on plain integers (bit masks) and deliberately
-avoids the package's own recursion, memoization, and search strategies.
+avoids the package's own recursion, memoization, and search strategies,
+except `slow_fairness_counterexample`: the per-Q fairness scan, kept on the
+package's region tables as the reference for the pair-table kernel.
 """
 
 from __future__ import annotations
 
 import itertools
+
+from advlab import Adversary, ProcessSet
 
 
 def brute_setcon(masks: frozenset[int]) -> int:
@@ -85,6 +89,28 @@ def brute_fair(masks: frozenset[int], n: int) -> bool:
                 return False
             targets = (targets - 1) & region
     return True
+
+
+def slow_fairness_counterexample(adversary: Adversary):
+    """The per-Q fairness scan: one full region table per touching set Q.
+
+    Same contract and scan order as `advlab.fairness_counterexample` (P from
+    the largest mask down, Q ascending), at n * 4**n cost; the reference the
+    pair-table kernel must match pair for pair.
+    """
+    n = adversary.n
+    full = (1 << n) - 1
+    base = adversary.region_table(full)
+    for p_bits in range(full, 0, -1):
+        descending = []
+        q_bits = p_bits
+        while q_bits:
+            descending.append(q_bits)
+            q_bits = (q_bits - 1) & p_bits
+        for q_bits in reversed(descending):  # ascending; each Q's table is built on first use
+            if adversary.region_table(q_bits)[p_bits] != min(q_bits.bit_count(), base[p_bits]):
+                return ProcessSet(n, p_bits), ProcessSet(n, q_bits)
+    return None
 
 
 def brute_alpha_table(masks: frozenset[int], n: int) -> tuple[int, ...]:

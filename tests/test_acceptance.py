@@ -113,6 +113,18 @@ def test_criterion_02_structured_families_are_fair():
             adv = Adversary(4, tuple(ProcessSet(4, m) for m in masks))
             assert is_symmetric(adv)
             assert is_fair(adv), masks
+        # An upset of 2^[5] is U0 | {S + 5 : S in U1} for upsets U0 subseteq U1 of
+        # 2^[4]; the upsets of 2^[4] are the closed families plus the whole power set.
+        upsets4 = [*superset_closed_families(4), frozenset(range(16))]
+        assert len(upsets4) == 168  # D(4)
+        pairs = [(low, high) for low in upsets4 for high in upsets4 if low <= high]
+        assert len(pairs) == 7581  # D(5)
+        families5 = {low | {s | 0b10000 for s in high} for low, high in pairs if high and 0 not in low}
+        assert len(families5) == 7579  # without the empty family and the one holding the empty set
+        for masks in families5:
+            adv = Adversary(5, tuple(ProcessSet(5, m) for m in masks))
+            assert is_superset_closed(adv)
+            assert is_fair(adv), sorted(masks)
 
 
 def test_criterion_03_setcon_oracle_equivalence():

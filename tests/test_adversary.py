@@ -36,6 +36,8 @@ from oracles import (
     brute_setcon,
     brute_witness,
     distinct_sizes,
+    slow_fairness_counterexample,
+    upward_closure,
 )
 
 
@@ -297,6 +299,20 @@ class TestFairness:
     def test_matches_brute_fair_on_all_n3_families(self):
         for masks in all_families(3):
             assert is_fair(family(3, masks)) == brute_fair(masks, 3), masks
+
+    def test_same_pair_as_per_q_scan(self):
+        # The same (P, Q), not only the same verdict: the pair is a golden output.
+        cases = [family(3, masks) for masks in all_families(3)]
+        rng = random.Random("fairness-pairs")
+        for n in range(4, 8):
+            for density in (0.25, 0.6):
+                for _ in range(30):
+                    masks = frozenset(m for m in range(1, 1 << n) if rng.random() < density)
+                    cases += [family(n, masks), family(n, upward_closure(masks, n))]
+        for n in range(1, 9):
+            cases += [t_resilient_adversary(n, t) for t in range(n)]  # t = n - 1 is wait-free
+        for adv in cases:
+            assert fairness_counterexample(adv) == slow_fairness_counterexample(adv), adv
 
     def test_power_bound_property_all_n3(self):
         # The intersecting restriction never beats min(|targets|, restricted power).

@@ -95,6 +95,14 @@ class TestAlpha:
         written = json.loads((out_dir / "unfair.alpha.json").read_text())
         assert written["table"] == [0, 1, 0, 1, 0, 1, 1, 2]
 
+    def test_file_over_a_directory_exits_2(self, unfair_file, tmp_path, capsys):
+        taken = tmp_path / "out" / "unfair.alpha.json"
+        taken.mkdir(parents=True)
+        assert main(["alpha", "--adversary", unfair_file, "--out", str(tmp_path / "out")]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: cannot write {taken}: ")
+
 
 class TestCompare:
     def test_ge_verdict(self, unfair_file, tmp_path, capsys):
@@ -128,6 +136,13 @@ class TestSimulate:
         out = capsys.readouterr().out
         assert code == 0, out
         assert "runs=40" in out
+
+    def test_bad_inputs_leave_no_out_dir(self, unfair_file, tmp_path, capsys):
+        out_dir = tmp_path / "runs"
+        argv = ["simulate", "--protocol", "adaptive", "--adversary", unfair_file, "--inputs", "1,x"]
+        assert main(argv + ["--out", str(out_dir)]) == 2
+        assert capsys.readouterr().err == "error: bad --inputs value '1,x'\n"
+        assert not out_dir.exists()
 
     def test_json_output_is_one_document(self, unfair_file, capsys):
         argv = ["simulate", "--protocol", "adaptive", "--adversary", unfair_file, "--seeds", "3", "--budget", "72"]
@@ -298,8 +313,9 @@ class TestModelLoading:
 
 
 class TestCheckCommand:
-    def test_failing_trace_exits_1_with_witness(self, tmp_path, capsys):
-        # craft a trace with a foreign decision value
+    @pytest.fixture
+    def failing_trace(self, tmp_path):
+        """A trace whose process 2 decides a value nobody proposed."""
         from advlab.processes import ProcessSet
         from advlab.sim import Decision, Event, RunTrace, Schedule, trace_to_json_obj
 
@@ -314,10 +330,19 @@ class TestCheckCommand:
         )
         path = tmp_path / "trace.json"
         path.write_text(json.dumps(trace_to_json_obj(trace)))
+        return str(path)
+
+    def test_failing_trace_exits_1_with_witness(self, failing_trace, tmp_path):
         out_dir = tmp_path / "w"
-        code = main(["check", "--trace", str(path), "--out", str(out_dir)])
+        code = main(["check", "--trace", failing_trace, "--out", str(out_dir)])
         assert code == 1
         assert (out_dir / "witnesses.json").exists()
+
+    def test_witness_file_over_a_directory_exits_2(self, failing_trace, tmp_path, capsys):
+        taken = tmp_path / "w" / "witnesses.json"
+        taken.mkdir(parents=True)
+        assert main(["check", "--trace", failing_trace, "--out", str(tmp_path / "w")]) == 2
+        assert capsys.readouterr().err.startswith(f"error: cannot write {taken}: ")
 
     @pytest.mark.parametrize("obj", [{"n": 3}, [], {"n": 3, "schedule": []}, {"n": 3, "schedule": {"steps": 5}}])
     def test_malformed_trace_exits_2(self, tmp_path, capsys, obj):
