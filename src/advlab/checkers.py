@@ -4,6 +4,11 @@ Checkers are pure functions of a trace and their parameters; they never
 care how the trace was produced.  A failing verdict carries a witness
 pinned to the first violating event, and re-checking the trace truncated
 at the witness still fails.
+
+Values compare by their canonical JSON text (`sim.canonical_json`) through
+a hashable key, `value_key`: a plain int or str keys as itself, any other
+value as its tagged canonical text, so only values that are neither pay
+for a `json.dumps`.
 """
 
 from __future__ import annotations
@@ -25,11 +30,25 @@ class Verdict:
         return {"property": self.prop, "pass": self.passed, "witness": self.witness}
 
 
+def value_key(value: object) -> object:
+    """A hashable key equal for two values exactly when their canonical JSON texts are.
+
+    A plain int or str keys as itself: its text is a function of the value,
+    and an int never equals a str.  Any other value keys as the tuple
+    (None, canonical text), which equals no int or str, so True and 1, 1.0
+    and 1, or the list [1, 2] and the str "[1,2]" stay apart while (1, 2)
+    and [1, 2] meet.  A value JSON cannot encode raises TypeError.
+    """
+    if type(value) is int or type(value) is str:
+        return value
+    return (None, canonical_json(value))
+
+
 def check_validity(trace: RunTrace) -> Verdict:
     """Every decided value must be some participant's input."""
-    allowed = {canonical_json(trace.inputs[p]) for p in trace.participating if p in trace.inputs}
+    allowed = {value_key(trace.inputs[p]) for p in trace.participating if p in trace.inputs}
     for d in trace.decisions:
-        if canonical_json(d.value) not in allowed:
+        if value_key(d.value) not in allowed:
             return Verdict(
                 "validity", False, {"step": d.step, "process": d.pid, "value": d.value}
             )
@@ -46,9 +65,9 @@ def check_alpha_agreement(trace: RunTrace, fn: AgreementFunction) -> Verdict:
     if trace.n != fn.n:
         raise ValueError(f"universe mismatch: trace n={trace.n}, alpha n={fn.n}")
     first = trace.first_steps()
-    distinct: set[str] = set()
+    distinct: set[object] = set()
     for d in trace.decisions:
-        distinct.add(canonical_json(d.value))
+        distinct.add(value_key(d.value))
         bits = 0
         for pid, at in first.items():
             if at <= d.step:
@@ -89,9 +108,9 @@ def check_k_agreement(trace: RunTrace, k: int) -> Verdict:
     validity = check_validity(trace)
     if not validity.passed:
         return Verdict("k-agreement", False, validity.witness)
-    distinct: set[str] = set()
+    distinct: set[object] = set()
     for d in trace.decisions:
-        distinct.add(canonical_json(d.value))
+        distinct.add(value_key(d.value))
         if len(distinct) > k:
             return Verdict(
                 "k-agreement",

@@ -18,7 +18,7 @@ import itertools as it
 import json
 import random
 from dataclasses import dataclass, field
-from typing import Iterator, NamedTuple, Optional, TYPE_CHECKING
+from typing import Iterable, Iterator, NamedTuple, Optional, TYPE_CHECKING
 
 from . import alpha as alpha_mod
 from .processes import ProcessSet
@@ -372,10 +372,29 @@ def trace_to_json_obj(trace: RunTrace) -> dict:
     }
 
 
+def _require_ints(what: str, values: Iterable[object]) -> None:
+    """ValueError unless every value is a plain int (a bool is not one)."""
+    for value in values:
+        if type(value) is not int:
+            raise ValueError(f"{what} {canonical_json(value)} is not an integer")
+
+
 def trace_from_json_obj(obj: dict) -> RunTrace:
-    """Parse a trace file object; ValueError on an invalid schedule or a process id outside 1..n."""
+    """Parse a trace file object.
+
+    ValueError on an invalid schedule, a process id outside 1..n, or a
+    universe size, step, process id, halt index or correct-set entry that
+    is not a plain int.
+    """
     n = obj["n"]
     sched = obj["schedule"]
+    _require_ints("n", [n])
+    _require_ints("schedule step", sched["steps"])
+    _require_ints("halt index", sched["halted_at"].values())
+    _require_ints("correct_set entry", sched["correct_set"])
+    for key in ("step", "process"):
+        _require_ints(f"event {key}", [e[key] for e in obj["events"]])
+        _require_ints(f"decision {key}", [d[key] for d in obj["decisions"]])
     schedule = Schedule(
         n,
         tuple(sched["steps"]),

@@ -3,7 +3,9 @@
 Everything here works on plain integers (bit masks) and deliberately
 avoids the package's own recursion, memoization, and search strategies,
 except `slow_fairness_counterexample`: the per-Q fairness scan, kept on the
-package's region tables as the reference for the pair-table kernel.
+package's region tables as the reference for the pair-table kernel, and the
+`slow_check_*` checkers, which compare values by one `canonical_json` text
+each, the reference for the hash-keyed checkers.
 """
 
 from __future__ import annotations
@@ -11,6 +13,9 @@ from __future__ import annotations
 import itertools
 
 from advlab import Adversary, ProcessSet
+from advlab.alpha import AgreementFunction
+from advlab.checkers import Verdict
+from advlab.sim import RunTrace, canonical_json
 
 
 def brute_setcon(masks: frozenset[int]) -> int:
@@ -156,3 +161,64 @@ def symmetric_families(n: int):
         itertools.combinations(range(1, n + 1), r) for r in range(n + 1)
     ):
         yield frozenset(m for m in range(1, 1 << n) if bin(m).count("1") in sizes)
+
+
+def slow_check_validity(trace: RunTrace) -> Verdict:
+    """Every decided value must be some participant's input."""
+    allowed = {canonical_json(trace.inputs[p]) for p in trace.participating if p in trace.inputs}
+    for d in trace.decisions:
+        if canonical_json(d.value) not in allowed:
+            return Verdict(
+                "validity", False, {"step": d.step, "process": d.pid, "value": d.value}
+            )
+    return Verdict("validity", True)
+
+
+def slow_check_alpha_agreement(trace: RunTrace, fn: AgreementFunction) -> Verdict:
+    """At each decision, the distinct decisions so far fit the current participation.
+
+    Time is the trace's step index; the participating set at a decision is
+    everyone with an event at or before it.  Raises ValueError when the
+    trace and the function have different universe sizes.
+    """
+    if trace.n != fn.n:
+        raise ValueError(f"universe mismatch: trace n={trace.n}, alpha n={fn.n}")
+    first = trace.first_steps()
+    distinct: set[str] = set()
+    for d in trace.decisions:
+        distinct.add(canonical_json(d.value))
+        bits = 0
+        for pid, at in first.items():
+            if at <= d.step:
+                bits |= 1 << (pid - 1)
+        level = fn.of_bits(bits)
+        if len(distinct) > level:
+            return Verdict(
+                "alpha-agreement",
+                False,
+                {
+                    "step": d.step,
+                    "process": d.pid,
+                    "distinct": len(distinct),
+                    "level": level,
+                    "participating": [p + 1 for p in range(trace.n) if bits >> p & 1],
+                },
+            )
+    return Verdict("alpha-agreement", True)
+
+
+def slow_check_k_agreement(trace: RunTrace, k: int) -> Verdict:
+    """At most k distinct decisions overall, and every one of them valid."""
+    validity = slow_check_validity(trace)
+    if not validity.passed:
+        return Verdict("k-agreement", False, validity.witness)
+    distinct: set[str] = set()
+    for d in trace.decisions:
+        distinct.add(canonical_json(d.value))
+        if len(distinct) > k:
+            return Verdict(
+                "k-agreement",
+                False,
+                {"step": d.step, "process": d.pid, "distinct": len(distinct), "k": k},
+            )
+    return Verdict("k-agreement", True)

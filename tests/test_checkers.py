@@ -1,16 +1,33 @@
 """Trace checkers: validity, adaptive agreement, termination, k-agreement."""
 
-import pytest
+import json
+import random
 
-from advlab import AgreementFunction, ProcessSet, agreement_function
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from advlab import Adversary, AgreementFunction, ProcessSet, agreement_function
 from advlab.checkers import (
     check_alpha_agreement,
     check_k_agreement,
     check_termination,
     check_validity,
+    value_key,
 )
+from advlab.cli import POLICIES
 from advlab.protocols import EchoProtocol, SafeAgreement, default_inputs
-from advlab.sim import Decision, Event, RunTrace, Schedule, run_to_quiescence, truncate_trace
+from advlab.sim import (
+    Decision,
+    Event,
+    RunTrace,
+    Schedule,
+    canonical_json,
+    enumerate_schedules,
+    run_to_quiescence,
+    truncate_trace,
+)
+from oracles import slow_check_alpha_agreement, slow_check_k_agreement, slow_check_validity
 
 
 def hand_trace(n, steps, decisions, inputs, halted=None):
@@ -132,3 +149,115 @@ class TestKAgreement:
         trace = run_to_quiescence(SafeAgreement(2, default_inputs(2)), sched)
         assert check_validity(trace).passed
         assert check_alpha_agreement(trace, fn).passed
+
+
+def assert_same_verdicts(trace, fns, ks):
+    """The hash-keyed checkers and the canonical-JSON oracles agree on everything they report."""
+    pairs = [(check_validity(trace), slow_check_validity(trace))]
+    pairs += [(check_alpha_agreement(trace, fn), slow_check_alpha_agreement(trace, fn)) for fn in fns]
+    pairs += [(check_k_agreement(trace, k), slow_check_k_agreement(trace, k)) for k in ks]
+    for fast, slow in pairs:
+        # == alone would let a witness value True stand for 1
+        assert (fast.prop, fast.passed) == (slow.prop, slow.passed)
+        assert canonical_json(fast.witness) == canonical_json(slow.witness)
+    return pairs
+
+
+class TestAgainstSlowOracles:
+    FNS = [
+        AgreementFunction.wait_free(3),
+        AgreementFunction.k_concurrent(3, 2),
+        AgreementFunction.k_concurrent(3, 1),
+        AgreementFunction.t_resilient(3, 1),
+        agreement_function(Adversary.of(3, [[1], [2, 3], [1, 2, 3]])),  # 0 on {2}
+    ]
+    # values whose canonical texts collide or nearly collide
+    VALUES = [
+        True, 1, 1.0, False, 0, None, "1", "[1,2]", (1, 2), [1, 2],
+        {"a": {"b": [1, (2,)]}}, {"a": {"b": ((1,), [2])}},
+    ]
+
+    @pytest.mark.parametrize("protocol, fn", [("adaptive", FNS[0]), ("alpha-setcons", FNS[1])])
+    def test_every_enumerated_run(self, protocol, fn):
+        for schedule in enumerate_schedules(3, 2, 1):
+            trace = run_to_quiescence(POLICIES[protocol].make(3, default_inputs(3), fn), schedule, max_tail=120)
+            assert_same_verdicts(trace, self.FNS, (1, 2, 3))
+
+    def test_crafted_mixed_values(self):
+        rng = random.Random(9)
+        outcomes = set()
+        for _ in range(400):
+            steps = [rng.randint(1, 3) for _ in range(rng.randint(1, 6))]
+            inputs = {p: rng.choice(self.VALUES) for p in (1, 2, 3)}
+            decided = sorted(rng.randrange(len(steps)) for _ in range(rng.randint(1, 4)))
+            trace = hand_trace(3, steps, [(at, steps[at], rng.choice(self.VALUES)) for at in decided], inputs)
+            pairs = assert_same_verdicts(trace, self.FNS, (1, 2, 3, 4))
+            outcomes.update((fast.prop, fast.passed) for fast, _ in pairs)
+        assert len(outcomes) == 6  # each property both passed and failed
+
+    @pytest.mark.parametrize(
+        "a, b, same",
+        [
+            ((1, 2), [1, 2], True),
+            ({"a": (1,)}, {"a": [1]}, True),
+            (1, True, False),
+            (1, 1.0, False),
+            ("1", 1, False),
+            ("[1,2]", [1, 2], False),
+        ],
+    )
+    def test_values_compare_by_canonical_text(self, a, b, same):
+        # processes 1 and 2 decide a and b: b is valid only if it matches the input a,
+        # and the two count as one decision only if they match each other
+        decisions = [(1, 1, a), (1, 2, b)]
+        assert check_validity(hand_trace(2, [1, 2], decisions, {1: a, 2: 7})).passed is same
+        assert check_k_agreement(hand_trace(2, [1, 2], decisions, {1: a, 2: b}), 1).passed is same
+
+    def test_unencodable_value_raises_type_error(self):
+        trace = hand_trace(2, [1, 2], [(1, 1, {1, 2})], {1: 5, 2: 7})
+        with pytest.raises(TypeError):
+            check_validity(trace)
+        with pytest.raises(TypeError):
+            check_k_agreement(trace, 1)
+        with pytest.raises(TypeError):
+            check_alpha_agreement(trace, AgreementFunction.wait_free(2))
+
+
+scalars = st.none() | st.booleans() | st.integers(-(2**64), 2**64) | st.floats() | st.text(max_size=4)
+json_like = st.recursive(
+    scalars,
+    lambda children: st.lists(children, max_size=3)
+    | st.lists(children, max_size=3).map(tuple)
+    | st.dictionaries(st.text(max_size=2), children, max_size=3),
+    max_leaves=8,
+)
+
+
+def _swap_sequences(value):
+    """value with every list made a tuple and every tuple a list."""
+    if isinstance(value, list):
+        return tuple(_swap_sequences(v) for v in value)
+    if isinstance(value, tuple):
+        return [_swap_sequences(v) for v in value]
+    if isinstance(value, dict):
+        return {k: _swap_sequences(v) for k, v in value.items()}
+    return value
+
+
+def _twins(value):
+    """Values whose canonical text equals value's, or nearly does."""
+    twins = [value, _swap_sequences(value), json.loads(canonical_json(value)), canonical_json(value)]
+    if isinstance(value, (bool, int)):
+        twins += [int(value), float(value), bool(value)]
+    return twins
+
+
+class TestValueKey:
+    @settings(max_examples=300, deadline=None)
+    @given(scalars | json_like, st.data())  # plain ints and strs key as themselves only at the top
+    def test_keys_equal_exactly_when_texts_equal(self, a, data):
+        b = data.draw(st.sampled_from(_twins(a)) | json_like)
+        same_text = canonical_json(a) == canonical_json(b)
+        assert (value_key(a) == value_key(b)) is same_text
+        if same_text:
+            assert hash(value_key(a)) == hash(value_key(b))

@@ -407,6 +407,40 @@ class TestCheckCommand:
         err = capsys.readouterr().err
         assert err.startswith("error: bad trace file") and "outside 1..3" in err
 
+    @pytest.mark.parametrize(
+        "what, field, value",
+        [
+            ("event process", ("events", 0, "process"), "2"),
+            ("decision process", ("decisions", 0, "process"), 1.5),
+            ("schedule step", ("schedule", "steps", 0), True),
+            ("event step", ("events", 0, "step"), 0.0),
+            ("decision step", ("decisions", 0, "step"), "24"),
+            ("halt index", ("schedule", "halted_at", "3"), 71.0),
+            ("correct_set entry", ("schedule", "correct_set", 0), "1"),
+            ("n", ("n",), 3.0),
+        ],
+        ids=["event-process", "decision-process", "step", "event-step", "decision-step", "halt", "correct-set", "n"],
+    )
+    def test_non_integer_ids_exit_2(self, three_process_trace, tmp_path, capsys, what, field, value):
+        # "2" used to crash check_alpha_agreement with a TypeError (exit 1), 1.5
+        # went through int() to a termination violation, and true ran as process 1
+        wf3 = tmp_path / "wf3.json"
+        wf3.write_text(json.dumps({"n": 3, "table": [0, 1, 1, 2, 1, 2, 2, 3]}))
+        with open(three_process_trace) as f:
+            obj = json.load(f)
+        assert obj["schedule"]["halted_at"] == {"3": 71} and obj["decisions"][0]["step"] == 24
+        holder = obj
+        for key in field[:-1]:
+            holder = holder[key]
+        holder[field[-1]] = value
+        path = tmp_path / "edited.json"
+        path.write_text(json.dumps(obj))
+        assert main(["check", "--trace", str(path), "--alpha", str(wf3), "--k", "1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        reason = f"{what} {json.dumps(value)} is not an integer"
+        assert captured.err == f"error: bad trace file {path}: ValueError: {reason}\n"
+
 
 class TestCampaignEngine:
     class SplitCons23(EchoProtocol):
