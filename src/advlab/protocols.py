@@ -1,9 +1,9 @@
 """Executable protocol state machines for the snapshot-memory simulator.
 
-Each process runs a generator that yields one memory operation per
-activation (an Update carrying the process's whole cell record, then a
-SNAPSHOT, strictly alternating) and finishes by returning its decision.
-All protocols here follow the full-information discipline: the first write
+Each process runs a generator that yields the value its next update writes
+(its whole cell record), receives the view of the snapshot that follows
+(`view = yield payload()`), and finishes by returning its decision.  All
+protocols here follow the full-information discipline: the first write
 carries the process's input, every later write carries the process's whole
 current record, and a decided process takes no further actions.
 
@@ -26,7 +26,7 @@ from typing import Callable, Iterable, Optional
 
 from .alpha import AgreementFunction
 from .processes import MAX_UNIVERSE, ProcessSet
-from .sim import RunTrace, Schedule, SNAPSHOT, Update
+from .sim import RunTrace, Schedule
 
 
 class Protocol:
@@ -60,8 +60,7 @@ class EchoProtocol(Protocol):
 
     def program(self, pid: int):
         v = self._input(pid)
-        yield Update({"val": v})
-        yield SNAPSHOT
+        yield {"val": v}
         return v
 
 
@@ -115,16 +114,14 @@ def _round_robin_agreement(
         key = str(j)
         if key not in entries:
             entries[key] = [proposal, 1]
-            yield Update(payload())
-            view = yield SNAPSHOT
+            view = yield payload()
             committed_seen = any(
                 (e := entries_in(c).get(key)) is not None and e[1] == 2 for c in view if c is not None
             )
             entries[key] = [proposal, 0 if committed_seen else 2]
             closed_gates = 0
             proto.statuses[pid] = "running"
-        yield Update(payload())
-        view = yield SNAPSHOT
+        view = yield payload()
         seen = [e for c in view if c is not None and (e := entries_in(c).get(key)) is not None]
         if not any(e[1] == 1 for e in seen):
             proto.statuses[pid] = "running"
@@ -193,8 +190,7 @@ def _wait_for_growth(proto: Protocol, pid: int, parts: int, payload):
     """
     while True:
         proto.statuses[pid] = "blocked"
-        yield Update(payload())
-        view = yield SNAPSHOT
+        view = yield payload()
         if _participants(view) != parts:
             proto.statuses[pid] = "running"
             return
@@ -287,8 +283,7 @@ class AdaptiveSetConsensus(Protocol):
         def payload():
             return {"reg": list(rec["reg"]), "agr": {k: dict(s) for k, s in rec["agr"].items()}}
 
-        yield Update(payload())
-        r = yield SNAPSHOT
+        r = yield payload()
         part = _participants(r)
         while True:
             parts = part
@@ -301,8 +296,7 @@ class AdaptiveSetConsensus(Protocol):
             else:
                 v = yield from self.subroutine.run(self, pid, parts, level, v, rec, payload)
             rec["reg"] = [v, parts.bit_count()]
-            yield Update(payload())
-            r = yield SNAPSHOT
+            r = yield payload()
             part = _participants(r)
             if parts == part:
                 return v
@@ -328,17 +322,14 @@ class Cons23(Protocol):
     def program(self, pid: int):
         if pid == 1:
             while True:
-                yield Update({"val": None})
-                yield SNAPSHOT
+                yield {"val": None}
         v = self._input(pid)
-        yield Update({"val": v})
         while True:
-            view = yield SNAPSHOT
+            view = yield {"val": v}
             cell = view[1]
             if cell is not None and cell["val"] is not None:
                 return cell["val"]
             self.statuses[pid] = "blocked"
-            yield Update({"val": v})
 
 
 def adaptive_lock_analysis(trace: RunTrace) -> tuple[int, set, set]:

@@ -1,15 +1,16 @@
 """Deterministic atomic-snapshot run simulator.
 
 A run is a sequence of process ids; a process's k-th executed operation is
-an update when k is odd and a snapshot when k is even, which the executor
-enforces against the protocol's requests.  The executor is one function,
-`run_to_quiescence`: it keeps the shared memory as a list of n cells, steps
-each protocol program through `next`/`send`, and runs the given schedule
-and then its completion tail in one loop.  Faulty processes are modeled as
-halting after a chosen step index; "takes infinitely many steps" has no
-other finite encoding.  Schedules come from a seeded generator constrained
-by an adversary, from a direct admissibility-driven generator, or from
-exhaustive enumeration at small sizes.
+an update when k is odd and a snapshot when k is even.  A protocol program
+is a generator that yields the value its next update writes and receives
+the view its following snapshot reads.  The executor is one function,
+`run_to_quiescence`: it keeps the shared memory as a list of n cells,
+resumes each program once per write-snapshot pair, and runs the given
+schedule and then its completion tail in one loop.  Faulty processes are
+modeled as halting after a chosen step index; "takes infinitely many steps"
+has no other finite encoding.  Schedules come from a seeded generator
+constrained by an adversary, from a direct admissibility-driven generator,
+or from exhaustive enumeration at small sizes.
 """
 
 from __future__ import annotations
@@ -28,18 +29,7 @@ if TYPE_CHECKING:  # pragma: no cover
 
 
 class ProtocolFault(Exception):
-    """A protocol broke the run model (wrong operation parity, bad request)."""
-
-
-@dataclass(frozen=True)
-class Update:
-    """Request to overwrite the calling process's own memory cell."""
-
-    value: object
-
-
-# Request sentinel for an atomic read of all cells.
-SNAPSHOT = object()
+    """A protocol broke the run model (decided before its first write)."""
 
 
 @dataclass
@@ -48,8 +38,8 @@ class Schedule:
 
     halted_at maps a faulty process to the global step index of its last
     activation (-1 when it never steps); processes in correct set are never
-    halted.  The schedule is only an activation order: what each activation
-    does is decided by the protocol under the parity rule.
+    halted.  The schedule is only an activation order: by the parity rule a
+    process's odd activations write and its even ones take snapshots.
     """
 
     n: int
@@ -144,11 +134,13 @@ def run_to_quiescence(
 ) -> RunTrace:
     """Execute the schedule, then keep cycling correct processes fairly.
 
-    Each activation performs the process's next operation on the memory (a
-    list of n cells; a written value must be treated as immutable, since
-    snapshots share it) and feeds the result straight back, so a decision
-    lands on the same step as the process's final operation; activations
-    after a decision are no-ops and record nothing.  The tail is the finite
+    Each program yields the value it writes and is sent the view it reads:
+    a process's odd activation writes its pending value to its cell (a list
+    of n cells; a written value must be treated as immutable, since
+    snapshots share it), and its even activation takes the snapshot and
+    resumes the program with it.  A program can only return after a
+    snapshot, so every decision lands on a snapshot step; activations after
+    a decision are no-ops and record nothing.  The tail is the finite
     stand-in for correct processes taking infinitely many steps; it stops
     once every required process decided (default: every correct process) or
     after max_tail extra activations; with max_tail=0 the run is exactly the
@@ -158,7 +150,7 @@ def run_to_quiescence(
         raise ValueError(f"protocol arity {protocol.n} does not match schedule n {schedule.n}")
     schedule.validate()
     cells: list[object] = [None] * schedule.n
-    # pid -> [program, pending request, operations taken]; program is None once decided
+    # pid -> [program, value to write, written but not yet read]; program is None once decided
     procs: dict[int, list] = {}
     events: list[Event] = []
     decisions: list[Decision] = []
@@ -175,26 +167,22 @@ def run_to_quiescence(
         if proc is None:
             program = protocol.program(pid)
             try:
-                proc = procs[pid] = [program, next(program), 0]
+                proc = procs[pid] = [program, next(program), False]
             except StopIteration:
                 raise ProtocolFault(f"process {pid} decided without taking a step")
-        program, request, ops = proc
+        program, value, wrote = proc
         if program is None:
             continue
-        if ops % 2 == 0:
-            if not isinstance(request, Update):
-                raise ProtocolFault(f"process {pid} must update on odd appearances, requested snapshot")
-            cells[pid - 1] = request.value
-            events.append(Event(idx, pid, "update", request.value))
-            result = None
-        else:
-            if request is not SNAPSHOT:
-                raise ProtocolFault(f"process {pid} must snapshot on even appearances, requested update")
-            result = tuple(cells)
-            events.append(Event(idx, pid, "snapshot", result))
-        proc[2] = ops + 1
+        if not wrote:
+            cells[pid - 1] = value
+            events.append(Event(idx, pid, "update", value))
+            proc[2] = True
+            continue
+        view = tuple(cells)
+        events.append(Event(idx, pid, "snapshot", view))
+        proc[2] = False
         try:
-            proc[1] = program.send(result)
+            proc[1] = program.send(view)
         except StopIteration as stop:
             proc[0] = None
             decisions.append(Decision(idx, pid, stop.value))
@@ -379,12 +367,24 @@ def _require_ints(what: str, values: Iterable[object]) -> None:
             raise ValueError(f"{what} {canonical_json(value)} is not an integer")
 
 
+def _by_pid(what: str, obj: dict) -> dict[int, object]:
+    """A process-keyed map from a trace file: ValueError unless each key is
+    the canonical decimal text of an id ("1", never "01", " 1" or "+1")."""
+    parsed: dict[int, object] = {}
+    for key, value in obj.items():
+        if not (key.isascii() and key.isdigit() and key[0] != "0"):
+            raise ValueError(f"{what} key {canonical_json(key)} is not a process id")
+        parsed[int(key)] = value
+    return parsed
+
+
 def trace_from_json_obj(obj: dict) -> RunTrace:
     """Parse a trace file object.
 
-    ValueError on an invalid schedule, a process id outside 1..n, or a
+    ValueError on an invalid schedule, a process id outside 1..n, a
     universe size, step, process id, halt index or correct-set entry that
-    is not a plain int.
+    is not a plain int, or an inputs, statuses or halted_at key that is not
+    the canonical decimal text of a process id.
     """
     n = obj["n"]
     sched = obj["schedule"]
@@ -398,15 +398,15 @@ def trace_from_json_obj(obj: dict) -> RunTrace:
     schedule = Schedule(
         n,
         tuple(sched["steps"]),
-        {int(p): at for p, at in sched["halted_at"].items()},
+        _by_pid("halted_at", sched["halted_at"]),
         ProcessSet.of(n, sched["correct_set"]),
     )
     schedule.validate()
     events = [Event(e["step"], e["process"], e["kind"], e["payload"]) for e in obj["events"]]
     decisions = [Decision(d["step"], d["process"], d["value"]) for d in obj["decisions"]]
     participating = ProcessSet.of(n, {e.pid for e in events})
-    inputs = {int(p): v for p, v in obj["inputs"].items()}
-    statuses = {int(p): s for p, s in obj["statuses"].items()}
+    inputs = _by_pid("inputs", obj["inputs"])
+    statuses = _by_pid("statuses", obj["statuses"])
     for pids in ([d.pid for d in decisions], inputs, statuses):
         ProcessSet.of(n, pids)  # raises on an id outside 1..n
     return RunTrace(schedule, inputs, events, decisions, participating, statuses)

@@ -407,6 +407,25 @@ class TestCheckCommand:
         err = capsys.readouterr().err
         assert err.startswith("error: bad trace file") and "outside 1..3" in err
 
+    @pytest.mark.parametrize("what", ["inputs", "statuses", "halted_at"])
+    @pytest.mark.parametrize("key", ["01", " 2 ", "+3", "0_1"])
+    def test_non_canonical_id_keys_exit_2(self, tmp_path, capsys, what, key):
+        # every process halts after deciding, so each map has an entry for
+        # each id; int() used to read the renamed key as the same id, and
+        # "01" placed after "1" silently replaced process 1's entry
+        sched = Schedule(3, (1, 2, 3, 1, 2, 3), {1: 3, 2: 4, 3: 5})
+        obj = trace_to_json_obj(run_to_quiescence(EchoProtocol(3, default_inputs(3)), sched, max_tail=0))
+        holder = obj["schedule"] if what == "halted_at" else obj
+        pid = str(int(key))
+        holder[what] = {key if p == pid else p: v for p, v in holder[what].items()}
+        path = tmp_path / "trace.json"
+        path.write_text(json.dumps(obj))
+        assert main(["check", "--trace", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        reason = f"{what} key {json.dumps(key)} is not a process id"
+        assert captured.err == f"error: bad trace file {path}: ValueError: {reason}\n"
+
     @pytest.mark.parametrize(
         "what, field, value",
         [

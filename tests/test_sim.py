@@ -1,5 +1,6 @@
 """Run simulator: schedules, execution, enumeration, generation, traces."""
 
+import hashlib
 import itertools
 import json
 from math import factorial
@@ -7,12 +8,20 @@ from math import factorial
 import pytest
 
 from advlab import Adversary, AgreementFunction, ProcessSet, admits_trace
-from advlab.protocols import EchoProtocol, Protocol, SafeAgreement
+from advlab.protocols import (
+    AdaptiveSetConsensus,
+    Cons23,
+    EchoProtocol,
+    EmbeddedAgreement,
+    OracleAgreement,
+    Protocol,
+    RoundRobinSetConsensus,
+    SafeAgreement,
+    default_inputs,
+)
 from advlab.sim import (
     ProtocolFault,
     Schedule,
-    SNAPSHOT,
-    Update,
     canonical_json,
     enumerate_schedules,
     generate_admissible_schedule,
@@ -31,26 +40,14 @@ class CountingProtocol(Protocol):
     def program(self, pid):
         k = 0
         while True:
-            yield Update({"count": k})
-            yield SNAPSHOT
+            yield {"count": k}
             k += 1
-
-
-class BadParityProtocol(Protocol):
-    def program(self, pid):
-        yield SNAPSHOT  # must start with an update
-
-
-class DoubleUpdateProtocol(Protocol):
-    def program(self, pid):
-        yield Update(1)
-        yield Update(2)  # the second operation must be a snapshot
 
 
 class StepFreeProtocol(Protocol):
     def program(self, pid):
         return 0
-        yield  # a generator that returns before its first request
+        yield  # a generator that returns before its first write
 
 
 class TestSchedule:
@@ -94,14 +91,6 @@ class TestExecute:
         trace = run_to_quiescence(EchoProtocol(2, {1: 5}), Schedule(2, (1, 1, 1, 1)), max_tail=0)
         assert len(trace.events) == 2
         assert len(trace.decisions) == 1
-
-    def test_parity_enforced(self):
-        with pytest.raises(ProtocolFault):
-            run_to_quiescence(BadParityProtocol(1, {1: 0}), Schedule(1, (1,)), max_tail=0)
-
-    def test_update_on_even_appearance_faults(self):
-        with pytest.raises(ProtocolFault, match="process 2 must snapshot on even appearances, requested update"):
-            run_to_quiescence(DoubleUpdateProtocol(2, {}), Schedule(2, (1, 2, 2)), max_tail=0)
 
     def test_decision_without_a_step_faults(self):
         with pytest.raises(ProtocolFault, match="process 1 decided without taking a step"):
@@ -276,3 +265,48 @@ class TestTraceFiles:
         full = Schedule(3, (1, 2, 3, 1, 2, 3))
         trace2 = run_to_quiescence(EchoProtocol(3, {1: 1, 2: 2, 3: 3}), full, max_tail=0)
         assert admits_trace(fn, trace2)
+
+
+# Golden runs: every protocol and adaptive subroutine on every 3-process
+# schedule with 2 steps per process and at most 1 halt, plus seeded
+# schedules admitted by the 1-resilient agreement function.  The digest
+# pins the canonical text of all their traces, so a change to the executor
+# or to a protocol that alters any event, decision or status shows here.
+GOLDEN_FN = AgreementFunction.t_resilient(3, 1)
+GOLDEN_INPUTS = default_inputs(3)
+GOLDEN_PROTOCOLS = {
+    "echo": lambda: EchoProtocol(3, GOLDEN_INPUTS),
+    "safe-agreement": lambda: SafeAgreement(3, GOLDEN_INPUTS),
+    "alpha-setcons": lambda: RoundRobinSetConsensus(3, GOLDEN_INPUTS, GOLDEN_FN),
+    "adaptive": lambda: AdaptiveSetConsensus(3, GOLDEN_INPUTS, EmbeddedAgreement(GOLDEN_FN)),
+    "adaptive-oracle": lambda: AdaptiveSetConsensus(3, GOLDEN_INPUTS, OracleAgreement(GOLDEN_FN)),
+    "cons23": lambda: Cons23(3, GOLDEN_INPUTS),
+}
+GOLDEN_DIGEST = "90df1859b3dfbc46747e8405d21024f64e57dc8ae9be1a930d000f0f9efdb4e2"
+
+
+@pytest.fixture(scope="module")
+def golden_traces():
+    schedules = list(enumerate_schedules(3, 2, 1))
+    schedules += [generate_admissible_schedule(GOLDEN_FN, seed, 24) for seed in range(12)]
+    return [
+        run_to_quiescence(make(), schedule, max_tail=60)
+        for make in GOLDEN_PROTOCOLS.values()
+        for schedule in schedules
+    ]
+
+
+class TestGolden:
+    def test_trace_digest(self, golden_traces):
+        text = "\n".join(canonical_json(trace_to_json_obj(trace)) for trace in golden_traces)
+        assert len(golden_traces) == 6 * (198 + 12)
+        assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN_DIGEST
+
+    def test_every_decision_lands_on_a_snapshot_of_its_process(self, golden_traces):
+        decided = 0
+        for trace in golden_traces:
+            snapshots = {(e.step, e.pid) for e in trace.events if e.kind == "snapshot"}
+            for d in trace.decisions:
+                assert (d.step, d.pid) in snapshots
+                decided += 1
+        assert decided > 0
