@@ -248,19 +248,14 @@ def csize(adversary: Adversary) -> int:
 
 
 def is_superset_closed(adversary: Adversary) -> bool:
-    """True iff every superset (within the universe) of a live set is a live set."""
+    """True iff every superset (within the universe) of a live set is a live set.
+
+    Every superset is reached from the live set by adding one process at a
+    time, so checking each single-process extension of each live set suffices.
+    """
     family = {s.bits for s in adversary.live_sets}
-    full = (1 << adversary.n) - 1
-    for s in adversary.live_sets:
-        rest = full & ~s.bits
-        sub = rest
-        while True:
-            if s.bits | sub not in family:
-                return False
-            if sub == 0:
-                break
-            sub = (sub - 1) & rest
-    return True
+    singles = [1 << i for i in range(adversary.n)]
+    return all(bits | one in family for bits in family for one in singles)
 
 
 def is_symmetric(adversary: Adversary) -> bool:

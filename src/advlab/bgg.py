@@ -12,7 +12,10 @@ question is one lookup in a region table of the adversary: a live set s
 is powered for simulator sid when it lies inside the window and
 `adversary.region_table(active)[s] >= sid` (`powered`), and the level
 α(P) of a participating set P is `adversary.region_table(full)[P]`, the
-table the adversary's agreement function wraps.
+table the adversary's agreement function wraps.  P, A, the gate threshold
+min(|A|, α(P)) and the table of A depend on the status array alone, so
+`BGShared.view` reads them once per change of that array, not once per
+round; `SelectionHistory.per_simulator` sums the records per simulator.
 
 The step machinery underneath is a pluggable oracle, built by a factory
 called with (is_live, locals) so it can observe the simulators' current
@@ -65,10 +68,15 @@ class SelectionImpossible(Exception):
 
 @dataclass
 class BGShared:
-    """Shared arrays: per-simulator (process, live-set mask) selections and per-process status."""
+    """Shared arrays: per-simulator (process, live-set mask) selections and per-process status.
+
+    `view` derives what a round needs from the status array and keeps it
+    until the array changes.
+    """
 
     selections: list[tuple[Optional[int], int]]
     pmem: list[object]
+    _view: tuple = field(default=(None, None), init=False, repr=False, compare=False)
 
     @classmethod
     def fresh(cls, n: int, sim_count: int, pmem: Optional[list] = None) -> "BGShared":
@@ -76,6 +84,19 @@ class BGShared:
             [(None, 0) for _ in range(sim_count + 1)],  # index 0 unused
             list(pmem) if pmem is not None else [PM_ACTIVE] * n,
         )
+
+    def view(self, adversary: Adversary) -> tuple[int, int, int, bytes]:
+        """(P, A, gate threshold, region_table(A)) of the current status array.
+
+        Recomputed only when the status array (or the adversary) differs from
+        the one it was derived from, so a write to `pmem` shows in the next round.
+        """
+        key = (adversary, *self.pmem)
+        if self._view[0] != key:
+            part, active = participation(self.pmem)
+            threshold = gate_threshold(adversary, part, active)
+            self._view = (key, (part, active, threshold, adversary.region_table(active)))
+        return self._view[1]
 
 
 @dataclass
@@ -187,44 +208,53 @@ def simulator_round(
     round_no: int = 0,
 ) -> dict:
     """One full loop iteration of a simulator; returns the round record."""
-    part, active = participation(shared.pmem)
-    threshold = gate_threshold(adversary, part, active)
-    gated_in = local.sid >= threshold if gate_mode == GATE_VERBATIM else local.sid <= threshold
-    record = {
+    part, active, threshold, table = shared.view(adversary)
+    sid = local.sid
+    if not (sid >= threshold if gate_mode == GATE_VERBATIM else sid <= threshold):
+        return {
+            "round": round_no,
+            "simulator": sid,
+            "P": part,
+            "A": active,
+            "gated": False,
+            "W": None,
+            "trail": (),
+            "s_cur": local.s_cur,
+            "p_cur": local.p_cur,
+            "reselected": False,
+            "fallback": False,
+            "stepped": None,
+            "result": None,
+        }
+    trail: list = []
+    window = compute_window(sid, shared, part, table, trail)
+    s_cur = local.s_cur
+    reselected = fallback = False
+    if powered(table, s_cur, window, sid):
+        stepped = local.p_cur
+    else:
+        s_cur, fallback = select_live_set(adversary, table, window, part, sid)
+        stepped = local.p_cur = _lowest(s_cur)
+        local.s_cur = s_cur
+        shared.selections[sid] = (stepped, s_cur)
+        reselected = True
+    result = oracle.simulate_step(sid, stepped, round_no)
+    p_cur = local.p_cur = _next_in_cycle(s_cur, stepped) if result == SUCCESS else stepped
+    return {
         "round": round_no,
-        "simulator": local.sid,
+        "simulator": sid,
         "P": part,
         "A": active,
-        "gated": gated_in,
-        "W": None,
-        "trail": (),
-        "s_cur": local.s_cur,
-        "p_cur": local.p_cur,
-        "reselected": False,
-        "fallback": False,
-        "stepped": None,
-        "result": None,
+        "gated": True,
+        "W": window,
+        "trail": tuple(trail),
+        "s_cur": s_cur,
+        "p_cur": p_cur,
+        "reselected": reselected,
+        "fallback": fallback,
+        "stepped": stepped,
+        "result": result,
     }
-    if not gated_in:
-        return record
-    table = adversary.region_table(active)
-    trail: list = []
-    window = compute_window(local.sid, shared, part, table, trail)
-    record["W"] = window
-    record["trail"] = tuple(trail)
-    if not powered(table, local.s_cur, window, local.sid):
-        local.s_cur, record["fallback"] = select_live_set(adversary, table, window, part, local.sid)
-        local.p_cur = _lowest(local.s_cur)
-        shared.selections[local.sid] = (local.p_cur, local.s_cur)
-        record["reselected"] = True
-    record["s_cur"] = local.s_cur
-    record["stepped"] = local.p_cur
-    result = oracle.simulate_step(local.sid, local.p_cur, round_no)
-    record["result"] = result
-    if result == SUCCESS:
-        local.p_cur = _next_in_cycle(local.s_cur, local.p_cur)
-    record["p_cur"] = local.p_cur
-    return record
 
 
 @dataclass
@@ -242,6 +272,21 @@ class SelectionHistory:
     def live_sims(self) -> list[int]:
         return [s for s in range(1, self.sim_count + 1) if s not in self.pattern]
 
+    def per_simulator(self) -> dict[int, dict[str, int]]:
+        """Rounds, gated rounds, re-selections, fallbacks and BLOCKED steps per simulator id."""
+        counts = {
+            sid: {"rounds": 0, "gated": 0, "reselections": 0, "fallbacks": 0, "blocked": 0}
+            for sid in range(1, self.sim_count + 1)
+        }
+        for r in self.records:
+            c = counts[r["simulator"]]
+            c["rounds"] += 1
+            c["gated"] += r["gated"]
+            c["reselections"] += r["reselected"]
+            c["fallbacks"] += r["fallback"]
+            c["blocked"] += r["result"] == BLOCKED
+        return counts
+
     def quarter_records(self) -> list[dict]:
         cut = 3 * self.budget // 4
         return [r for r in self.records if r["round"] >= cut]
@@ -253,9 +298,7 @@ class SelectionHistory:
             "simulators": self.sim_count,
             "budget": self.budget,
             "halt_pattern": {str(s): r for s, r in sorted(self.pattern.items())},
-            "records": [
-                {k: (list(v) if isinstance(v, tuple) else v) for k, v in r.items()} for r in self.records
-            ],
+            "records": [{**r, "trail": list(r["trail"])} for r in self.records],
         }
 
 
@@ -295,13 +338,16 @@ def run_bgg_selection(
         return limit is None or taken[sid] < limit
 
     step_oracle = oracle(is_live, locals_)
+    limit_of = pattern.get
+    append = history.records.append
     for round_no in range(budget):
         sid = round_no % sim_count + 1
-        if not is_live(sid):
+        limit = limit_of(sid)
+        if limit is not None and taken[sid] >= limit:
             continue
-        record = simulator_round(locals_[sid], shared, step_oracle, adversary, gate_mode, round_no)
+        # through the module global, once per record: the benchmark's tracer wraps it
+        append(simulator_round(locals_[sid], shared, step_oracle, adversary, gate_mode, round_no))
         taken[sid] += 1
-        history.records.append(record)
     history.final_pmem = list(shared.pmem)
     return history
 
@@ -360,12 +406,17 @@ def check_selection_feasibility(history: SelectionHistory) -> Verdict:
     if top is None:
         return Verdict("selection-feasibility", True, {"note": "no live eligible simulator"})
     adversary = history.adversary
+    feasible: dict[tuple[int, int, int], bool] = {}  # (A, W, sid) -> some powered live set
     for r in history.quarter_records():
         sid = r["simulator"]
         if sid not in live or not r["gated"]:
             continue
-        table = adversary.region_table(r["A"])
-        if not any(powered(table, s.bits, r["W"], sid) for s in adversary.live_sets):
+        key = (r["A"], r["W"], sid)
+        ok = feasible.get(key)
+        if ok is None:
+            table = adversary.region_table(r["A"])
+            ok = feasible[key] = any(powered(table, s.bits, r["W"], sid) for s in adversary.live_sets)
+        if not ok:
             return Verdict(
                 "selection-feasibility", False, {"round": r["round"], "simulator": sid, "window": r["W"]}
             )

@@ -464,6 +464,10 @@ def cmd_bgg(args) -> int:
         f"budget={budget}",
         f"fair={str(fair).lower()}",
     ]
+    per_simulator = history.per_simulator()
+    obj["per_simulator"] = {str(sid): counts for sid, counts in per_simulator.items()}
+    for sid, counts in per_simulator.items():
+        lines.append(f"simulator={sid} " + " ".join(f"{k}={v}" for k, v in counts.items()))
     warnings = 0
     failures: list[dict] = []
     if not fair:

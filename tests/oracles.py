@@ -144,6 +144,21 @@ def upward_closure(masks: frozenset[int], n: int) -> frozenset[int]:
     return frozenset(out)
 
 
+def brute_superset_closed(masks: frozenset[int], n: int) -> bool:
+    """Every superset of every live set is live: walks all supersets (3^n work)."""
+    full = (1 << n) - 1
+    for m in masks:
+        rest = full & ~m
+        sub = rest
+        while True:
+            if m | sub not in masks:
+                return False
+            if sub == 0:
+                break
+            sub = (sub - 1) & rest
+    return True
+
+
 def superset_closed_families(n: int):
     """All upward-closed families over {1..n}, deduplicated, empty included."""
     seen = {frozenset()}

@@ -34,6 +34,7 @@ from oracles import (
     brute_fair,
     brute_min_hitting,
     brute_setcon,
+    brute_superset_closed,
     brute_witness,
     distinct_sizes,
     slow_fairness_counterexample,
@@ -255,6 +256,23 @@ class TestClassification:
         assert is_superset_closed(one_resilient_3)
         assert not is_superset_closed(unfair_triple)
         assert is_superset_closed(family(3, []))
+
+    def test_superset_closed_matches_the_superset_walk(self):
+        # single-process extensions against every superset: all 3-process
+        # families, then seeded random families with n = 4..7 and their
+        # upward closures (which are all superset-closed)
+        for masks in all_families(3):
+            assert is_superset_closed(family(3, masks)) == brute_superset_closed(masks, 3)
+        rng = random.Random("superset-closed")
+        closed = 0
+        for _ in range(200):
+            n = rng.randint(4, 7)
+            masks = frozenset(rng.sample(range(1, 1 << n), rng.randint(1, 12)))
+            for fam in (masks, upward_closure(masks, n), upward_closure(masks, n) - {max(masks)}):
+                got = is_superset_closed(family(n, fam))
+                assert got == brute_superset_closed(fam, n), (n, sorted(fam))
+                closed += got
+        assert closed >= 200
 
     def test_symmetric(self, unfair_triple, fair_nonstructured):
         assert is_symmetric(sizes_adversary(3, [1, 2]))

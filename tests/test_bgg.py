@@ -1,5 +1,6 @@
 """Live-set selection: windows, validity, selection, rounds, bounded properties."""
 
+import hashlib
 import itertools
 import random
 
@@ -15,19 +16,23 @@ from advlab.bgg import (
     PM_DONE,
     ScriptedOracle,
     SelectionImpossible,
+    SimulatorLocal,
     SUCCESS,
     check_liveset_coverage,
     check_selection_feasibility,
     check_window_stability,
     compute_window,
+    gate_threshold,
     participation,
     power_within,
     powered,
     run_bgg_selection,
     select_live_set,
     selection_report,
+    simulator_round,
     warm_up_budget,
 )
+from advlab.sim import canonical_json
 
 from oracles import all_families, brute_restrict_touching, brute_setcon
 
@@ -48,6 +53,34 @@ class TestReadParticipation:
     def test_all_done(self):
         shared = BGShared.fresh(3, 2, pmem=[PM_DONE] * 3)
         assert participation(shared.pmem) == (0b111, 0)
+
+
+class TestStatusView:
+    def expected(self, adv, pmem):
+        part, active = participation(pmem)
+        return part, active, gate_threshold(adv, part, active), adv.region_table(active)
+
+    def test_view_follows_writes_to_the_status_array(self):
+        adv = fair_example()
+        shared = BGShared.fresh(3, 2)
+        assert shared.view(adv) == self.expected(adv, [PM_ACTIVE] * 3)
+        for pid, status in ((0, PM_DONE), (2, None), (0, PM_ACTIVE)):
+            shared.pmem[pid] = status
+            assert shared.view(adv) == self.expected(adv, shared.pmem)
+        other = Adversary.of(3, [[1, 2, 3]])
+        assert shared.view(other) == self.expected(other, shared.pmem)
+
+    def test_rounds_read_the_status_array_as_it_is_now(self):
+        adv = fair_example()
+        shared = BGShared.fresh(3, 2)
+        local = SimulatorLocal(1)
+        oracle = ScriptedOracle(lambda sid, pid, round_no: SUCCESS)
+        first = simulator_round(local, shared, oracle, adv, GATE_ADAPTIVE, 0)
+        shared.pmem[:] = [PM_DONE, PM_ACTIVE, None]
+        second = simulator_round(local, shared, oracle, adv, GATE_ADAPTIVE, 1)
+        assert (first["P"], first["A"]) == (0b111, 0b111)
+        assert (second["P"], second["A"]) == (0b011, 0b010)
+        assert second["W"] == 0b011 and second["s_cur"] & ~0b011 == 0
 
 
 class TestComputeWindow:
@@ -231,6 +264,17 @@ class TestBoundedProperties:
                 break
         assert not check_window_stability(history).passed
 
+    def test_selection_feasibility_checker_catches_an_empty_window(self):
+        adv = fair_example()
+        history = run_bgg_selection(adv, budget=400, gate_mode=GATE_ADAPTIVE)
+        assert check_selection_feasibility(history).passed
+        # the last late round of simulator 1 sees no window: nothing powered fits
+        late = [r for r in history.quarter_records() if r["gated"] and r["simulator"] == 1]
+        late[-1]["W"] = 0
+        verdict = check_selection_feasibility(history)
+        assert not verdict.passed
+        assert verdict.witness == {"round": late[-1]["round"], "simulator": 1, "window": 0}
+
 
 class TestSelectionPropertySweep:
     def test_every_fair_family_every_halt_pattern(self):
@@ -281,3 +325,58 @@ class TestVerbatimGateDeviation:
     def test_adaptive_passes(self):
         verdicts = selection_report(self.run(GATE_ADAPTIVE))
         assert all(v.passed for v in verdicts), verdicts
+
+
+GOLDEN_BUDGET = 240
+GOLDEN_PMEMS = (None, [PM_ACTIVE, PM_DONE, None], [PM_DONE, PM_ACTIVE, PM_ACTIVE])
+GOLDEN_DIGEST = "cc2c87149f34a94fbd9a409a07228088ed40834468755378dff9f874d9651004"
+RECORD_KEYS = (
+    "round", "simulator", "P", "A", "gated", "W", "trail",
+    "s_cur", "p_cur", "reselected", "fallback", "stepped", "result",
+)
+
+
+def golden_line(history) -> str:
+    """Canonical text of a history, its final status array and its report.
+
+    Records are written as rows in RECORD_KEYS order (checked per record):
+    the same content as `to_json_obj()`, at a fraction of the encoding cost.
+    """
+    obj = history.to_json_obj()
+    records = obj.pop("records")
+    assert all(tuple(r) == RECORD_KEYS for r in records)
+    obj["rows"] = [list(r.values()) for r in records]
+    obj["final_pmem"] = history.final_pmem
+    obj["report"] = [[v.prop, v.passed, v.witness] for v in selection_report(history)]
+    return canonical_json(obj)
+
+
+def golden_lines():
+    """One line per run: every 3-process family, fair or not, under both
+    gates, three initial status arrays and every halt pattern."""
+    for masks in all_families(3):
+        adv = Adversary(3, tuple(ProcessSet(3, m) for m in sorted(masks)))
+        sims = setcon(adv)
+        for gate in (GATE_ADAPTIVE, GATE_VERBATIM):
+            for pmem in GOLDEN_PMEMS:
+                for rsize in range(sims + 1):
+                    for halted in itertools.combinations(range(1, sims + 1), rsize):
+                        pattern = {s: GOLDEN_BUDGET // 6 + 3 * s for s in halted}
+                        try:
+                            history = run_bgg_selection(
+                                adv, pattern=pattern, budget=GOLDEN_BUDGET, gate_mode=gate, initial_pmem=pmem
+                            )
+                        except SelectionImpossible as exc:
+                            yield canonical_json({"impossible": str(exc)})
+                            continue
+                        yield golden_line(history)
+
+
+class TestGolden:
+    """Pins every history, final status array and report byte for byte."""
+
+    def test_history_and_report_digest(self):
+        lines = list(golden_lines())
+        assert len(lines) == 2322
+        assert sum(line.startswith('{"impossible"') for line in lines) == 30
+        assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == GOLDEN_DIGEST

@@ -551,6 +551,30 @@ class TestBgg:
         assert history["gate_mode"] == "adaptive"
         assert history["halt_pattern"] == {"2": 30}
 
+    def test_per_simulator_counts_match_the_records(self, fair_file, tmp_path, capsys):
+        out_dir = tmp_path / "p"
+        argv = ["bgg", "--adversary", fair_file, "--gate", "adaptive", "--halt", "2:30"]
+        assert main(argv + ["--format", "json", "--out", str(out_dir)]) == 0
+        obj = json.loads(capsys.readouterr().out)
+        records = json.loads((out_dir / "bgg-history.json").read_text())["records"]
+        expected = {}
+        for sid in range(1, obj["simulators"] + 1):
+            mine = [r for r in records if r["simulator"] == sid]
+            expected[str(sid)] = {
+                "rounds": len(mine),
+                "gated": sum(r["gated"] for r in mine),
+                "reselections": sum(r["reselected"] for r in mine),
+                "fallbacks": sum(r["fallback"] for r in mine),
+                "blocked": sum(r["result"] == "BLOCKED" for r in mine),
+            }
+        assert obj["per_simulator"] == expected
+        assert expected["2"]["rounds"] == 30
+        assert sum(c["rounds"] for c in expected.values()) == obj["rounds_recorded"] == len(records)
+        assert main(argv) == 0
+        lines = capsys.readouterr().out.splitlines()
+        for sid, counts in expected.items():
+            assert f"simulator={sid} " + " ".join(f"{k}={v}" for k, v in counts.items()) in lines
+
     @pytest.mark.parametrize("halt", ["9:10", "2:10", "0:10", "1:-1", "1:2:3"])
     def test_bad_halt_exits_2(self, tmp_path, capsys, halt):
         path = tmp_path / "one-sim.json"
