@@ -4,8 +4,9 @@ An adversary is a finite family of non-empty "live sets" over the process
 universe; a run complies with it when the set of processes taking
 infinitely many steps is one of the live sets.  This module provides
 restriction, the set-consensus power recursion (with a replayable witness
-chain), minimum hitting sets, the superset-closed / symmetric / fair
-classification, and derivation of an adversary's agreement function.
+chain), minimum hitting sets of superset-closed families, the
+superset-closed / symmetric / fair classification, and derivation of an
+adversary's agreement function.
 
 Set-consensus power is computed by region tables.  Restricting twice
 equals restricting to the intersection, so every family the recursion
@@ -17,8 +18,11 @@ the tables of other touching masks.  Each Adversary keeps its own tables,
 keyed by T, so nothing is cached at module level.
 
 The fairness scan needs the power of the live sets meeting Q inside R for
-every pair Q subseteq R, and fills one 3**n-entry pair table row by row,
-checking each entry as it is filled; it keeps no table after it returns.
+every pair Q subseteq R, and fills one pair table row by row, checking
+each entry as it is filled; it keeps no table after it returns.  The table
+is quotiented by the family's twin classes, the processes whose swap maps
+the family onto itself: it holds one entry per pair of per-class counts,
+so a symmetric family needs (n + 1)(n + 2)/2 entries instead of 3**n.
 
 Everything here is exhaustive by design and meant for universes of at
 most 16 processes.
@@ -28,7 +32,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from math import comb
+from math import comb, prod
 from typing import Iterable, Optional
 
 from .alpha import AgreementFunction
@@ -229,22 +233,22 @@ def replay_witness(adversary: Adversary, witness: SetconWitness) -> int:
 
 
 def csize(adversary: Adversary) -> int:
-    """Minimum hitting-set size: the smallest H meeting every live set.
+    """Minimum hitting-set size of a superset-closed adversary.
 
-    Exhaustive search in ascending cardinality with early exit; the empty
-    adversary has no hitting set and is rejected.
+    H misses a live set S exactly when S lies inside the complement of H,
+    which is then live too, so H meets every live set exactly when its
+    complement is not live: csize = n - max{|C| : C not in F}.  The empty
+    adversary has no hitting set, and the formula needs superset-closure;
+    both raise ValueError.
     """
     if not adversary.live_sets:
         raise ValueError("the empty adversary has no hitting set")
-    masks = [s.bits for s in adversary.live_sets]
-    for k in range(1, adversary.n + 1):
-        for combo in itertools.combinations(range(adversary.n), k):
-            h = 0
-            for i in combo:
-                h |= 1 << i
-            if all(h & m for m in masks):
-                return k
-    raise AssertionError("unreachable: the full universe hits every non-empty live set")
+    if not is_superset_closed(adversary):
+        raise ValueError("csize needs a superset-closed adversary")
+    live = bytearray(1 << adversary.n)
+    for s in adversary.live_sets:
+        live[s.bits] = 1
+    return adversary.n - max(m.bit_count() for m in range(1 << adversary.n) if not live[m])
 
 
 def is_superset_closed(adversary: Adversary) -> bool:
@@ -266,6 +270,12 @@ def is_symmetric(adversary: Adversary) -> bool:
     return all(counts[k] == comb(adversary.n, k) for k in counts)
 
 
+# The per-class loop of `_quotient_counterexample` costs about three times as
+# much per entry as the ternary loop of `_ternary_counterexample`, so it runs
+# only when its table has at most 3**n // QUOTIENT_GAIN entries.
+QUOTIENT_GAIN = 3
+
+
 def fairness_counterexample(adversary: Adversary) -> Optional[tuple[ProcessSet, ProcessSet]]:
     """First (P, Q) with setcon of the Q-intersecting restriction below min(|Q|, setcon(A|P)).
 
@@ -274,26 +284,78 @@ def fairness_counterexample(adversary: Adversary) -> Optional[tuple[ProcessSet, 
     bit encoding downward and Q upward, so the reported pair is the most
     global violation, which keeps golden outputs stable.
 
-    alpha(Q, R), the power of the live sets inside R that meet Q, is kept
-    for every Q subseteq R in one byte table indexed by the ternary code
-    t(R) + t(Q): digit i is 0 outside R, 1 in R - Q and 2 in Q.  Removing a
-    process i of R gives alpha(Q - i, R - i), which sits at idx - 3**i for
-    i outside Q (the same row Q) and at idx - 2 * 3**i for i in Q (row
-    Q - i), so the recursion of `_region_powers` fills row Q over R
-    ascending once every smaller row is done; alpha(empty, R) = 0.
-    alpha(Q, R) never exceeds cap = min(|Q|, setcon(A|R)): Q hits every set
-    counted, and power never exceeds a hitting set's size.  So a same-row
-    neighbour at the cap settles an entry, and an entry with cap 0 stays 0.
-    Rows are filled in ascending Q, and each entry below its cap is a
-    violation: one at R = full is the next step of the scan and returns at
-    once; elsewhere the largest R wins, then the earliest row.
+    alpha(Q, R), the power of the live sets inside R that meet Q, satisfies
+    alpha(Q, R) = max(max_i a_i, [R in F] * (1 + min_i a_i)) over i in R,
+    with a_i = alpha(Q - i, R - i) and alpha(empty, R) = 0.  It never
+    exceeds cap = min(|Q|, setcon(A|R)): Q hits every set counted, and
+    power never exceeds a hitting set's size.  Each entry below its cap is
+    a violation.  Both kernels fill rows Q in an order where every row
+    comes after the rows it reads, and return at once on a violation at
+    R = full, the next step of the scan; elsewhere the largest R wins,
+    then the smallest Q.
+
+    Two processes are twins when swapping them maps the family onto
+    itself; alpha(Q, R) then depends only on how many members of each
+    twin class Q and R hold.  The quotient table, one entry per such pair
+    of counts, runs when it is at most a third of the 3**n pairs: on
+    symmetric families it has (n + 1)(n + 2)/2 entries, and processes in
+    no live set are all twins of one another.  Otherwise the ternary table
+    over all pairs runs, the case of the quotient where every class is a
+    single process, on a faster loop.
     """
     n = adversary.n
-    full = (1 << n) - 1
-    base = adversary.region_table(full)
+    base = adversary.region_table((1 << n) - 1)
+    masks = [s.bits for s in adversary.live_sets]
     live = bytearray(1 << n)
-    for s in adversary.live_sets:
-        live[s.bits] = 1
+    for m in masks:
+        live[m] = 1
+    classes = _twin_classes(n, masks, live)
+    size = prod((len(members) + 1) * (len(members) + 2) // 2 for members in classes)
+    if size * QUOTIENT_GAIN <= 3**n:
+        pair = _quotient_counterexample(n, base, live, classes)
+    else:
+        pair = _ternary_counterexample(n, base, live)
+    return None if pair is None else (ProcessSet(n, pair[0]), ProcessSet(n, pair[1]))
+
+
+def _twin_classes(n: int, masks: list[int], live: bytearray) -> list[list[int]]:
+    """The family's twin classes, each a list of its members' bits, ascending.
+
+    Twinhood is an equivalence relation (a transposition conjugated by
+    another is one), so process i joins the class of the first earlier
+    class representative it is a twin of.  Swapping i and j maps F onto
+    itself when every live set holding exactly one of them is live after
+    the swap; the walk stops at the first that is not.
+    """
+    classes: list[list[int]] = []
+    for i in range(n):
+        bit = 1 << i
+        for members in classes:
+            pair = bit | members[0]
+            for m in masks:
+                both = m & pair
+                if both and both != pair and not live[m ^ pair]:
+                    break
+            else:
+                members.append(bit)
+                break
+        else:
+            classes.append([bit])
+    return classes
+
+
+def _ternary_counterexample(n: int, base: bytes, live: bytearray) -> Optional[tuple[int, int]]:
+    """The fairness scan over all 3**n pairs Q subseteq R: the (P, Q) masks, or None.
+
+    alpha(Q, R) is kept in one byte table indexed by the ternary code
+    t(R) + t(Q): digit i is 0 outside R, 1 in R - Q and 2 in Q.  Removing
+    a process i of R gives alpha(Q - i, R - i), which sits at idx - 3**i
+    for i outside Q (the same row Q) and at idx - 2 * 3**i for i in Q (row
+    Q - i), so row Q is filled over R ascending once every smaller row is
+    done.  A same-row neighbour at the cap settles an entry, and an entry
+    with cap 0 stays 0.
+    """
+    full = (1 << n) - 1
     pow3 = {1 << i: 3**i for i in range(n)}  # lowest set bit -> its ternary digit weight
     ternary = [0] * (1 << n)
     for m in range(1, 1 << n):
@@ -340,13 +402,113 @@ def fairness_counterexample(adversary: Adversary) -> Optional[tuple[ProcessSet, 
                     value = alpha[idx] = hi + 1 if live[region] and lo == hi else hi
                     if value != cap:
                         if region == full:
-                            return ProcessSet(n, full), ProcessSet(n, q_bits)
+                            return full, q_bits
                         if found is None or region > found[0]:
                             found = (region, q_bits)
             if extra == outside:
                 break
             extra = (extra - outside) & outside
-    return None if found is None else (ProcessSet(n, found[0]), ProcessSet(n, found[1]))
+    return found
+
+
+def _quotient_counterexample(
+    n: int, base: bytes, live: bytearray, classes: list[list[int]]
+) -> Optional[tuple[int, int]]:
+    """The fairness scan over twin-class counts: the (P, Q) masks, or None.
+
+    The family is invariant under permutations inside each class, so
+    alpha(Q, R) depends only on the counts (q_c, r_c) = (|Q & C|, |R & C|)
+    of each class C of size s, 0 <= q_c <= r_c <= s.  Class c is one
+    mixed-radix digit start[q_c] + r_c - q_c, with start[q] the number of
+    pairs whose q is smaller, and weight the product of the earlier
+    classes' (s + 1)(s + 2)/2.  Removing a member of R - Q in class c
+    moves to (q_c, r_c - 1), one weight down in the same row; removing a
+    member of Q moves to (q_c - 1, r_c - 1), (s + 2 - q_c) weights down,
+    the same offset for the whole row.  Each orbit is looked up in `base`
+    and `live` at its representative, the lowest r_c members of each class.
+
+    Rows (count vectors q) run in ascending order of their smallest
+    member, the lowest q_c members of each class; a row's predecessors
+    have smaller ones, and the first row to violate at R = full holds the
+    smallest violating Q.  A violation below full maps back to the largest
+    member R of its orbit (the highest r_c members of each class), and for
+    the largest such R to the smallest violating Q inside it.
+    """
+    full = (1 << n) - 1
+    sizes = [len(members) for members in classes]
+    weights = []
+    total = 1
+    for s in sizes:
+        weights.append(total)
+        total *= (s + 1) * (s + 2) // 2
+    lowest = [list(itertools.accumulate(members, int.__or__, initial=0)) for members in classes]
+    # cells[c][q]: (digit offset, lowest r members, same-row offsets) of class c for r = q..s
+    cells = []
+    for s, w, low in zip(sizes, weights, lowest):
+        per_q, start = [], 0
+        for q in range(s + 1):
+            per_q.append([((start + r - q) * w, low[r], (w,) if r > q else ()) for r in range(q, s + 1)])
+            start += s + 1 - q
+        cells.append(per_q)
+    rows = sorted(
+        itertools.product(*(range(s + 1) for s in sizes)),
+        key=lambda counts: sum(low[q] for low, q in zip(lowest, counts)),
+    )
+    alpha = bytearray(total)
+    violations = []
+    for counts in rows[1:]:  # rows[0] is Q = empty: alpha stays 0
+        q_size = sum(counts)
+        previous_rows = [(s + 2 - q) * w for s, q, w in zip(sizes, counts, weights) if q]
+        # (idx, representative region, same-row offsets) over R ascending per class
+        entries = cells[0][counts[0]]
+        for per_q, q in zip(cells[1:], counts[1:]):
+            entries = [
+                (idx + offset, region | low, same + more)
+                for idx, region, same in entries
+                for offset, low, more in per_q[q]
+            ]
+        for idx, region, same in entries:
+            cap = base[region]
+            if q_size < cap:
+                cap = q_size
+            if cap:
+                for offset in same:
+                    if alpha[idx - offset] == cap:
+                        alpha[idx] = cap
+                        break
+                else:
+                    hi, lo = 0, n
+                    for offset in same:
+                        v = alpha[idx - offset]
+                        if v > hi:
+                            hi = v
+                        if v < lo:
+                            lo = v
+                    for offset in previous_rows:
+                        v = alpha[idx - offset]
+                        if v > hi:
+                            hi = v
+                        if v < lo:
+                            lo = v
+                    value = alpha[idx] = hi + 1 if live[region] and lo == hi else hi
+                    if value != cap:
+                        if region == full:
+                            return full, sum(low[q] for low, q in zip(lowest, counts))
+                        violations.append((counts, region))
+    if not violations:
+        return None
+
+    def members_of(counts: tuple[int, ...], region: int) -> tuple[int, int]:
+        """The largest region of the orbit and the smallest Q of counts inside it."""
+        p_bits = q_bits = 0
+        for members, q in zip(classes, counts):
+            top = members[len(members) - sum(1 for m in members if m & region) :]
+            p_bits |= sum(top)
+            q_bits |= sum(top[:q])
+        return p_bits, q_bits
+
+    # the largest P, then the smallest Q
+    return min((members_of(*violation) for violation in violations), key=lambda pq: (-pq[0], pq[1]))
 
 
 def is_fair(adversary: Adversary) -> bool:
@@ -383,14 +545,14 @@ def adversary_from_json_obj(obj: object) -> Adversary:
     if not isinstance(obj, dict) or set(obj) != {"n", "live_sets"}:
         raise ValueError('adversary object must have exactly the fields "n" and "live_sets"')
     n, raw = obj["n"], obj["live_sets"]
-    if not isinstance(n, int):
+    if type(n) is not int:  # JSON true and false are not integers
         raise ValueError('"n" must be an integer')
     if not isinstance(raw, list) or not all(isinstance(s, list) for s in raw):
         raise ValueError('"live_sets" must be an array of arrays')
     for s in raw:
         if not s:
             raise ValueError("empty live sets are rejected")
-        if any(not isinstance(i, int) for i in s):
+        if any(type(i) is not int for i in s):
             raise ValueError("process ids must be integers")
         if any(a >= b for a, b in zip(s, s[1:])):
             raise ValueError(f"inner array {s} is not strictly ascending")

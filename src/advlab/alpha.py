@@ -48,7 +48,9 @@ class AgreementFunction:
         if len(self.table) != 1 << self.n:
             raise ValueError(f"table must have {1 << self.n} entries, got {len(self.table)}")
         for bits, v in enumerate(self.table):
-            if not isinstance(v, int) or not 0 <= v <= self.n:
+            if type(v) is not int:  # a bool is not a level
+                raise ValueError(f"level {v!r} at mask {bits} is not an integer")
+            if not 0 <= v <= self.n:
                 raise ValueError(f"level {v!r} at mask {bits} outside 0..{self.n}")
         if self.table[0] != 0:
             raise ValueError("the empty set must map to level 0")
@@ -103,7 +105,7 @@ class AgreementFunction:
         if not isinstance(obj, dict) or set(obj) != {"n", "table"}:
             raise ValueError('agreement function object must have exactly the fields "n" and "table"')
         n, table = obj["n"], obj["table"]
-        if not isinstance(n, int) or not isinstance(table, list):
+        if type(n) is not int or not isinstance(table, list):
             raise ValueError('"n" must be an integer and "table" an array')
         fn = cls(n, tuple(table))
         if strict and not fn.is_monotonic():

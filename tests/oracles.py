@@ -118,6 +118,22 @@ def slow_fairness_counterexample(adversary: Adversary):
     return None
 
 
+def brute_twin_classes(masks: frozenset[int], n: int) -> set[frozenset[int]]:
+    """Classes of 0-based processes i, j whose transposition maps the family onto itself.
+
+    Each process's class is every j it is a twin of, so a twin relation that
+    were not transitive would show as overlapping classes.
+    """
+
+    def swapped(m: int, i: int, j: int) -> int:
+        return m & ~(1 << i | 1 << j) | (m >> i & 1) << j | (m >> j & 1) << i
+
+    def twins(i: int, j: int) -> bool:
+        return {swapped(m, i, j) for m in masks} == set(masks)
+
+    return {frozenset(j for j in range(n) if twins(i, j)) for i in range(n)}
+
+
 def brute_alpha_table(masks: frozenset[int], n: int) -> tuple[int, ...]:
     return tuple(brute_setcon(brute_restrict(masks, region)) for region in range(1 << n))
 

@@ -2,6 +2,7 @@
 
 import itertools
 import json
+import math
 import random
 
 import pytest
@@ -29,12 +30,14 @@ from advlab import (
     symmetric_setcon,
     t_resilient_adversary,
 )
+from advlab import adversary as adversary_mod
 from oracles import (
     all_families,
     brute_fair,
     brute_min_hitting,
     brute_setcon,
     brute_superset_closed,
+    brute_twin_classes,
     brute_witness,
     distinct_sizes,
     slow_fairness_counterexample,
@@ -44,6 +47,38 @@ from oracles import (
 
 def family(n, masks):
     return Adversary(n, tuple(ProcessSet(n, m) for m in masks))
+
+
+def twin_classes(adv):
+    masks = [s.bits for s in adv.live_sets]
+    live = bytearray(1 << adv.n)
+    for m in masks:
+        live[m] = 1
+    return adversary_mod._twin_classes(adv.n, masks, live)
+
+
+def kernel_pair(adv, kernel):
+    """The (P, Q) one fairness kernel finds, called directly whatever the table sizes."""
+    n = adv.n
+    live = bytearray(1 << n)
+    for s in adv.live_sets:
+        live[s.bits] = 1
+    base = adv.region_table((1 << n) - 1)
+    if kernel == "ternary":
+        pair = adversary_mod._ternary_counterexample(n, base, live)
+    else:
+        pair = adversary_mod._quotient_counterexample(n, base, live, twin_classes(adv))
+    return None if pair is None else (ProcessSet(n, pair[0]), ProcessSet(n, pair[1]))
+
+
+def blocky_family(rng, n):
+    """A union of orbits under a random partition: each block's processes are twins."""
+    blocks = [rng.randrange(rng.randint(1, n)) for _ in range(n)]
+    orbits = {}
+    for m in range(1, 1 << n):
+        counts = tuple(sum(1 for i in range(n) if m >> i & 1 and blocks[i] == b) for b in range(n))
+        orbits.setdefault(counts, []).append(m)
+    return family(n, [m for orbit in orbits.values() if rng.random() < 0.85 for m in orbit])
 
 
 class TestProcessSet:
@@ -239,16 +274,38 @@ class TestCsize:
 
     def test_pinned(self, one_resilient_3):
         assert csize(one_resilient_3) == 2
-        assert csize(Adversary.of(3, [[1], [2, 3]])) == 2
+        assert csize(t_resilient_adversary(16, 8)) == 9
+        assert csize(all_nonempty(16)) == 16
+        # {{1}, {2, 3}} is not superset-closed: only the oracle gives its value
+        assert brute_min_hitting(frozenset({0b001, 0b110}), 3) == 2
+        with pytest.raises(ValueError, match="superset-closed"):
+            csize(Adversary.of(3, [[1], [2, 3]]))
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             csize(family(3, []))
 
     def test_matches_brute_on_all_n3_families(self):
+        # superset-closed families match the oracle; every other one is rejected
+        closed = 0
         for masks in all_families(3):
-            if masks:
-                assert csize(family(3, masks)) == brute_min_hitting(masks, 3)
+            if not masks:
+                continue
+            adv = family(3, masks)
+            if is_superset_closed(adv):
+                assert csize(adv) == brute_min_hitting(masks, 3), masks
+                closed += 1
+            else:
+                with pytest.raises(ValueError, match="superset-closed"):
+                    csize(adv)
+        assert closed == 18  # D(3) = 20 upsets, less the empty family and the one holding {}
+
+    def test_matches_brute_on_seeded_closures(self):
+        rng = random.Random("csize-closures")
+        for _ in range(60):
+            n = rng.randint(4, 7)
+            masks = upward_closure(frozenset(rng.sample(range(1, 1 << n), rng.randint(1, 4))), n)
+            assert csize(family(n, masks)) == brute_min_hitting(masks, n), (n, sorted(masks))
 
 
 class TestClassification:
@@ -329,8 +386,51 @@ class TestFairness:
                     cases += [family(n, masks), family(n, upward_closure(masks, n))]
         for n in range(1, 9):
             cases += [t_resilient_adversary(n, t) for t in range(n)]  # t = n - 1 is wait-free
+        for n in (4, 5):
+            cases += [sizes_adversary(n, sizes) for sizes in ([1], [2, n], [1, n - 1], [n])]
         for adv in cases:
-            assert fairness_counterexample(adv) == slow_fairness_counterexample(adv), adv
+            pair = slow_fairness_counterexample(adv)
+            assert fairness_counterexample(adv) == pair, adv
+            assert kernel_pair(adv, "ternary") == kernel_pair(adv, "quotient") == pair, adv
+
+    def test_same_pair_on_blocky_families(self):
+        # Unions of orbits under a random partition of the processes: the
+        # quotient table is small, and the unfair ones map a violation back.
+        rng = random.Random("blocky")
+        unfair = quotient = 0
+        for _ in range(400):
+            adv = blocky_family(rng, rng.randint(3, 8))
+            pair = slow_fairness_counterexample(adv)
+            assert fairness_counterexample(adv) == pair, adv
+            assert kernel_pair(adv, "ternary") == kernel_pair(adv, "quotient") == pair, adv
+            unfair += pair is not None
+            sizes = [len(members) for members in twin_classes(adv)]
+            size = math.prod((s + 1) * (s + 2) // 2 for s in sizes)
+            quotient += size * adversary_mod.QUOTIENT_GAIN <= 3**adv.n
+        assert 150 <= unfair <= 250 and quotient >= 150, (unfair, quotient)
+
+    def test_twin_classes_match_transpositions(self):
+        cases = [(3, masks) for masks in all_families(3)]
+        rng = random.Random("twins")
+        for _ in range(150):
+            n = rng.randint(4, 6)
+            cases.append((n, frozenset(s.bits for s in blocky_family(rng, n).live_sets)))
+            cases.append((n, frozenset(rng.sample(range(1, 1 << n), rng.randint(1, 8)))))
+        for n, masks in cases:
+            classes = twin_classes(family(n, masks))
+            got = {frozenset(b.bit_length() - 1 for b in members) for members in classes}
+            assert got == brute_twin_classes(masks, n), (n, sorted(masks))
+
+    def test_structured_families_at_n16(self, monkeypatch):
+        # one twin class: the quotient table has 153 entries, not 3**16
+        monkeypatch.setattr(adversary_mod, "_ternary_counterexample", None)
+        assert is_fair(all_nonempty(16))
+        assert is_fair(t_resilient_adversary(16, 8))
+        assert is_fair(Adversary.of(16, [range(1, 17)]))
+        # processes 15 and 16 lie in no live set, so they are twins
+        sparse = Adversary.of(16, [range(1, 15)])
+        assert fairness_counterexample(sparse) == (ProcessSet(16, 0xFFFF), ProcessSet.of(16, [15]))
+        assert not is_fair(Adversary.of(16, [[1], range(2, 17)]))
 
     def test_power_bound_property_all_n3(self):
         # The intersecting restriction never beats min(|targets|, restricted power).

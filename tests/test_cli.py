@@ -84,6 +84,24 @@ class TestClassify:
         assert obj == {"superset_closed": True, "symmetric": True, "fair": True}
 
 
+    @pytest.mark.parametrize(
+        "obj",
+        [
+            {"n": True, "live_sets": [[1]]},
+            {"n": 2, "live_sets": [[True]]},
+            {"n": 2, "live_sets": [[True, 2]]},
+        ],
+    )
+    def test_boolean_n_or_id_exits_2(self, tmp_path, capsys, obj):
+        # JSON true is not the integer 1: a file using it is bad input
+        path = tmp_path / "bool.json"
+        path.write_text(json.dumps(obj))
+        assert main(["classify", "--adversary", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "integer" in captured.err
+
+
 class TestAlpha:
     def test_pinned_rows_and_file(self, unfair_file, tmp_path, capsys):
         out_dir = tmp_path / "out"
@@ -174,6 +192,17 @@ class TestSimulate:
         bad = tmp_path / "alpha.json"
         bad.write_text(json.dumps({"n": 2, "table": [0, 1, 1, 0]}))
         assert main(["simulate", "--protocol", "adaptive", "--alpha", str(bad)]) == 2
+
+    @pytest.mark.parametrize(
+        "obj", [{"n": 2, "table": [0, True, 1, 2]}, {"n": True, "table": [0, 1]}]
+    )
+    def test_boolean_alpha_level_or_n_exits_2(self, tmp_path, capsys, obj):
+        bad = tmp_path / "alpha.json"
+        bad.write_text(json.dumps(obj))
+        assert main(["simulate", "--protocol", "adaptive", "--alpha", str(bad)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "integer" in captured.err
 
     @pytest.mark.parametrize("flag", ["--adversary", "--alpha"])
     def test_schedules_are_generated_as_runs_go(self, resilient_file, tmp_path, monkeypatch, capsys, flag):
