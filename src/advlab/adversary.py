@@ -245,6 +245,11 @@ def csize(adversary: Adversary) -> int:
         raise ValueError("the empty adversary has no hitting set")
     if not is_superset_closed(adversary):
         raise ValueError("csize needs a superset-closed adversary")
+    return _closed_csize(adversary)
+
+
+def _closed_csize(adversary: Adversary) -> int:
+    """csize's formula, for a caller that already knows the non-empty family is superset-closed."""
     live = bytearray(1 << adversary.n)
     for s in adversary.live_sets:
         live[s.bits] = 1
@@ -549,15 +554,39 @@ def adversary_from_json_obj(obj: object) -> Adversary:
         raise ValueError('"n" must be an integer')
     if not isinstance(raw, list) or not all(isinstance(s, list) for s in raw):
         raise ValueError('"live_sets" must be an array of arrays')
-    for s in raw:
+    masks = []
+    outside = None  # (array index, id) of the first id outside 1..n
+    unsorted = duplicate = False
+    prev = None
+    for k, s in enumerate(raw):
         if not s:
             raise ValueError("empty live sets are rejected")
-        if any(type(i) is not int for i in s):
+        if type(s[0]) is not int:
             raise ValueError("process ids must be integers")
-        if any(a >= b for a, b in zip(s, s[1:])):
+        ascending, last, mask = True, s[0] - 1, 0
+        for i in s:  # a non-int anywhere outranks a descent anywhere in the same array
+            if type(i) is not int:
+                raise ValueError("process ids must be integers")
+            if i <= last:
+                ascending = False
+            last = i
+            if 1 <= i <= n:
+                mask |= 1 << (i - 1)
+            elif outside is None:
+                outside = (k, i)
+        if not ascending:
             raise ValueError(f"inner array {s} is not strictly ascending")
-    if sorted(raw) != raw:
+        if prev is not None:
+            unsorted = unsorted or s < prev
+            duplicate = duplicate or s == prev
+        prev = s
+        masks.append(mask)
+    if unsorted:
         raise ValueError("outer array is not sorted lexicographically")
-    if len({tuple(s) for s in raw}) != len(raw):
+    if duplicate:  # in a sorted array, duplicates are neighbours
         raise ValueError("duplicate live sets are rejected")
-    return Adversary.of(n, raw)
+    # ProcessSet's own checks, in the order one set per array would raise them:
+    # an id outside 1..n, else a universe size outside 1..MAX_UNIVERSE
+    if outside is not None and (outside[0] == 0 or 1 <= n <= MAX_UNIVERSE):
+        raise ValueError(f"process id {outside[1]} outside 1..{n}")
+    return Adversary(n, tuple(ProcessSet(n, mask) for mask in masks))

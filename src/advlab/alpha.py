@@ -144,4 +144,9 @@ def admits_trace(alpha: AgreementFunction, trace: "RunTrace") -> bool:
     level = alpha.value_of(part)
     if level < 1:
         return False
-    return len(trace.halted_undecided()) <= level - 1
+    decided = {d.pid for d in trace.decisions}
+    faulty = 0
+    for pid in trace.schedule.halted_at:
+        if part.bits >> (pid - 1) & 1 and pid not in decided:
+            faulty += 1
+    return faulty <= level - 1

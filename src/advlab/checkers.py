@@ -46,7 +46,8 @@ def value_key(value: object) -> object:
 
 def check_validity(trace: RunTrace) -> Verdict:
     """Every decided value must be some participant's input."""
-    allowed = {value_key(trace.inputs[p]) for p in trace.participating if p in trace.inputs}
+    bits = trace.participating.bits
+    allowed = {value_key(v) for p, v in trace.inputs.items() if bits >> (p - 1) & 1}
     for d in trace.decisions:
         if value_key(d.value) not in allowed:
             return Verdict(
@@ -89,17 +90,21 @@ def check_alpha_agreement(trace: RunTrace, fn: AgreementFunction) -> Verdict:
 
 
 def check_termination(trace: RunTrace, among: Optional[Iterable[int]] = None) -> Verdict:
-    """Every correct participant decided (optionally restricted to a client set)."""
+    """Every correct participant decided (optionally restricted to a client set).
+
+    The first undecided one in id order is the witness.
+    """
     scope = set(among) if among is not None else None
-    for pid in trace.schedule.correct:
-        if pid not in trace.participating:
-            continue
-        if scope is not None and pid not in scope:
-            continue
-        if not trace.has_decided(pid):
+    decided = {d.pid for d in trace.decisions}
+    bits = trace.schedule.correct.bits & trace.participating.bits
+    pid = 0
+    while bits:
+        pid += 1
+        if bits & 1 and pid not in decided and (scope is None or pid in scope):
             return Verdict(
                 "termination", False, {"process": pid, "status": trace.statuses.get(pid)}
             )
+        bits >>= 1
     return Verdict("termination", True)
 
 

@@ -157,7 +157,7 @@ def cmd_setcon(args) -> int:
     for s, a in witness.chain:
         lines.append(f"witness: pick {_set_text(s)} drop {a}")
     if adversary.live_sets and adv_mod.is_superset_closed(adversary):
-        obj["csize"] = adv_mod.csize(adversary)
+        obj["csize"] = adv_mod._closed_csize(adversary)
         lines.append(f"csize={obj['csize']}")
     if adv_mod.is_symmetric(adversary) and adversary.live_sets:
         obj["distinct_sizes"] = adv_mod.symmetric_setcon(adversary)
@@ -261,6 +261,8 @@ class CampaignResult(NamedTuple):
     runs: int
     violations: dict[str, int]  # property -> violated runs, for every property checked at least once
     failures: list[dict]  # one record per violation, in run order
+    activations: int  # steps taken over all runs, completion tails included
+    tail_activations: int  # the part of them taken by completion tails
 
 
 def run_campaign(
@@ -276,16 +278,21 @@ def run_campaign(
     agreement property on every run, termination only where the policy's
     condition holds.  With trace_dir, each trace is written there as
     trace-<label>.json; a trace that cannot be written raises InputError.
+    The result also counts the activations the runs took, and how many of
+    them their completion tails took.
     """
     violations: dict[str, int] = {}
     failures: list[dict] = []
-    runs = 0
+    runs = activations = tail_activations = 0
     for label, schedule in schedules:
         protocol = make_protocol()
         policy = POLICIES[protocol.name]
         required = None if policy.among is None else {p for p in policy.among if p in schedule.correct}
         trace = run_to_quiescence(protocol, schedule, max_tail=max_tail, required=required)
         runs += 1
+        taken = len(trace.schedule.steps)
+        activations += taken
+        tail_activations += taken - len(schedule.steps)
         if trace_dir is not None:
             path = trace_dir / f"trace-{label}.json"
             _write(path, json.dumps(trace_to_json_obj(trace), sort_keys=True))
@@ -304,7 +311,7 @@ def run_campaign(
                         "halted_at": {str(p): i for p, i in schedule.halted_at.items()},
                     }
                 )
-    return CampaignResult(runs, violations, failures)
+    return CampaignResult(runs, violations, failures, activations, tail_activations)
 
 
 def _policy(name: str) -> Policy:
@@ -336,6 +343,8 @@ def _campaign(args, policy: Policy, fn, n: int, schedules, traces: bool = False)
         "runs": result.runs,
         "violations": dict(counts),
         "failed": len(result.failures),
+        "activations": result.activations,
+        "tail_activations": result.tail_activations,
     }
     lines = [f"protocol={name}", f"runs={result.runs}"] + [f"violations[{k}]={v}" for k, v in counts]
     return _report(args, obj, lines, result.failures)

@@ -115,17 +115,29 @@ def _round_robin_agreement(
         if key not in entries:
             entries[key] = [proposal, 1]
             view = yield payload()
-            committed_seen = any(
-                (e := entries_in(c).get(key)) is not None and e[1] == 2 for c in view if c is not None
-            )
-            entries[key] = [proposal, 0 if committed_seen else 2]
+            level = 2
+            for c in view:
+                if c is not None:
+                    e = entries_in(c).get(key)
+                    if e is not None and e[1] == 2:
+                        level = 0
+                        break
+            entries[key] = [proposal, level]
             closed_gates = 0
             proto.statuses[pid] = "running"
         view = yield payload()
-        seen = [e for c in view if c is not None and (e := entries_in(c).get(key)) is not None]
-        if not any(e[1] == 1 for e in seen):
+        committed = None  # the first committed entry in cell order
+        for c in view:
+            if c is not None:
+                e = entries_in(c).get(key)
+                if e is not None:
+                    if e[1] == 1:
+                        break
+                    if e[1] == 2 and committed is None:
+                        committed = e
+        else:  # no entered process is still at level 1: the instance resolved
             proto.statuses[pid] = "running"
-            return next(e[0] for e in seen if e[1] == 2)
+            return committed[0]
         if escape is not None and escape(view):
             proto.statuses[pid] = "running"
             return proposal
@@ -287,9 +299,12 @@ class AdaptiveSetConsensus(Protocol):
         part = _participants(r)
         while True:
             parts = part
-            regs = [c["reg"] for c in r if c is not None]
-            top = max(reg[1] for reg in regs)
-            v = next(reg[0] for reg in regs if reg[1] == top)
+            top = -1
+            for c in r:  # the value with the greatest lock, the first such cell on ties
+                if c is not None:
+                    reg = c["reg"]
+                    if reg[1] > top:
+                        v, top = reg
             level = self.subroutine.fn.of_bits(parts)
             if level < 1:
                 yield from _wait_for_growth(self, pid, parts, payload)

@@ -113,12 +113,6 @@ class RunTrace:
     def has_decided(self, pid: int) -> bool:
         return any(d.pid == pid for d in self.decisions)
 
-    def is_halted(self, pid: int) -> bool:
-        return pid in self.schedule.halted_at
-
-    def halted_undecided(self) -> list[int]:
-        return [p for p in self.participating if self.is_halted(p) and not self.has_decided(p)]
-
     def first_steps(self) -> dict[int, int]:
         seen: dict[int, int] = {}
         for ev in self.events:
@@ -145,16 +139,26 @@ def run_to_quiescence(
     once every required process decided (default: every correct process) or
     after max_tail extra activations; with max_tail=0 the run is exactly the
     given schedule.  The trace's schedule reflects the steps actually taken.
+
+    Per-process state is three flat lists indexed by pid: the program (None
+    before the process's first activation, False once it decided), the
+    value its next write stores, and whether that value is written but not
+    yet read back by a snapshot.
     """
     if protocol.n != schedule.n:
         raise ValueError(f"protocol arity {protocol.n} does not match schedule n {schedule.n}")
     schedule.validate()
-    cells: list[object] = [None] * schedule.n
-    # pid -> [program, value to write, written but not yet read]; program is None once decided
-    procs: dict[int, list] = {}
+    n = schedule.n
+    cells: list[object] = [None] * n
+    programs: list = [None] * (n + 1)
+    pending: list = [None] * (n + 1)
+    wrote = [False] * (n + 1)
+    participating = 0
     events: list[Event] = []
     decisions: list[Decision] = []
-    tail_order = sorted(schedule.correct.members())
+    record = events.append
+    new = tuple.__new__  # a record without the namedtuple constructor's frame
+    tail_order = schedule.correct.members()
     waiting = set(tail_order if required is None else required)
     given = len(schedule.steps)
     steps = list(schedule.steps)
@@ -163,39 +167,41 @@ def run_to_quiescence(
             if idx - given >= max_tail or not waiting:
                 break
             steps.append(pid)
-        proc = procs.get(pid)
-        if proc is None:
+        program = programs[pid]
+        if program is None:
             program = protocol.program(pid)
             try:
-                proc = procs[pid] = [program, next(program), False]
+                pending[pid] = next(program)
             except StopIteration:
                 raise ProtocolFault(f"process {pid} decided without taking a step")
-        program, value, wrote = proc
-        if program is None:
+            programs[pid] = program
+            participating |= 1 << (pid - 1)
+        elif program is False:
             continue
-        if not wrote:
-            cells[pid - 1] = value
-            events.append(Event(idx, pid, "update", value))
-            proc[2] = True
+        if not wrote[pid]:
+            cells[pid - 1] = value = pending[pid]
+            record(new(Event, (idx, pid, "update", value)))
+            wrote[pid] = True
             continue
         view = tuple(cells)
-        events.append(Event(idx, pid, "snapshot", view))
-        proc[2] = False
+        record(new(Event, (idx, pid, "snapshot", view)))
+        wrote[pid] = False
         try:
-            proc[1] = program.send(view)
+            pending[pid] = program.send(view)
         except StopIteration as stop:
-            proc[0] = None
-            decisions.append(Decision(idx, pid, stop.value))
+            programs[pid] = False
+            decisions.append(new(Decision, (idx, pid, stop.value)))
             waiting.discard(pid)
-    extended = Schedule(schedule.n, tuple(steps), dict(schedule.halted_at), schedule.correct)
-    return _run_trace(extended, protocol.inputs, events, decisions, protocol.statuses)
+    extended = Schedule(n, tuple(steps), dict(schedule.halted_at), schedule.correct)
+    return _run_trace(extended, protocol.inputs, events, decisions, protocol.statuses, ProcessSet(n, participating))
 
 
-def _run_trace(schedule: Schedule, inputs: dict, events: list, decisions: list, statuses: dict) -> RunTrace:
-    """The participants are the processes with an event; a decided one is
+def _run_trace(
+    schedule: Schedule, inputs: dict, events: list, decisions: list, statuses: dict, participating: ProcessSet
+) -> RunTrace:
+    """participating is the set of processes with an event; a decided one is
     "decided", any other has its entry in statuses, else "running"."""
     decided = {d.pid for d in decisions}
-    participating = ProcessSet.of(schedule.n, {e.pid for e in events})
     final = {pid: "decided" if pid in decided else statuses.get(pid, "running") for pid in participating}
     return RunTrace(schedule, dict(inputs), events, decisions, participating, final)
 
@@ -232,13 +238,14 @@ def generate_admissible_schedule(alpha: alpha_mod.AgreementFunction, seed: int, 
     if not candidates:
         raise ValueError("the agreement function admits no runs at all")
     rng = random.Random(seed)
-    part = ProcessSet(alpha.n, rng.choice(candidates))
-    level = alpha.value_of(part)
-    faulty_count = rng.randint(0, min(level - 1, len(part) - 1))
-    ids = list(part.members())
+    part = rng.choice(candidates)
+    level = alpha.of_bits(part)
+    ids = [p for p in range(1, alpha.n + 1) if part >> (p - 1) & 1]
+    faulty_count = rng.randint(0, min(level - 1, len(ids) - 1))
     faulty = rng.sample(ids, faulty_count)
-    correct = ProcessSet.of(alpha.n, [p for p in ids if p not in faulty])
-    return _fill_slots(rng, alpha.n, budget, correct, faulty)
+    for p in faulty:
+        part &= ~(1 << (p - 1))
+    return _fill_slots(rng, alpha.n, budget, ProcessSet(alpha.n, part), faulty)
 
 
 def _fill_slots(rng: random.Random, n: int, budget: int, correct: ProcessSet, faulty: list[int]) -> Schedule:
@@ -326,7 +333,8 @@ def truncate_trace(trace: RunTrace, step: int) -> RunTrace:
         {p: at for p, at in trace.schedule.halted_at.items() if at <= step},
         trace.schedule.correct,
     )
-    return _run_trace(prefix, trace.inputs, events, decisions, {})
+    participating = ProcessSet.of(trace.n, {e.pid for e in events})
+    return _run_trace(prefix, trace.inputs, events, decisions, {}, participating)
 
 
 def canonical_json(obj: object) -> str:

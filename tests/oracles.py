@@ -4,13 +4,17 @@ Everything here works on plain integers (bit masks) and deliberately
 avoids the package's own recursion, memoization, and search strategies,
 except `slow_fairness_counterexample`: the per-Q fairness scan, kept on the
 package's region tables as the reference for the pair-table kernel, and the
-`slow_check_*` checkers, which compare values by one `canonical_json` text
-each, the reference for the hash-keyed checkers.
+`slow_check_*` checkers and `slow_admits_trace`: the validity and
+agreement checkers compare values by one `canonical_json` text each, the
+reference for the hash-keyed checkers, and the termination checker and the
+admission test ask `RunTrace.has_decided` (a pass over every decision) per
+process, the reference for the one-pass versions.
 """
 
 from __future__ import annotations
 
 import itertools
+from typing import Iterable, Optional
 
 from advlab import Adversary, ProcessSet
 from advlab.alpha import AgreementFunction
@@ -253,3 +257,38 @@ def slow_check_k_agreement(trace: RunTrace, k: int) -> Verdict:
                 {"step": d.step, "process": d.pid, "distinct": len(distinct), "k": k},
             )
     return Verdict("k-agreement", True)
+
+
+def slow_check_termination(trace: RunTrace, among: Optional[Iterable[int]] = None) -> Verdict:
+    """Every correct participant decided (optionally restricted to a client set)."""
+    scope = set(among) if among is not None else None
+    for pid in trace.schedule.correct:
+        if pid not in trace.participating:
+            continue
+        if scope is not None and pid not in scope:
+            continue
+        if not trace.has_decided(pid):
+            return Verdict(
+                "termination", False, {"process": pid, "status": trace.statuses.get(pid)}
+            )
+    return Verdict("termination", True)
+
+
+def slow_admits_trace(alpha: AgreementFunction, trace: RunTrace) -> bool:
+    """True iff the trace could be a prefix of a run the agreement function admits.
+
+    The trace's participating set P must be non-empty with alpha(P) >= 1,
+    and at most alpha(P) - 1 participants may be flagged halted while still
+    undecided.  Halted processes that decided before stopping are finished,
+    not faulty, so they do not count against the bound.
+    """
+    part = trace.participating
+    if part.n != alpha.n:
+        raise ValueError(f"universe mismatch: trace n={part.n}, alpha n={alpha.n}")
+    if len(part) == 0:
+        return False
+    level = alpha.value_of(part)
+    if level < 1:
+        return False
+    halted_undecided = [p for p in part if p in trace.schedule.halted_at and not trace.has_decided(p)]
+    return len(halted_undecided) <= level - 1

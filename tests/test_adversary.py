@@ -164,6 +164,35 @@ class TestAdversaryType:
         with pytest.raises(ValueError):
             adversary_from_json_obj(obj)
 
+    @pytest.mark.parametrize(
+        "obj, message",
+        [
+            ({"n": 3, "live_sets": [[1], []]}, "empty live sets are rejected"),
+            ({"n": 3, "live_sets": [[2, 1]]}, "inner array [2, 1] is not strictly ascending"),
+            ({"n": 3, "live_sets": [[1], [1]]}, "duplicate live sets are rejected"),
+            ({"n": 3, "live_sets": [[2, 3], [1]]}, "outer array is not sorted lexicographically"),
+            ({"n": 3}, 'adversary object must have exactly the fields "n" and "live_sets"'),
+            ({"n": "3", "live_sets": []}, '"n" must be an integer'),
+            ({"n": 3, "live_sets": [[1, 4]]}, "process id 4 outside 1..3"),
+            ({"n": 3, "live_sets": [1]}, '"live_sets" must be an array of arrays'),
+            # which rejection wins when a file has several faults, as before arrays were read in one pass
+            ({"n": 3, "live_sets": [[3, 2, "1"]]}, "process ids must be integers"),
+            ({"n": 3, "live_sets": [[2, 1], [1, True]]}, "inner array [2, 1] is not strictly ascending"),
+            ({"n": 3, "live_sets": [[1, 4], [1, 4], [2, 1]]}, "inner array [2, 1] is not strictly ascending"),
+            ({"n": 3, "live_sets": [[2, 4], [1], [1]]}, "outer array is not sorted lexicographically"),
+            ({"n": 3, "live_sets": [[0], [0], [1]]}, "duplicate live sets are rejected"),
+            ({"n": 3, "live_sets": [[1], [2, 5], [7]]}, "process id 5 outside 1..3"),
+            ({"n": 20, "live_sets": [[1], [25]]}, "universe size must be in 1..16, got 20"),
+            ({"n": 20, "live_sets": [[25], [26]]}, "process id 25 outside 1..20"),
+            ({"n": 0, "live_sets": [[1]]}, "process id 1 outside 1..0"),
+            ({"n": 17, "live_sets": []}, "universe size must be in 1..16, got 17"),
+        ],
+    )
+    def test_rejection_messages(self, obj, message):
+        with pytest.raises(ValueError) as info:
+            adversary_from_json_obj(obj)
+        assert str(info.value) == message
+
 
 class TestRestriction:
     def test_filter_by_subset(self, unfair_triple):

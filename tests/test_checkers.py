@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from advlab import Adversary, AgreementFunction, ProcessSet, agreement_function
+from advlab import Adversary, AgreementFunction, ProcessSet, admits_trace, agreement_function
 from advlab.checkers import (
     check_alpha_agreement,
     check_k_agreement,
@@ -25,9 +25,16 @@ from advlab.sim import (
     canonical_json,
     enumerate_schedules,
     run_to_quiescence,
+    trace_from_json_obj,
     truncate_trace,
 )
-from oracles import slow_check_alpha_agreement, slow_check_k_agreement, slow_check_validity
+from oracles import (
+    slow_admits_trace,
+    slow_check_alpha_agreement,
+    slow_check_k_agreement,
+    slow_check_termination,
+    slow_check_validity,
+)
 
 
 def hand_trace(n, steps, decisions, inputs, halted=None):
@@ -163,6 +170,44 @@ def assert_same_verdicts(trace, fns, ks):
     return pairs
 
 
+def assert_same_termination_and_admission(trace, fns, amongs):
+    """The one-pass termination check and admission test agree with the per-process oracles."""
+    outcomes = set()
+    for among in amongs:
+        fast, slow = check_termination(trace, among=among), slow_check_termination(trace, among=among)
+        assert (fast.prop, fast.passed, fast.witness) == (slow.prop, slow.passed, slow.witness)
+        outcomes.add(("termination", fast.passed))
+    for fn in fns:
+        admitted = admits_trace(fn, trace)
+        assert admitted is slow_admits_trace(fn, trace)
+        outcomes.add(("admits", admitted))
+    return outcomes
+
+
+def file_shaped_trace(rng, n):
+    """A random trace as `advlab check` reads one from a file: events in any
+    order, halted processes that may never have stepped, and decisions by
+    any process, correct, halted, neither or not participating."""
+    steps = [rng.randint(1, n) for _ in range(rng.randint(0, 8))]
+    last = {p: i for i, p in enumerate(steps)}
+    halted = {p: last.get(p, -1) for p in range(1, n + 1) if rng.random() < 0.4}
+    correct = [p for p in range(1, n + 1) if p not in halted and rng.random() < 0.8]
+    events = [{"step": i, "process": p, "kind": "update", "payload": None} for i, p in enumerate(steps)]
+    if rng.random() < 0.5:
+        rng.shuffle(events)
+    deciders = [p for p in range(1, n + 1) if rng.random() < 0.5]
+    decisions = [{"step": rng.randint(0, max(len(steps) - 1, 0)), "process": p, "value": 100 + p} for p in deciders]
+    obj = {
+        "n": n,
+        "schedule": {"steps": steps, "halted_at": {str(p): at for p, at in halted.items()}, "correct_set": correct},
+        "inputs": {str(p): 100 + p for p in range(1, n + 1)},
+        "events": events,
+        "decisions": decisions,
+        "statuses": {str(p): rng.choice(["running", "blocked", "decided"]) for p in set(steps)},
+    }
+    return trace_from_json_obj(obj)
+
+
 class TestAgainstSlowOracles:
     FNS = [
         AgreementFunction.wait_free(3),
@@ -194,6 +239,30 @@ class TestAgainstSlowOracles:
             pairs = assert_same_verdicts(trace, self.FNS, (1, 2, 3, 4))
             outcomes.update((fast.prop, fast.passed) for fast, _ in pairs)
         assert len(outcomes) == 6  # each property both passed and failed
+
+    def test_golden_runs_terminate_and_admit_as_the_oracles_say(self, golden_traces):
+        outcomes = set()
+        for trace in golden_traces:
+            outcomes |= assert_same_termination_and_admission(trace, self.FNS, (None, (2, 3), (1,), ()))
+        assert len(outcomes) == 4  # each verdict both ways
+
+    def test_file_shaped_traces_terminate_and_admit_as_the_oracles_say(self):
+        rng = random.Random(13)
+        outcomes, shapes = set(), set()
+        for _ in range(1500):
+            n = rng.randint(1, 4)
+            trace = file_shaped_trace(rng, n)
+            fns = [AgreementFunction.wait_free(n), AgreementFunction.k_concurrent(n, 1)]
+            fns.append(AgreementFunction(n, (0,) + tuple(rng.randint(0, b.bit_count()) for b in range(1, 1 << n))))
+            amongs = [None, [p for p in range(1, n + 1) if rng.random() < 0.5]]
+            outcomes |= assert_same_termination_and_admission(trace, fns, amongs)
+            steps = [e.step for e in trace.events]
+            shapes.add(("out of step order", steps != sorted(steps)))
+            shapes.add(("halted, never stepped", -1 in trace.schedule.halted_at.values()))
+            shapes.add(("decided outside correct", any(d.pid not in trace.schedule.correct for d in trace.decisions)))
+            shapes.add(("among names a non-participant", any(p not in trace.participating for p in amongs[1])))
+        assert len(outcomes) == 4
+        assert len(shapes) == 8  # each shape both present and absent
 
     @pytest.mark.parametrize(
         "a, b, same",

@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from advlab import cli
+from advlab import AgreementFunction, cli
 from advlab.cli import main
 from advlab.protocols import EchoProtocol, default_inputs
 from advlab.sim import Schedule, run_to_quiescence, trace_to_json_obj
@@ -291,6 +291,23 @@ class TestEnumerate:
 
     def test_bound_exceeded_exits_2(self):
         assert main(["enumerate", "--n", "3", "--steps", "5"]) == 2
+
+    @pytest.mark.parametrize(
+        "protocol, fn, activations, tail",
+        [
+            ("adaptive", AgreementFunction.wait_free(3), 114_298, 82_438),
+            ("alpha-setcons", AgreementFunction.k_concurrent(3, 2), 58_020, 26_160),
+        ],
+    )
+    def test_activation_counts(self, tmp_path, capsys, protocol, fn, activations, tail):
+        # every 3-process schedule with 3 steps each and at most 1 halt, default inputs and tail
+        path = tmp_path / "fn.json"
+        path.write_text(json.dumps(fn.to_json_obj()))
+        argv = ["enumerate", "--n", "3", "--steps", "3", "--halts", "1", "--protocol", protocol]
+        assert main(argv + ["--alpha", str(path), "--format", "json"]) == 0
+        obj = json.loads(capsys.readouterr().out)
+        assert (obj["runs"], obj["failed"], set(obj["violations"].values())) == (3840, 0, {0})
+        assert (obj["activations"], obj["tail_activations"]) == (activations, tail)
 
     @pytest.mark.parametrize("protocol", [[], ["--protocol", "safe-agreement"]])
     def test_negative_tail_exits_2(self, capsys, protocol):

@@ -8,17 +8,7 @@ from math import factorial
 import pytest
 
 from advlab import Adversary, AgreementFunction, ProcessSet, admits_trace
-from advlab.protocols import (
-    AdaptiveSetConsensus,
-    Cons23,
-    EchoProtocol,
-    EmbeddedAgreement,
-    OracleAgreement,
-    Protocol,
-    RoundRobinSetConsensus,
-    SafeAgreement,
-    default_inputs,
-)
+from advlab.protocols import Cons23, EchoProtocol, Protocol, SafeAgreement, default_inputs
 from advlab.sim import (
     ProtocolFault,
     Schedule,
@@ -267,33 +257,13 @@ class TestTraceFiles:
         assert admits_trace(fn, trace2)
 
 
-# Golden runs: every protocol and adaptive subroutine on every 3-process
-# schedule with 2 steps per process and at most 1 halt, plus seeded
-# schedules admitted by the 1-resilient agreement function.  The digest
-# pins the canonical text of all their traces, so a change to the executor
-# or to a protocol that alters any event, decision or status shows here.
-GOLDEN_FN = AgreementFunction.t_resilient(3, 1)
-GOLDEN_INPUTS = default_inputs(3)
-GOLDEN_PROTOCOLS = {
-    "echo": lambda: EchoProtocol(3, GOLDEN_INPUTS),
-    "safe-agreement": lambda: SafeAgreement(3, GOLDEN_INPUTS),
-    "alpha-setcons": lambda: RoundRobinSetConsensus(3, GOLDEN_INPUTS, GOLDEN_FN),
-    "adaptive": lambda: AdaptiveSetConsensus(3, GOLDEN_INPUTS, EmbeddedAgreement(GOLDEN_FN)),
-    "adaptive-oracle": lambda: AdaptiveSetConsensus(3, GOLDEN_INPUTS, OracleAgreement(GOLDEN_FN)),
-    "cons23": lambda: Cons23(3, GOLDEN_INPUTS),
-}
+# The golden runs (the `golden_traces` fixture in conftest.py): every
+# protocol and adaptive subroutine on every 3-process schedule with 2 steps
+# per process and at most 1 halt, plus seeded schedules admitted by the
+# 1-resilient agreement function.  The digest pins the canonical text of all
+# their traces, so a change to the executor or to a protocol that alters any
+# event, decision or status shows here.
 GOLDEN_DIGEST = "90df1859b3dfbc46747e8405d21024f64e57dc8ae9be1a930d000f0f9efdb4e2"
-
-
-@pytest.fixture(scope="module")
-def golden_traces():
-    schedules = list(enumerate_schedules(3, 2, 1))
-    schedules += [generate_admissible_schedule(GOLDEN_FN, seed, 24) for seed in range(12)]
-    return [
-        run_to_quiescence(make(), schedule, max_tail=60)
-        for make in GOLDEN_PROTOCOLS.values()
-        for schedule in schedules
-    ]
 
 
 class TestGolden:
@@ -310,3 +280,60 @@ class TestGolden:
                 assert (d.step, d.pid) in snapshots
                 decided += 1
         assert decided > 0
+
+
+# Seeded schedule streams: the admissible generator under four agreement
+# functions and the adversary-driven one under the unfair triple, seeds
+# 0..499 at budgets 16 and 96.  The digest pins every schedule (steps, halt
+# indices, correct set), so a generator change that moves a random draw
+# shows here.
+STREAM_FNS = (
+    AgreementFunction.wait_free(3),
+    AgreementFunction.t_resilient(3, 1),
+    AgreementFunction.k_concurrent(3, 2),
+    AgreementFunction.wait_free(4),
+)
+STREAM_DIGEST = "2b68ba0b776f4c2787caf917af319a7c90b81bfaafa1e17633bdaf911196e95d"
+
+# Runs on the paths the golden runs above skip, each with its truncations at
+# every fifth step: cons23 under adversary schedules with the `required` set
+# run_campaign gives it ({2, 3} within the correct set, possibly empty), and
+# a never-deciding protocol whose tail is cut off at max_tail = 7.
+TAIL_DIGEST = "42924524b239decc5b80e9248fe060f5b403580a771ab09826a27901563db2c5"
+
+
+def _schedule_text(schedule):
+    return canonical_json([list(schedule.steps), sorted(schedule.halted_at.items()), schedule.correct.members()])
+
+
+def _trace_text(trace):
+    return canonical_json([trace_to_json_obj(trace), trace.participating.members()])
+
+
+class TestGoldenPaths:
+    def test_schedule_stream_digest(self, unfair_triple):
+        texts = []
+        for budget in (16, 96):
+            for fn in STREAM_FNS:
+                texts += [_schedule_text(generate_admissible_schedule(fn, seed, budget)) for seed in range(500)]
+            texts += [_schedule_text(generate_schedule(unfair_triple, seed, budget)) for seed in range(500)]
+        assert len(texts) == 5000
+        assert hashlib.sha256("\n".join(texts).encode()).hexdigest() == STREAM_DIGEST
+
+    def test_required_and_cut_tail_digest(self, unfair_triple):
+        runs = []  # (given schedule, trace)
+        for budget in (6, 16):
+            for seed in range(150):
+                schedule = generate_schedule(unfair_triple, seed, budget)
+                required = {p for p in (2, 3) if p in schedule.correct}
+                trace = run_to_quiescence(Cons23(3, default_inputs(3)), schedule, max_tail=400, required=required)
+                runs.append((schedule, trace))
+        for schedule in enumerate_schedules(3, 2, 1):
+            runs.append((schedule, run_to_quiescence(CountingProtocol(3, {}), schedule, max_tail=7)))
+        tails = {len(trace.schedule.steps) - len(schedule.steps) for schedule, trace in runs}
+        assert {0, 7} < tails  # no tail, tails cut off at max_tail and cons23 tails stopped by `required`
+        texts = []
+        for _, trace in runs:
+            texts.append(_trace_text(trace))
+            texts += [_trace_text(truncate_trace(trace, step)) for step in range(0, len(trace.schedule.steps), 5)]
+        assert hashlib.sha256("\n".join(texts).encode()).hexdigest() == TAIL_DIGEST
