@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 from typing import TYPE_CHECKING
 
 from .processes import MAX_UNIVERSE, ProcessSet
@@ -57,6 +58,15 @@ class AgreementFunction:
 
     def of_bits(self, bits: int) -> int:
         return self.table[bits]
+
+    @cached_property
+    def admissible_masks(self) -> tuple[int, ...]:
+        """The masks P with alpha(P) >= 1, ascending: the participations a run may have.
+
+        Computed on first use and kept on the instance, so a seeded campaign
+        scans the 2**n table once, not once per schedule.
+        """
+        return tuple(bits for bits, v in enumerate(self.table) if v >= 1)
 
     def value_of(self, subset: ProcessSet) -> int:
         if subset.n != self.n:

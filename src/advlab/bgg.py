@@ -15,7 +15,12 @@ is powered for simulator sid when it lies inside the window and
 table the adversary's agreement function wraps.  P, A, the gate threshold
 min(|A|, α(P)) and the table of A depend on the status array alone, so
 `BGShared.view` reads them once per change of that array, not once per
-round; `SelectionHistory.per_simulator` sums the records per simulator.
+round.  A simulator's window depends only on that view and on the
+selections above it, so each simulator keeps its last window and trail
+and recomputes them only when the view or `BGShared.registrations`, the
+count of `BGShared.register` calls, has changed.
+`SelectionHistory.per_simulator` sums the records per simulator, and
+`selection_report` reads the final quarter once for its four checks.
 
 The step machinery underneath is a pluggable oracle, built by a factory
 called with (is_live, locals) so it can observe the simulators' current
@@ -23,9 +28,10 @@ targets; `ContentionOracle` is the default factory.  It models agreement
 contention deterministically: a step on a process is blocked exactly
 while a higher-id simulator that is still taking rounds targets the same
 process, and steps held by stopped simulators never block anyone
-(departed blockers get cleaned up).  A scripted oracle can inject other
-block patterns, subject to the same "blocked only while another simulator
-holds the process" rule.
+(departed blockers get cleaned up).  It lists each simulator's higher-id
+contenders once, when it is built, and a step walks only that list.  A
+scripted oracle can inject other block patterns, subject to the same
+"blocked only while another simulator holds the process" rule.
 
 Activation gate: the loop body verbatim runs when the simulator id is at
 least min(|unfinished|, level(participating)).  That direction leaves the
@@ -71,12 +77,17 @@ class BGShared:
     """Shared arrays: per-simulator (process, live-set mask) selections and per-process status.
 
     `view` derives what a round needs from the status array and keeps it
-    until the array changes.
+    until the array changes.  `register` is the one writer of a selection
+    in a run: it bumps `registrations`, which keys the simulators' window
+    memo, so a selection written to the list directly is seen by
+    `compute_window` but not by a simulator whose window is memoised.
     """
 
     selections: list[tuple[Optional[int], int]]
     pmem: list[object]
-    _view: tuple = field(default=(None, None), init=False, repr=False, compare=False)
+    registrations: int = field(default=0, init=False, repr=False, compare=False)
+    _view_of: tuple = field(default=(None, None), init=False, repr=False, compare=False)  # (adversary, pmem copy)
+    _view: tuple = field(default=(), init=False, repr=False, compare=False)
 
     @classmethod
     def fresh(cls, n: int, sim_count: int, pmem: Optional[list] = None) -> "BGShared":
@@ -85,25 +96,37 @@ class BGShared:
             list(pmem) if pmem is not None else [PM_ACTIVE] * n,
         )
 
+    def register(self, sid: int, pid: int, s: int) -> None:
+        """Publish simulator sid's selection (process pid, live set s)."""
+        self.selections[sid] = (pid, s)
+        self.registrations += 1
+
     def view(self, adversary: Adversary) -> tuple[int, int, int, bytes]:
         """(P, A, gate threshold, region_table(A)) of the current status array.
 
-        Recomputed only when the status array (or the adversary) differs from
-        the one it was derived from, so a write to `pmem` shows in the next round.
+        Recomputed only when the status array (or the adversary object)
+        differs from the one it was derived from, so a write to `pmem` shows
+        in the next round.  The same tuple is returned until then, so its
+        identity keys the window memo.
         """
-        key = (adversary, *self.pmem)
-        if self._view[0] != key:
+        seen_adversary, seen_pmem = self._view_of
+        if adversary is not seen_adversary or self.pmem != seen_pmem:
             part, active = participation(self.pmem)
             threshold = gate_threshold(adversary, part, active)
-            self._view = (key, (part, active, threshold, adversary.region_table(active)))
-        return self._view[1]
+            self._view_of = (adversary, list(self.pmem))
+            self._view = (part, active, threshold, adversary.region_table(active))
+        return self._view
 
 
 @dataclass
 class SimulatorLocal:
+    """A simulator's own state: its selection, and its last window with the key it was computed under."""
+
     sid: int
     s_cur: int = 0
     p_cur: Optional[int] = None
+    # (status view, registration count, window, trail) of the last window computed
+    memo: tuple = field(default=(None, -1, 0, ()), repr=False, compare=False)
 
 
 def participation(pmem: list) -> tuple[int, int]:
@@ -180,11 +203,14 @@ class ContentionOracle:
 
     def __init__(self, is_live: Callable[[int], bool], targets: dict[int, SimulatorLocal]):
         self._is_live = is_live
-        self._targets = targets
+        # per sid, the (id, local) pairs of the simulators that can block it
+        self._higher = {
+            sid: [(other, loc) for other, loc in targets.items() if other > sid] for sid in targets
+        }
 
     def simulate_step(self, sid: int, pid: int, round_no: int) -> str:
-        for other, loc in self._targets.items():
-            if other > sid and loc.p_cur == pid and self._is_live(other):
+        for other, loc in self._higher[sid]:
+            if loc.p_cur == pid and self._is_live(other):
                 return BLOCKED
         return SUCCESS
 
@@ -207,8 +233,14 @@ def simulator_round(
     gate_mode: str = GATE_VERBATIM,
     round_no: int = 0,
 ) -> dict:
-    """One full loop iteration of a simulator; returns the round record."""
-    part, active, threshold, table = shared.view(adversary)
+    """One full loop iteration of a simulator; returns the round record.
+
+    The window and trail are those of `compute_window`, recomputed only when
+    the status view or the registration count differs from the simulator's
+    last computation.
+    """
+    view = shared.view(adversary)
+    part, active, threshold, table = view
     sid = local.sid
     if not (sid >= threshold if gate_mode == GATE_VERBATIM else sid <= threshold):
         return {
@@ -226,8 +258,12 @@ def simulator_round(
             "stepped": None,
             "result": None,
         }
-    trail: list = []
-    window = compute_window(sid, shared, part, table, trail)
+    seen_view, seen_registrations, window, trail = local.memo
+    if seen_view is not view or seen_registrations != shared.registrations:
+        steps: list = []
+        window = compute_window(sid, shared, part, table, steps)
+        trail = tuple(steps)
+        local.memo = (view, shared.registrations, window, trail)
     s_cur = local.s_cur
     reselected = fallback = False
     if powered(table, s_cur, window, sid):
@@ -236,7 +272,7 @@ def simulator_round(
         s_cur, fallback = select_live_set(adversary, table, window, part, sid)
         stepped = local.p_cur = _lowest(s_cur)
         local.s_cur = s_cur
-        shared.selections[sid] = (stepped, s_cur)
+        shared.register(sid, stepped, s_cur)
         reselected = True
     result = oracle.simulate_step(sid, stepped, round_no)
     p_cur = local.p_cur = _next_in_cycle(s_cur, stepped) if result == SUCCESS else stepped
@@ -247,7 +283,7 @@ def simulator_round(
         "A": active,
         "gated": True,
         "W": window,
-        "trail": tuple(trail),
+        "trail": trail,
         "s_cur": s_cur,
         "p_cur": p_cur,
         "reselected": reselected,
@@ -358,6 +394,11 @@ def _eligible_live(history: SelectionHistory) -> tuple[list[int], Optional[int]]
     return live, (max(live) if live else None)
 
 
+# Each public check reads the final quarter and the eligible live simulators
+# itself; `selection_report` reads them once and passes them to the same
+# private bodies.
+
+
 def check_participation_stability(history: SelectionHistory) -> Verdict:
     """The participation arrays settle: final-quarter rounds all read the same (P, A).
 
@@ -366,7 +407,10 @@ def check_participation_stability(history: SelectionHistory) -> Verdict:
     and the check only re-reads it.  It is kept so the report keeps its four
     properties.
     """
-    quarter = history.quarter_records()
+    return _participation_stability(history.quarter_records())
+
+
+def _participation_stability(quarter: list[dict]) -> Verdict:
     seen = {(r["P"], r["A"]) for r in quarter}
     if len(seen) > 1:
         return Verdict("participation-stability", False, {"observed": sorted(seen)})
@@ -378,18 +422,22 @@ def check_window_stability(history: SelectionHistory) -> Verdict:
 
     quarter, and all of them agree on the narrowing prefix above the top one.
     """
-    live, top = _eligible_live(history)
+    return _window_stability(history.quarter_records(), *_eligible_live(history))
+
+
+def _window_stability(quarter: list[dict], live: list[int], top: Optional[int]) -> Verdict:
     if top is None:
         return Verdict("window-stability", True, {"note": "no live eligible simulator"})
-    quarter = history.quarter_records()
+    windows: dict[int, set] = {sid: set() for sid in live}
     prefixes = set()
+    for r in quarter:
+        seen = windows.get(r["simulator"])
+        if seen is not None and r["gated"]:
+            seen.add(r["W"])
+            prefixes.add(tuple(step for step in r["trail"] if step[0] > top))
     for sid in live:
-        windows = {r["W"] for r in quarter if r["simulator"] == sid and r["gated"]}
-        if len(windows) > 1:
-            return Verdict("window-stability", False, {"simulator": sid, "windows": sorted(windows)})
-        for r in quarter:
-            if r["simulator"] == sid and r["gated"]:
-                prefixes.add(tuple(step for step in r["trail"] if step[0] > top))
+        if len(windows[sid]) > 1:
+            return Verdict("window-stability", False, {"simulator": sid, "windows": sorted(windows[sid])})
     if len(prefixes) > 1:
         return Verdict("window-stability", False, {"prefixes": sorted(prefixes)})
     return Verdict("window-stability", True)
@@ -402,12 +450,14 @@ def check_selection_feasibility(history: SelectionHistory) -> Verdict:
     its window carries power at least its id, and any late re-selection
     actually used that branch.  Meaningful for fair adversaries.
     """
-    live, top = _eligible_live(history)
+    return _selection_feasibility(history.adversary, history.quarter_records(), *_eligible_live(history))
+
+
+def _selection_feasibility(adversary: Adversary, quarter: list[dict], live: list[int], top: Optional[int]) -> Verdict:
     if top is None:
         return Verdict("selection-feasibility", True, {"note": "no live eligible simulator"})
-    adversary = history.adversary
     feasible: dict[tuple[int, int, int], bool] = {}  # (A, W, sid) -> some powered live set
-    for r in history.quarter_records():
+    for r in quarter:
         sid = r["simulator"]
         if sid not in live or not r["gated"]:
             continue
@@ -433,11 +483,13 @@ def check_liveset_coverage(history: SelectionHistory) -> Verdict:
     touches the unfinished processes, unless the top live simulator is pinned
     on one process and every lower live simulator stays away from it.
     """
-    live, top = _eligible_live(history)
+    return _liveset_coverage(history, history.quarter_records(), *_eligible_live(history))
+
+
+def _liveset_coverage(history: SelectionHistory, quarter: list[dict], live: list[int], top: Optional[int]) -> Verdict:
     if top is None:
         return Verdict("liveset-coverage", True, {"note": "no live eligible simulator"})
     _, active_bits = participation(history.final_pmem)
-    quarter = history.quarter_records()
     stepped_ok = 0
     for r in quarter:
         if r["result"] == SUCCESS:
@@ -463,10 +515,16 @@ def check_liveset_coverage(history: SelectionHistory) -> Verdict:
 
 
 def selection_report(history: SelectionHistory) -> list[Verdict]:
-    """All bounded-run selection properties in stable order."""
+    """All bounded-run selection properties in stable order.
+
+    The same verdicts as the four public checks, from one read of the final
+    quarter and of the eligible live simulators.
+    """
+    quarter = history.quarter_records()
+    eligible = _eligible_live(history)
     return [
-        check_participation_stability(history),
-        check_window_stability(history),
-        check_selection_feasibility(history),
-        check_liveset_coverage(history),
+        _participation_stability(quarter),
+        _window_stability(quarter, *eligible),
+        _selection_feasibility(history.adversary, quarter, *eligible),
+        _liveset_coverage(history, quarter, *eligible),
     ]

@@ -263,6 +263,8 @@ class CampaignResult(NamedTuple):
     failures: list[dict]  # one record per violation, in run order
     activations: int  # steps taken over all runs, completion tails included
     tail_activations: int  # the part of them taken by completion tails
+    tail_exhausted: int  # runs whose tail reached max_tail > 0 with a required process undecided
+    checked: dict[str, int]  # property -> runs it was checked on; the same keys as violations
 
 
 def run_campaign(
@@ -278,12 +280,14 @@ def run_campaign(
     agreement property on every run, termination only where the policy's
     condition holds.  With trace_dir, each trace is written there as
     trace-<label>.json; a trace that cannot be written raises InputError.
-    The result also counts the activations the runs took, and how many of
-    them their completion tails took.
+    The result also counts the activations the runs took, how many of them
+    their completion tails took, and the runs whose tail was cut off at
+    max_tail before every required process decided.
     """
     violations: dict[str, int] = {}
+    checked: dict[str, int] = {}
     failures: list[dict] = []
-    runs = activations = tail_activations = 0
+    runs = activations = tail_activations = tail_exhausted = 0
     for label, schedule in schedules:
         protocol = make_protocol()
         policy = POLICIES[protocol.name]
@@ -291,8 +295,13 @@ def run_campaign(
         trace = run_to_quiescence(protocol, schedule, max_tail=max_tail, required=required)
         runs += 1
         taken = len(trace.schedule.steps)
+        tail = taken - len(schedule.steps)
         activations += taken
-        tail_activations += taken - len(schedule.steps)
+        tail_activations += tail
+        if tail >= max_tail > 0:
+            need = schedule.correct.members() if required is None else required
+            decided = {d.pid for d in trace.decisions}
+            tail_exhausted += any(p not in decided for p in need)
         if trace_dir is not None:
             path = trace_dir / f"trace-{label}.json"
             _write(path, json.dumps(trace_to_json_obj(trace), sort_keys=True))
@@ -300,6 +309,7 @@ def run_campaign(
         if policy.live(trace, fn):
             verdicts.append(check_termination(trace, among=policy.among))
         for verdict in verdicts:
+            checked[verdict.prop] = checked.get(verdict.prop, 0) + 1
             violations[verdict.prop] = violations.get(verdict.prop, 0) + (0 if verdict.passed else 1)
             if not verdict.passed:
                 failures.append(
@@ -311,7 +321,7 @@ def run_campaign(
                         "halted_at": {str(p): i for p, i in schedule.halted_at.items()},
                     }
                 )
-    return CampaignResult(runs, violations, failures, activations, tail_activations)
+    return CampaignResult(runs, violations, failures, activations, tail_activations, tail_exhausted, checked)
 
 
 def _policy(name: str) -> Policy:
@@ -345,6 +355,8 @@ def _campaign(args, policy: Policy, fn, n: int, schedules, traces: bool = False)
         "failed": len(result.failures),
         "activations": result.activations,
         "tail_activations": result.tail_activations,
+        "tail_exhausted": result.tail_exhausted,
+        "checked": result.checked,
     }
     lines = [f"protocol={name}", f"runs={result.runs}"] + [f"violations[{k}]={v}" for k, v in counts]
     return _report(args, obj, lines, result.failures)

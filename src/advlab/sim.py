@@ -234,7 +234,7 @@ def generate_admissible_schedule(alpha: alpha_mod.AgreementFunction, seed: int, 
     """
     if budget < 2 * alpha.n:
         raise ValueError(f"budget must be at least 2n = {2 * alpha.n}")
-    candidates = [bits for bits in range(1, 1 << alpha.n) if alpha.of_bits(bits) >= 1]
+    candidates = alpha.admissible_masks
     if not candidates:
         raise ValueError("the agreement function admits no runs at all")
     rng = random.Random(seed)

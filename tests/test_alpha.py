@@ -77,6 +77,14 @@ class TestConstructors:
             AgreementFunction.from_json_obj(bad, strict=True)
 
 
+    def test_admissible_masks_are_the_levels_of_at_least_one(self):
+        for fn in (AgreementFunction.t_resilient(4, 1), AgreementFunction(2, (0, 0, 2, 1))):
+            masks = fn.admissible_masks
+            assert masks == tuple(b for b in range(1, 1 << fn.n) if fn.of_bits(b) >= 1)
+            assert fn.admissible_masks is masks  # kept on the instance
+            assert fn == AgreementFunction(fn.n, fn.table) and "admissible" not in repr(fn)
+
+
 class TestMonotonicity:
     def test_derived_tables_are_monotonic(self):
         for masks in all_families(3):

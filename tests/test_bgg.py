@@ -6,7 +6,7 @@ import random
 
 import pytest
 
-from advlab import Adversary, ProcessSet, agreement_function, all_nonempty, is_fair, setcon
+from advlab import Adversary, ProcessSet, agreement_function, all_nonempty, bgg, is_fair, setcon
 from advlab.bgg import (
     BGShared,
     BLOCKED,
@@ -19,6 +19,7 @@ from advlab.bgg import (
     SimulatorLocal,
     SUCCESS,
     check_liveset_coverage,
+    check_participation_stability,
     check_selection_feasibility,
     check_window_stability,
     compute_window,
@@ -118,6 +119,40 @@ class TestComputeWindow:
         for before, after in zip(bits, bits[1:]):
             assert after & ~before == 0
         assert window == bits[-1]
+
+
+class TestWindowMemo:
+    def test_higher_reselection_narrows_the_lower_window_next_round(self):
+        adv = fair_example()
+        shared = BGShared.fresh(3, 2)
+        low, high = SimulatorLocal(1), SimulatorLocal(2)
+        oracle = ScriptedOracle(lambda sid, pid, round_no: SUCCESS)
+        first = simulator_round(low, shared, oracle, adv, GATE_ADAPTIVE, 0)
+        assert first["W"] == 0b111 and first["trail"] == ((2, 0b111),)
+        # simulator 2 selects {1, 3} and registers process 1 in it
+        top = simulator_round(high, shared, oracle, adv, GATE_ADAPTIVE, 1)
+        assert top["reselected"] and shared.selections[2] == (1, 0b101)
+        second = simulator_round(low, shared, oracle, adv, GATE_ADAPTIVE, 2)
+        assert second["W"] == 0b100 and second["trail"] == ((2, 0b100),)
+        assert second["reselected"] and second["s_cur"] == 0b100
+
+    def test_window_is_kept_while_no_registration_changes(self):
+        adv = fair_example()
+        shared = BGShared.fresh(3, 2)
+        shared.register(2, 1, 0b101)
+        local = SimulatorLocal(1)
+        oracle = ScriptedOracle(lambda sid, pid, round_no: SUCCESS)
+        rounds = [simulator_round(local, shared, oracle, adv, GATE_ADAPTIVE, r) for r in range(4)]
+        assert rounds[0]["reselected"] and not any(r["reselected"] for r in rounds[1:])
+        # recomputed once after the round's own registration, then reused as is
+        assert rounds[1]["trail"] == ((2, 0b100),) and rounds[2]["trail"] is rounds[1]["trail"]
+        assert rounds[3]["trail"] is rounds[1]["trail"]
+
+    def test_register_counts_every_write(self):
+        shared = BGShared.fresh(3, 2)
+        shared.register(2, 1, 0b101)
+        shared.register(2, 1, 0b101)
+        assert shared.selections[2] == (1, 0b101) and shared.registrations == 2
 
 
 class TestSelection:
@@ -351,9 +386,10 @@ def golden_line(history) -> str:
     return canonical_json(obj)
 
 
-def golden_lines():
-    """One line per run: every 3-process family, fair or not, under both
-    gates, three initial status arrays and every halt pattern."""
+def golden_runs():
+    """One history per run, or the SelectionImpossible it raised: every
+    3-process family, fair or not, under both gates, three initial status
+    arrays and every halt pattern."""
     for masks in all_families(3):
         adv = Adversary(3, tuple(ProcessSet(3, m) for m in sorted(masks)))
         sims = setcon(adv)
@@ -363,13 +399,20 @@ def golden_lines():
                     for halted in itertools.combinations(range(1, sims + 1), rsize):
                         pattern = {s: GOLDEN_BUDGET // 6 + 3 * s for s in halted}
                         try:
-                            history = run_bgg_selection(
+                            yield run_bgg_selection(
                                 adv, pattern=pattern, budget=GOLDEN_BUDGET, gate_mode=gate, initial_pmem=pmem
                             )
                         except SelectionImpossible as exc:
-                            yield canonical_json({"impossible": str(exc)})
-                            continue
-                        yield golden_line(history)
+                            yield exc
+
+
+def golden_lines():
+    """One canonical line per golden run."""
+    for run in golden_runs():
+        if isinstance(run, SelectionImpossible):
+            yield canonical_json({"impossible": str(run)})
+        else:
+            yield golden_line(run)
 
 
 class TestGolden:
@@ -380,3 +423,35 @@ class TestGolden:
         assert len(lines) == 2322
         assert sum(line.startswith('{"impossible"') for line in lines) == 30
         assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == GOLDEN_DIGEST
+
+    def test_memoised_window_matches_compute_window_on_every_gated_round(self, monkeypatch):
+        # compute_window from scratch, on the state the round starts from, is
+        # the oracle for the window and trail the round records
+        original = bgg.simulator_round
+        gated = 0
+
+        def checked_round(local, shared, oracle, adversary, gate_mode, round_no):
+            nonlocal gated
+            part, _, _, table = shared.view(adversary)
+            trail = []
+            window = compute_window(local.sid, shared, part, table, trail)
+            record = original(local, shared, oracle, adversary, gate_mode, round_no)
+            if record["gated"]:
+                gated += 1
+                assert (record["W"], record["trail"]) == (window, tuple(trail)), record
+            return record
+
+        monkeypatch.setattr(bgg, "simulator_round", checked_round)
+        runs = sum(1 for _ in golden_runs())
+        assert runs == 2322 and gated > 100_000
+
+    def test_report_equals_the_four_checks(self):
+        for run in golden_runs():
+            if isinstance(run, SelectionImpossible):
+                continue
+            assert selection_report(run) == [
+                check_participation_stability(run),
+                check_window_stability(run),
+                check_selection_feasibility(run),
+                check_liveset_coverage(run),
+            ]

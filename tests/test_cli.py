@@ -8,7 +8,7 @@ import pytest
 from advlab import AgreementFunction, cli
 from advlab.cli import main
 from advlab.protocols import EchoProtocol, default_inputs
-from advlab.sim import Schedule, run_to_quiescence, trace_to_json_obj
+from advlab.sim import Schedule, enumerate_schedules, run_to_quiescence, trace_to_json_obj
 
 
 @pytest.fixture
@@ -309,6 +309,39 @@ class TestEnumerate:
         assert (obj["runs"], obj["failed"], set(obj["violations"].values())) == (3840, 0, {0})
         assert (obj["activations"], obj["tail_activations"]) == (activations, tail)
 
+    @pytest.mark.parametrize(
+        "argv, code, exhausted, checked",
+        [
+            # 28 of the 50 runs end with an undecided correct process when the tail runs out
+            (
+                ["--n", "2", "--steps", "3", "--halts", "1", "--protocol", "safe-agreement"],
+                0,
+                28,
+                {"validity": 50, "k-agreement": 50, "termination": 22},
+            ),
+            (
+                ["--n", "3", "--steps", "3", "--halts", "1", "--protocol", "adaptive", "--alpha", "WF3"],
+                0,
+                0,
+                {"validity": 3840, "alpha-agreement": 3840, "termination": 3840},
+            ),
+            # a 5-step tail is too short for any run to finish
+            (
+                ["--n", "3", "--steps", "3", "--halts", "1", "--protocol", "adaptive", "--alpha", "WF3", "--tail", "5"],
+                1,
+                3840,
+                {"validity": 3840, "alpha-agreement": 3840, "termination": 3840},
+            ),
+        ],
+    )
+    def test_tail_exhausted_and_checked_counts(self, tmp_path, capsys, argv, code, exhausted, checked):
+        path = tmp_path / "wf3.json"
+        path.write_text(json.dumps(AgreementFunction.wait_free(3).to_json_obj()))
+        argv = [str(path) if a == "WF3" else a for a in argv]
+        assert main(["enumerate"] + argv + ["--format", "json", "--out", str(tmp_path / "w")]) == code
+        obj = json.loads(capsys.readouterr().out)
+        assert (obj["tail_exhausted"], obj["checked"]) == (exhausted, checked)
+
     @pytest.mark.parametrize("protocol", [[], ["--protocol", "safe-agreement"]])
     def test_negative_tail_exits_2(self, capsys, protocol):
         assert main(["enumerate", "--n", "2", "--steps", "2", "--tail", "-5"] + protocol) == 2
@@ -544,6 +577,26 @@ class TestCampaignEngine:
             }
         ]
 
+    def test_checked_covers_violated_for_every_property(self):
+        # every protocol, and one that breaks its policy, on every 3-process
+        # schedule with 2 steps each and at most one halt, with tails from
+        # none to ample: a property is reported exactly when it was checked,
+        # on at least as many runs as it failed
+        fn = AgreementFunction.wait_free(3)
+        makers = [lambda name=name: cli.POLICIES[name].make(3, default_inputs(3), fn) for name in cli.POLICIES]
+        makers.append(lambda: self.SplitCons23(3, default_inputs(3)))
+        violated = set()
+        for make in makers:
+            for max_tail in (0, 3, 120):
+                result = cli.run_campaign(make, enumerate(enumerate_schedules(3, 2, 1)), fn, max_tail)
+                assert result.checked.keys() == result.violations.keys()
+                assert result.checked["validity"] == result.runs
+                for prop, count in result.violations.items():
+                    assert result.checked[prop] >= count
+                    if count:
+                        violated.add(prop)
+        assert {"k-agreement", "termination"} <= violated
+
     def test_policy_breach_exits_1_with_witnesses(self, resilient_file, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr(cli, "Cons23", self.SplitCons23)
         out_dir = tmp_path / "w"
@@ -620,6 +673,15 @@ class TestBgg:
         lines = capsys.readouterr().out.splitlines()
         for sid, counts in expected.items():
             assert f"simulator={sid} " + " ".join(f"{k}={v}" for k, v in counts.items()) in lines
+
+    def test_per_simulator_counts_pinned(self, tmp_path, capsys):
+        path = tmp_path / "singletons.json"
+        path.write_text(json.dumps({"n": 3, "live_sets": [[1], [1, 2, 3], [2], [3]]}))
+        assert main(["bgg", "--adversary", str(path), "--gate", "adaptive", "--format", "json"]) == 0
+        assert json.loads(capsys.readouterr().out)["per_simulator"] == {
+            "1": {"rounds": 600, "gated": 600, "reselections": 2, "fallbacks": 0, "blocked": 200},
+            "2": {"rounds": 600, "gated": 600, "reselections": 1, "fallbacks": 0, "blocked": 0},
+        }
 
     @pytest.mark.parametrize("halt", ["9:10", "2:10", "0:10", "1:-1", "1:2:3"])
     def test_bad_halt_exits_2(self, tmp_path, capsys, halt):
