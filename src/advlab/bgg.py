@@ -83,6 +83,8 @@ class BGShared:
     `compute_window` but not by a simulator whose window is memoised.
     """
 
+    # Write through `register` in a run that `simulator_round` reads: a direct
+    # write leaves the simulators' memoised windows stale.
     selections: list[tuple[Optional[int], int]]
     pmem: list[object]
     registrations: int = field(default=0, init=False, repr=False, compare=False)
@@ -126,7 +128,7 @@ class SimulatorLocal:
     s_cur: int = 0
     p_cur: Optional[int] = None
     # (status view, registration count, window, trail) of the last window computed
-    memo: tuple = field(default=(None, -1, 0, ()), repr=False, compare=False)
+    memo: tuple = field(default=(None, -1, 0, ()), init=False, repr=False, compare=False)
 
 
 def participation(pmem: list) -> tuple[int, int]:

@@ -154,6 +154,10 @@ class TestWindowMemo:
         shared.register(2, 1, 0b101)
         assert shared.selections[2] == (1, 0b101) and shared.registrations == 2
 
+    def test_memo_is_not_a_constructor_argument(self):
+        with pytest.raises(TypeError):
+            SimulatorLocal(1, memo=(None, 0, 0, ()))
+
 
 class TestSelection:
     def test_empty_selection_is_invalid(self):
