@@ -8,7 +8,9 @@ explicit seed, which is printed; ADVLAB_BUDGET overrides the default
 budget where none is given on the command line.
 
 `run_campaign` is the one campaign engine: `simulate`, `enumerate` and the
-test suite all check protocol runs through it.
+test suite all check protocol runs through it.  The two subcommands split a
+large campaign across the usable cores (`_sharded_campaign`) and merge the
+shards into the result one process would have given.
 """
 
 from __future__ import annotations
@@ -44,6 +46,7 @@ from .protocols import (
 from .sim import (
     RunTrace,
     Schedule,
+    count_schedules,
     enumerate_schedules,
     generate_admissible_schedule,
     generate_schedule,
@@ -54,6 +57,13 @@ from .sim import (
 
 DEFAULT_SEED = 1
 DEFAULT_SIM_BUDGET = 96
+
+# The fewest runs a campaign shard takes.  A worker costs its call 3.5-4 ms
+# (fork, a cold first run, the pickled result, the reap; a bare fork and
+# read-back took 1.7-2.4 ms), on 2 cores with Python 3.11.7.  A run takes
+# 40-160 us, so a 500-run shard does 20-80 ms of work.  With 400-run shards
+# safe agreement at n = 2 was at times slower on two processes than on one.
+MIN_SHARD_RUNS = 500
 
 
 class InputError(Exception):
@@ -83,11 +93,20 @@ def _load_alpha(path: str, strict: bool = True) -> AgreementFunction:
 
 
 def _emit(args, obj: dict, lines: list[str]) -> None:
-    if args.format == "json":
-        print(json.dumps(obj, sort_keys=True, indent=2))
-    else:
-        for line in lines:
-            print(line)
+    """Print the report.  A reader that closed the pipe early does not change
+    the exit code: stdout then points at devnull, so that the interpreter's
+    own flush at exit does not fail again."""
+    try:
+        if args.format == "json":
+            print(json.dumps(obj, sort_keys=True, indent=2))
+        else:
+            for line in lines:
+                print(line)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
 
 
 def _set_text(ps: ProcessSet) -> str:
@@ -282,7 +301,9 @@ def run_campaign(
     trace-<label>.json; a trace that cannot be written raises InputError.
     The result also counts the activations the runs took, how many of them
     their completion tails took, and the runs whose tail was cut off at
-    max_tail before every required process decided.
+    max_tail before every required process decided.  Runs are independent,
+    so `_sharded_campaign` can split a stream across processes, run this on
+    each part and merge the parts into the result of one call.
     """
     violations: dict[str, int] = {}
     checked: dict[str, int] = {}
@@ -324,6 +345,128 @@ def run_campaign(
     return CampaignResult(runs, violations, failures, activations, tail_activations, tail_exhausted, checked)
 
 
+def _shard_count(runs: int) -> int:
+    """How many processes a campaign of this many runs is split across.
+
+    min(usable cores, runs // MIN_SHARD_RUNS), and at least 1.  Always 1
+    where os.fork is missing or a second thread runs: a forked child holds
+    only the forking thread, and any lock another thread held stays taken.
+    """
+    threading = sys.modules.get("threading")
+    if not hasattr(os, "fork") or (threading is not None and threading.active_count() > 1):
+        return 1
+    try:
+        cores = len(os.sched_getaffinity(0))
+    except AttributeError:
+        cores = os.cpu_count() or 1
+    return max(1, min(cores, runs // MIN_SHARD_RUNS))
+
+
+def _shard_outcome(make_protocol, shard_stream, fn, max_tail, trace_dir, k: int, shards: int):
+    """Shard k's (result, None), or (None, (position, exception)) for its first error.
+
+    position is the failing run's place in the whole stream: the shard
+    counts each run as attempted before it pulls the run's schedule, so an
+    error while generating a schedule is placed at that run too.
+    """
+    attempted = 0
+
+    def counted():
+        nonlocal attempted
+        runs = iter(shard_stream(k, shards))
+        while True:
+            attempted += 1
+            item = next(runs, None)
+            if item is None:
+                return
+            yield item
+
+    try:
+        return run_campaign(make_protocol, counted(), fn, max_tail, trace_dir), None
+    except Exception as exc:
+        return None, (k + (attempted - 1) * shards, exc)
+
+
+def _merge(results: list[CampaignResult]) -> CampaignResult:
+    """One CampaignResult from the shards': counts summed, failures in run order."""
+    violations: dict[str, int] = {}
+    checked: dict[str, int] = {}
+    for result in results:
+        for total, part in ((violations, result.violations), (checked, result.checked)):
+            for prop, count in part.items():
+                total[prop] = total.get(prop, 0) + count
+    # stable, so one run's failures keep their order
+    failures = sorted((f for result in results for f in result.failures), key=lambda f: int(f["run"]))
+    return CampaignResult(
+        sum(r.runs for r in results),
+        violations,
+        failures,
+        sum(r.activations for r in results),
+        sum(r.tail_activations for r in results),
+        sum(r.tail_exhausted for r in results),
+        checked,
+    )
+
+
+def _sharded_campaign(
+    make_protocol: Callable[[], Protocol],
+    shard_stream: Callable[[int, int], Iterable[tuple[int, Schedule]]],
+    fn: Optional[AgreementFunction],
+    max_tail: int,
+    trace_dir: Optional[Path] = None,
+    shards: int = 1,
+) -> CampaignResult:
+    """run_campaign over a labelled stream split into shards, one process each.
+
+    shard_stream(k, shards) yields runs k, k + shards, k + 2 * shards, ...
+    of the stream; labels are ints that increase along it.  The parent
+    forks shards - 1 workers, runs shard 0 itself, then reads each worker's
+    pickled outcome from its pipe to the end before reaping it.  The
+    merged result equals run_campaign's on the whole stream, and so do the
+    trace files.  An error in any shard is raised here, the one from the
+    earliest run in stream order, once every worker has been reaped; the
+    trace files of runs after it may then differ from one process's.
+    """
+    if shards == 1:
+        return run_campaign(make_protocol, shard_stream(0, 1), fn, max_tail, trace_dir)
+    import pickle
+    import signal
+
+    job = (make_protocol, shard_stream, fn, max_tail, trace_dir)
+    pids, pipes = [], []
+    try:
+        for k in range(1, shards):
+            read, write = os.pipe()
+            pipes.append(open(read, "rb"))
+            with open(write, "wb") as sink:
+                pid = os.fork()
+                if pid == 0:
+                    # Leave through os._exit whatever happens: no exit handler runs
+                    # and no buffer inherited from the parent (its stdout) is flushed.
+                    try:
+                        sink.write(pickle.dumps(_shard_outcome(*job, k, shards)))
+                        sink.flush()
+                    finally:
+                        os._exit(0)
+            pids.append(pid)
+        outcomes = [_shard_outcome(*job, 0, shards)]
+        for k, pipe in enumerate(pipes, 1):
+            data = pipe.read()
+            if not data:
+                raise RuntimeError(f"campaign shard {k} of {shards} exited without a result")
+            outcomes.append(pickle.loads(data))
+    finally:
+        for pipe in pipes:
+            pipe.close()
+        for pid in pids:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+    errors = [error for _, error in outcomes if error is not None]
+    if errors:
+        raise min(errors, key=lambda error: error[0])[1]
+    return _merge([result for result, _ in outcomes])
+
+
 def _policy(name: str) -> Policy:
     if name not in POLICIES:
         raise InputError(f"unknown protocol {name!r} (choose from {', '.join(POLICIES)})")
@@ -335,18 +478,21 @@ def _check_tail(args) -> None:
         raise InputError(f"--tail must not be negative, got {args.tail}")
 
 
-def _campaign(args, policy: Policy, fn, n: int, schedules, traces: bool = False) -> int:
-    """Run and report a campaign; with traces, each run's trace goes to --out.
+def _campaign(args, policy: Policy, fn, n: int, runs: int, shard_stream, traces: bool = False) -> int:
+    """Run and report a campaign of `runs` runs; with traces, each run's trace goes to --out.
 
-    The output directory is made only once the arguments have passed their
-    checks, so an input error leaves nothing behind.
+    shard_stream is as for `_sharded_campaign`, which gets as many shards as
+    `_shard_count` gives.  The output directory is made only once the
+    arguments have passed their checks, so an input error leaves nothing
+    behind.
     """
     name = args.protocol
     inputs = _parse_inputs(args, n)
     if policy.needs_fn and fn is None:
         raise InputError(f"{name} needs --alpha or --adversary")
     trace_dir = _out_dir(args) if traces else None
-    result = run_campaign(lambda: policy.make(n, inputs, fn), schedules, fn, args.tail, trace_dir)
+    make = lambda: policy.make(n, inputs, fn)
+    result = _sharded_campaign(make, shard_stream, fn, args.tail, trace_dir, shards=_shard_count(runs))
     counts = sorted(result.violations.items())
     obj = {
         "protocol": name,
@@ -394,23 +540,32 @@ def cmd_simulate(args) -> int:
         print(f"seed={base} seeds={args.seeds} budget={budget}")
     seeds = range(base, base + args.seeds)
     if adversary is not None:
-        n = adversary.n
-        schedules = ((seed, generate_schedule(adversary, seed, budget)) for seed in seeds)
+        n, generate, model = adversary.n, generate_schedule, adversary
     else:
-        n = fn.n
-        schedules = ((seed, generate_admissible_schedule(fn, seed, budget)) for seed in seeds)
-    return _campaign(args, policy, fn, n, schedules, traces=bool(args.out))
+        n, generate, model = fn.n, generate_admissible_schedule, fn
+
+    def shard_stream(k: int, shards: int):
+        # each shard generates only its own seeds' schedules
+        return ((seed, generate(model, seed, budget)) for seed in seeds[k::shards])
+
+    return _campaign(args, policy, fn, n, args.seeds, shard_stream, traces=bool(args.out))
 
 
 def cmd_enumerate(args) -> int:
     _check_tail(args)
     policy = None if args.protocol is None else _policy(args.protocol)
     _, fn = _load_model(args, args.n)
+    count = count_schedules(args.n, args.steps, args.halts)
     if policy is None:
-        count = sum(1 for _ in enumerate_schedules(args.n, args.steps, args.halts))
         _emit(args, {"schedules": count}, [f"schedules={count}"])
         return 0
-    return _campaign(args, policy, fn, args.n, enumerate(enumerate_schedules(args.n, args.steps, args.halts)))
+    from itertools import islice
+
+    def shard_stream(k: int, shards: int):
+        # skipping another shard's schedule costs a few us, against at least 60 us for a run
+        return islice(enumerate(enumerate_schedules(args.n, args.steps, args.halts)), k, None, shards)
+
+    return _campaign(args, policy, fn, args.n, count, shard_stream)
 
 
 def cmd_check(args) -> int:

@@ -17,12 +17,13 @@ from __future__ import annotations
 
 import itertools as it
 import json
+import math
 import random
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, NamedTuple, Optional, TYPE_CHECKING
 
 from . import alpha as alpha_mod
-from .processes import ProcessSet
+from .processes import MAX_UNIVERSE, ProcessSet
 
 if TYPE_CHECKING:  # pragma: no cover
     from .protocols import Protocol
@@ -284,12 +285,7 @@ def enumerate_schedules(n: int, steps_per_process: int, halts_allowed: int) -> I
     order.  Bounded to 14 total steps; the stream is duplicate-free and
     deterministic.
     """
-    if n * steps_per_process > MAX_ENUMERATION_STEPS:
-        raise ValueError(f"total step count {n * steps_per_process} exceeds the bound {MAX_ENUMERATION_STEPS}")
-    if steps_per_process < 1:
-        raise ValueError("steps_per_process must be at least 1")
-    if halts_allowed < 0:
-        raise ValueError("halts_allowed must be non-negative")
+    _check_enumeration(n, steps_per_process, halts_allowed)
     pids = list(range(1, n + 1))
     for fsize in range(min(halts_allowed, n) + 1):
         for faulty in it.combinations(pids, fsize):
@@ -300,6 +296,37 @@ def enumerate_schedules(n: int, steps_per_process: int, halts_allowed: int) -> I
                 for steps in _interleavings(counts):
                     halted_at = {p: _last_index(steps, p) for p in faulty}
                     yield Schedule(n, tuple(steps), halted_at, correct)
+
+
+def count_schedules(n: int, steps_per_process: int, halts_allowed: int) -> int:
+    """How many schedules enumerate_schedules yields for these sizes, without building them.
+
+    The sum, over faulty sets and their step counts (cuts), of the number of
+    interleavings of the per-process step counts, a multinomial coefficient;
+    faulty sets of one size all contribute the same.  Raises the same
+    ValueErrors as enumerate_schedules.
+    """
+    _check_enumeration(n, steps_per_process, halts_allowed)
+    total = 0
+    for fsize in range(min(halts_allowed, n) + 1):
+        for cuts in it.product(range(steps_per_process), repeat=fsize):
+            interleavings, placed = 1, 0
+            for count in [steps_per_process] * (n - fsize) + list(cuts):
+                placed += count
+                interleavings *= math.comb(placed, count)
+            total += math.comb(n, fsize) * interleavings
+    return total
+
+
+def _check_enumeration(n: int, steps_per_process: int, halts_allowed: int) -> None:
+    if n * steps_per_process > MAX_ENUMERATION_STEPS:
+        raise ValueError(f"total step count {n * steps_per_process} exceeds the bound {MAX_ENUMERATION_STEPS}")
+    if steps_per_process < 1:
+        raise ValueError("steps_per_process must be at least 1")
+    if halts_allowed < 0:
+        raise ValueError("halts_allowed must be non-negative")
+    if not 1 <= n <= MAX_UNIVERSE:
+        raise ValueError(f"universe size must be in 1..{MAX_UNIVERSE}, got {n}")
 
 
 def _interleavings(counts: dict[int, int]) -> Iterator[list[int]]:

@@ -1,14 +1,20 @@
 """Command-line interface: outputs, exit codes, file handling."""
 
 import argparse
+import itertools
 import json
+import os
+import subprocess
+import sys
+import threading
+from pathlib import Path
 
 import pytest
 
 from advlab import AgreementFunction, cli
 from advlab.cli import main
 from advlab.protocols import EchoProtocol, default_inputs
-from advlab.sim import Schedule, enumerate_schedules, run_to_quiescence, trace_to_json_obj
+from advlab.sim import ProtocolFault, Schedule, enumerate_schedules, run_to_quiescence, trace_to_json_obj
 
 
 @pytest.fixture
@@ -24,6 +30,13 @@ def fair_file(tmp_path):
     path.write_text(
         json.dumps({"n": 3, "live_sets": [[1], [1, 2, 3], [1, 3], [2], [2, 3], [3]]})
     )
+    return str(path)
+
+
+@pytest.fixture
+def wf3_file(tmp_path):
+    path = tmp_path / "wf3.json"
+    path.write_text(json.dumps(AgreementFunction.wait_free(3).to_json_obj()))
     return str(path)
 
 
@@ -291,6 +304,11 @@ class TestEnumerate:
 
     def test_bound_exceeded_exits_2(self):
         assert main(["enumerate", "--n", "3", "--steps", "5"]) == 2
+
+    @pytest.mark.parametrize("n", ["0", "-1"])
+    def test_universe_below_one_exits_2(self, capsys, n):
+        assert main(["enumerate", "--n", n, "--steps", "1"]) == 2
+        assert capsys.readouterr().err == f"error: universe size must be in 1..16, got {n}\n"
 
     @pytest.mark.parametrize(
         "protocol, fn, activations, tail",
@@ -608,6 +626,181 @@ class TestCampaignEngine:
         assert {w["run"] for w in witnesses} == {"1", "2", "3", "4"}
 
 
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+class TestSharding:
+    """A campaign split across processes gives what one process gives."""
+
+    class StepFreeBeyondOne(EchoProtocol):
+        """Process 1 echoes; any other process decides before its first write."""
+
+        name = "cons23"
+
+        def program(self, pid):
+            if pid == 1:
+                return (yield from super().program(pid))
+            return pid
+
+    @staticmethod
+    def enumerated(n, steps, halts):
+        return lambda k, shards: itertools.islice(enumerate(enumerate_schedules(n, steps, halts)), k, None, shards)
+
+    @pytest.mark.parametrize(
+        "protocol, size, max_tail",
+        [("adaptive", (3, 3, 1), 120), ("adaptive", (3, 3, 1), 5), ("safe-agreement", (2, 3, 1), 1)],
+        ids=["adaptive", "adaptive-tail-5", "safe-agreement-tail-1"],
+    )
+    def test_entry_point_merges_to_the_sequential_result(self, protocol, size, max_tail):
+        n = size[0]
+        fn = AgreementFunction.wait_free(n)
+        make = lambda: cli.POLICIES[protocol].make(n, default_inputs(n), fn)
+        results = []
+        for shards in (1, 2, 3):
+            results.append(cli._sharded_campaign(make, self.enumerated(*size), fn, max_tail, None, shards))
+            assert_no_child_left()
+        assert results[0] == results[1] == results[2]
+        assert results[0] == cli.run_campaign(make, enumerate(enumerate_schedules(*size)), fn, max_tail)
+        assert bool(results[0].failures) == (max_tail < 120)
+
+    @staticmethod
+    def outputs(monkeypatch, capsys, argv, out_root):
+        """(exit code, stdout, files written under --out) per forced shard count 1, 2 and 3."""
+        got = []
+        for shards in (1, 2, 3):
+            monkeypatch.setattr(cli, "_shard_count", lambda runs, shards=shards: shards)
+            out = out_root / f"shards-{shards}"
+            code = main(argv + ["--out", str(out)])
+            assert_no_child_left()
+            files = {p.name: p.read_bytes() for p in out.iterdir()} if out.exists() else {}
+            got.append((code, capsys.readouterr().out.replace(str(out), "OUT"), files))
+        return got
+
+    @pytest.mark.parametrize(
+        "argv, code, failed",
+        [
+            (["--n", "3", "--steps", "3", "--halts", "1", "--protocol", "adaptive", "--alpha", "WF3"], 0, 0),
+            (["--n", "3", "--steps", "3", "--halts", "1", "--protocol", "adaptive", "--alpha", "WF3", "--tail", "5"], 1, 3840),
+            # too short a tail for 20 of the runs to terminate
+            (["--n", "2", "--steps", "3", "--halts", "1", "--protocol", "safe-agreement", "--tail", "1"], 1, 20),
+        ],
+    )
+    def test_enumerate_reports_are_byte_identical(self, wf3_file, tmp_path, monkeypatch, capsys, argv, code, failed):
+        argv = ["enumerate"] + [wf3_file if a == "WF3" else a for a in argv] + ["--format", "json"]
+        got = self.outputs(monkeypatch, capsys, argv, tmp_path)
+        assert got[0] == got[1] == got[2]
+        assert (got[0][0], json.loads(got[0][1])["failed"]) == (code, failed)
+        assert sorted(got[0][2]) == (["witnesses.json"] if failed else [])
+
+    def test_simulate_traces_are_byte_identical(self, wf3_file, tmp_path, monkeypatch, capsys):
+        # above the sharding threshold, with a trace file per run
+        seeds = 2 * cli.MIN_SHARD_RUNS
+        argv = ["simulate", "--protocol", "adaptive", "--alpha", wf3_file, "--seeds", str(seeds), "--budget", "24"]
+        for fmt in ("text", "json"):
+            got = self.outputs(monkeypatch, capsys, argv + ["--format", fmt], tmp_path / fmt)
+            assert got[0] == got[1] == got[2]
+            assert got[0][0] == 0 and len(got[0][2]) == seeds
+
+    def test_shard_count(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3}, raising=False)
+        runs = [1, cli.MIN_SHARD_RUNS - 1, 2 * cli.MIN_SHARD_RUNS, 3 * cli.MIN_SHARD_RUNS + 1, 10**6]
+        assert [cli._shard_count(r) for r in runs] == [1, 1, 2, 3, 4]
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        assert cli._shard_count(10**6) == 2
+
+    def test_one_shard_while_another_thread_runs(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        assert cli._shard_count(10**6) == 2
+        stop = threading.Event()
+        thread = threading.Thread(target=stop.wait)
+        thread.start()
+        try:
+            assert cli._shard_count(10**6) == 1
+        finally:
+            stop.set()
+            thread.join(timeout=10)
+        assert not thread.is_alive()
+
+    def test_without_fork_the_campaign_runs_in_process(self, wf3_file, monkeypatch, capsys):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        monkeypatch.delattr(os, "fork")
+        assert cli._shard_count(10**6) == 1
+        argv = ["enumerate", "--n", "3", "--steps", "3", "--halts", "1", "--protocol", "adaptive", "--alpha", wf3_file]
+        assert main(argv + ["--format", "json"]) == 0
+        assert json.loads(capsys.readouterr().out)["runs"] == 3840
+
+    @pytest.mark.parametrize(
+        "errors, expected",
+        [
+            # each pair falls in two shards, the earlier run in the parent's with 2 and in a worker's with 3
+            ({2: 3, 3: 2}, (ProtocolFault, "process 3 decided without taking a step")),
+            # an error while generating a schedule belongs to that schedule's run
+            ({4: 3, 5: "generate"}, (ProtocolFault, "process 3 decided without taking a step")),
+            ({5: "generate", 7: 2}, (ValueError, "no schedule for run 5")),
+        ],
+    )
+    @pytest.mark.parametrize("shards", [1, 2, 3])
+    def test_the_earliest_error_surfaces(self, shards, errors, expected):
+        # run r with errors[r] = p starts with process p, which decides before its first
+        # write; with errors[r] = "generate", building run r's schedule fails
+        def stream(k, shards):
+            for run in range(k, 12, shards):
+                if errors.get(run) == "generate":
+                    raise ValueError(f"no schedule for run {run}")
+                first = errors.get(run)
+                steps = (first, 1, 1) if first else (1, 1)
+                yield run, Schedule(3, steps, {p: -1 for p in (2, 3) if p != first})
+
+        make = lambda: self.StepFreeBeyondOne(3, default_inputs(3))
+        with pytest.raises(expected[0], match=f"^{expected[1]}$"):
+            cli._sharded_campaign(make, stream, None, 10, None, shards)
+        assert_no_child_left()
+
+    @pytest.mark.parametrize("shards", [1, 2, 3])
+    def test_trace_write_error_exits_2(self, wf3_file, tmp_path, monkeypatch, capsys, shards):
+        out = tmp_path / "out"
+        (out / "trace-7.json").mkdir(parents=True)
+        monkeypatch.setattr(cli, "_shard_count", lambda runs: shards)
+        argv = ["simulate", "--protocol", "adaptive", "--alpha", wf3_file, "--seeds", "12", "--budget", "24"]
+        assert main(argv + ["--out", str(out)]) == 2
+        assert_no_child_left()
+        assert capsys.readouterr().err.startswith(f"error: cannot write {out / 'trace-7.json'}:")
+
+    def test_workers_do_not_repeat_the_text_report(self, wf3_file, tmp_path):
+        # simulate prints its seed= line before the campaign; on a block-buffered stdout
+        # a worker that flushed its copy of the buffer would print it twice
+        argv = ["simulate", "--protocol", "adaptive", "--alpha", wf3_file, "--seeds", "12", "--budget", "24"]
+        reports = []
+        for shards in (1, 3):
+            with open(tmp_path / f"report-{shards}.txt", "wb+") as out:
+                proc = run_in_interpreter(tmp_path, argv, out, shards=shards)
+                out.seek(0)
+                reports.append(out.read())
+            assert (proc.returncode, proc.stderr) == (0, b"")
+        assert reports[0] == reports[1]
+        assert reports[0].startswith(b"seed=1 seeds=12 budget=24\nprotocol=adaptive\nruns=12\n")
+
+
+def run_in_interpreter(cwd, argv, stdout, shards=None, unbuffered=False):
+    """advlab's main in a fresh interpreter with stdout on the given file.
+
+    stdout is block-buffered unless unbuffered; with shards, every campaign
+    is split into that many shards.
+    """
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = str(Path(cli.__file__).resolve().parents[1])
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    force = "" if shards is None else f"cli._shard_count = lambda runs: {shards}; "
+    code = f"import sys; from advlab import cli; {force}sys.exit(cli.main(sys.argv[1:]))"
+    return subprocess.run(
+        [sys.executable, "-c", code, *argv], stdout=stdout, stderr=subprocess.PIPE, env=env, cwd=cwd, timeout=60
+    )
+
+
 class TestBgg:
     def test_fair_adversary_properties_pass(self, fair_file, capsys):
         code = main(["bgg", "--adversary", fair_file, "--gate", "adaptive"])
@@ -758,6 +951,18 @@ class TestCommonMachinery:
         assert main(argv + ["--adversary", fair_file, "--out", str(taken)]) == 2
         assert capsys.readouterr().err.startswith(f"error: cannot use {taken} as the output directory")
         assert taken.read_text() == "keep"
+
+    @pytest.mark.parametrize("unbuffered", [False, True])
+    def test_closed_pipe_keeps_the_exit_code(self, tmp_path, unbuffered):
+        # a reader that leaves before the report is written: no traceback, exit 0 after a clean run
+        read, write = os.pipe()
+        os.close(read)
+        argv = ["enumerate", "--n", "2", "--steps", "3", "--halts", "1", "--protocol", "safe-agreement", "--format", "json"]
+        try:
+            proc = run_in_interpreter(tmp_path, argv, write, unbuffered=unbuffered)
+        finally:
+            os.close(write)
+        assert (proc.returncode, proc.stderr) == (0, b"")
 
     def test_parser_is_built_once(self, fair_file, capsys, monkeypatch):
         def refuse(*args, **kwargs):

@@ -13,6 +13,7 @@ from advlab.sim import (
     ProtocolFault,
     Schedule,
     canonical_json,
+    count_schedules,
     enumerate_schedules,
     generate_admissible_schedule,
     generate_schedule,
@@ -176,6 +177,38 @@ class TestEnumerate:
     def test_step_bound(self):
         with pytest.raises(ValueError):
             list(enumerate_schedules(3, 5, 0))
+
+    def test_closed_form_count_matches_the_stream(self):
+        # every size of the enumeration bound with at most 10**5 schedules
+        sizes = [
+            (n, steps, halts)
+            for n in range(1, 15)
+            for steps in range(1, 14 // n + 1)
+            for halts in range(n + 1)
+            if count_schedules(n, steps, halts) <= 10**5
+        ]
+        assert len(sizes) == 96
+        for size in sizes:
+            assert count_schedules(*size) == sum(1 for _ in enumerate_schedules(*size)), size
+        # the benchmark's sizes and one beyond the range above
+        assert [count_schedules(3, 3, 1), count_schedules(2, 6, 1), count_schedules(4, 3, 1)] == [3840, 2508, 813_120]
+        assert count_schedules(2, 3, 5) == count_schedules(2, 3, 2)
+
+    @pytest.mark.parametrize(
+        "size, message",
+        [
+            ((3, 5, 0), "exceeds the bound"),
+            ((2, 0, 0), "steps_per_process must be at least 1"),
+            ((2, 2, -1), "halts_allowed must be non-negative"),
+            ((0, 1, 0), "universe size must be in 1..16, got 0"),
+            ((-1, 1, 0), "universe size must be in 1..16, got -1"),
+        ],
+    )
+    def test_closed_form_count_rejects_what_the_stream_rejects(self, size, message):
+        with pytest.raises(ValueError, match=message):
+            count_schedules(*size)
+        with pytest.raises(ValueError, match=message):
+            next(enumerate_schedules(*size))
 
     @pytest.mark.parametrize(
         "counts",
