@@ -12,17 +12,16 @@ Set-consensus power is computed by region tables.  Restricting twice
 equals restricting to the intersection, so every family the recursion
 visits is the live sets inside some region R.  For a touching mask T, one
 pass over the subset lattice gives the power of {S in F : S meets T}
-restricted to every region R.  setcon, the witness chain and the agreement
-function read the T = full table; the selection layer's power queries read
-the tables of other touching masks.  Each Adversary keeps its own tables,
-keyed by T, so nothing is cached at module level.
+restricted to every region R.  setcon, the witness chain, the agreement
+function and the fairness verdict read the T = full table; the selection
+layer's power queries read the tables of other touching masks.  Each
+Adversary keeps its own tables, keyed by T, so nothing is cached at module
+level.
 
-The fairness scan needs the power of the live sets meeting Q inside R for
-every pair Q subseteq R, and fills one pair table row by row, checking
-each entry as it is filled; it keeps no table after it returns.  The table
-is quotiented by the family's twin classes, the processes whose swap maps
-the family onto itself: it holds one entry per pair of per-class counts,
-so a symmetric family needs (n + 1)(n + 2)/2 entries instead of 3**n.
+Fairness is decided by a local criterion on that one table: every region
+R that is not live and has power s(R) >= 1 must hold more than s(R)
+processes whose removal keeps its power.  `fairness_counterexample` gives
+the proof sketch.
 
 Everything here is exhaustive by design and meant for universes of at
 most 16 processes.
@@ -30,9 +29,8 @@ most 16 processes.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
-from math import comb, prod
+from math import comb
 from typing import Iterable, Optional
 
 from .alpha import AgreementFunction
@@ -275,245 +273,64 @@ def is_symmetric(adversary: Adversary) -> bool:
     return all(counts[k] == comb(adversary.n, k) for k in counts)
 
 
-# The per-class loop of `_quotient_counterexample` costs about three times as
-# much per entry as the ternary loop of `_ternary_counterexample`, so it runs
-# only when its table has at most 3**n // QUOTIENT_GAIN entries.
-QUOTIENT_GAIN = 3
-
-
 def fairness_counterexample(adversary: Adversary) -> Optional[tuple[ProcessSet, ProcessSet]]:
     """First (P, Q) with setcon of the Q-intersecting restriction below min(|Q|, setcon(A|P)).
 
     Returns None when the adversary is fair.  Q = empty is skipped: both
-    sides are 0 there by convention.  The search scans P from the largest
-    bit encoding downward and Q upward, so the reported pair is the most
-    global violation, which keeps golden outputs stable.
+    sides are 0 there by convention.  The reported pair is the smallest
+    violating P by bit mask, then the smallest violating Q inside it, the
+    same smallest-mask tie-break as the setcon witness.
 
-    alpha(Q, R), the power of the live sets inside R that meet Q, satisfies
-    alpha(Q, R) = max(max_i a_i, [R in F] * (1 + min_i a_i)) over i in R,
-    with a_i = alpha(Q - i, R - i) and alpha(empty, R) = 0.  It never
-    exceeds cap = min(|Q|, setcon(A|R)): Q hits every set counted, and
-    power never exceeds a hitting set's size.  Each entry below its cap is
-    a violation.  Both kernels fill rows Q in an order where every row
-    comes after the rows it reads, and return at once on a violation at
-    R = full, the next step of the scan; elsewhere the largest R wins,
-    then the smallest Q.
+    The verdict needs only the region table s(R) = setcon(A|R).  Let
+    N(R) = {i in R : s(R - i) = s(R)}.  A is fair iff every region R that
+    is not live and has s(R) >= 1 has |N(R)| > s(R).  Sketch:
 
-    Two processes are twins when swapping them maps the family onto
-    itself; alpha(Q, R) then depends only on how many members of each
-    twin class Q and R hold.  The quotient table, one entry per such pair
-    of counts, runs when it is at most a third of the 3**n pairs: on
-    symmetric families it has (n + 1)(n + 2)/2 entries, and processes in
-    no live set are all twins of one another.  Otherwise the ternary table
-    over all pairs runs, the case of the quotient where every class is a
-    single process, on a faster loop.
+    - s is monotone and drops by at most one per removed process,
+      s(R - i) in {s(R) - 1, s(R)}; both follow by induction on the
+      `_region_powers` recursion.
+    - alpha(Q, R), the power of the live sets inside R that meet Q, obeys
+      alpha(Q, R) = max(max_i a_i, [R in F] * (1 + min_i a_i)) over i in R,
+      with a_i = alpha(Q - i, R - i) and alpha(empty, R) = 0.  It is
+      monotone in Q and never exceeds min(|Q|, s(R)): Q hits every set
+      counted, and power never exceeds a hitting set's size.
+    - Induct over R in increasing mask order, assuming
+      alpha(Q', R') = min(|Q'|, s(R')) for every R' strictly inside R.
+      For 1 <= q = |Q| <= s(R), every a_i is at least q - 1, and a_i = q
+      iff i is not in Q and (q < s(R) or i in N(R)).  So alpha(Q, R) < q
+      iff R is not live, q = s(R) and N(R) is inside Q.
+    - For |Q| > s(R) >= 1, a non-live R has s(R) = max_i s(R - i), so
+      N(R) is non-empty, and some subset of Q of size s(R) misses a member
+      of N(R).  That subset is at its cap, which lifts Q to its cap by
+      monotonicity.
+
+    So the first violating P is the first region that breaks the criterion,
+    and every violating Q at P has |Q| = s(P) and holds N(P); the smallest
+    such mask is N(P) plus the lowest ids of P - N(P).
     """
     n = adversary.n
-    base = adversary.region_table((1 << n) - 1)
-    masks = [s.bits for s in adversary.live_sets]
+    power = adversary.region_table((1 << n) - 1)
     live = bytearray(1 << n)
-    for m in masks:
-        live[m] = 1
-    classes = _twin_classes(n, masks, live)
-    size = prod((len(members) + 1) * (len(members) + 2) // 2 for members in classes)
-    if size * QUOTIENT_GAIN <= 3**n:
-        pair = _quotient_counterexample(n, base, live, classes)
-    else:
-        pair = _ternary_counterexample(n, base, live)
-    return None if pair is None else (ProcessSet(n, pair[0]), ProcessSet(n, pair[1]))
-
-
-def _twin_classes(n: int, masks: list[int], live: bytearray) -> list[list[int]]:
-    """The family's twin classes, each a list of its members' bits, ascending.
-
-    Twinhood is an equivalence relation (a transposition conjugated by
-    another is one), so process i joins the class of the first earlier
-    class representative it is a twin of.  Swapping i and j maps F onto
-    itself when every live set holding exactly one of them is live after
-    the swap; the walk stops at the first that is not.
-    """
-    classes: list[list[int]] = []
-    for i in range(n):
-        bit = 1 << i
-        for members in classes:
-            pair = bit | members[0]
-            for m in masks:
-                both = m & pair
-                if both and both != pair and not live[m ^ pair]:
-                    break
-            else:
-                members.append(bit)
-                break
-        else:
-            classes.append([bit])
-    return classes
-
-
-def _ternary_counterexample(n: int, base: bytes, live: bytearray) -> Optional[tuple[int, int]]:
-    """The fairness scan over all 3**n pairs Q subseteq R: the (P, Q) masks, or None.
-
-    alpha(Q, R) is kept in one byte table indexed by the ternary code
-    t(R) + t(Q): digit i is 0 outside R, 1 in R - Q and 2 in Q.  Removing
-    a process i of R gives alpha(Q - i, R - i), which sits at idx - 3**i
-    for i outside Q (the same row Q) and at idx - 2 * 3**i for i in Q (row
-    Q - i), so row Q is filled over R ascending once every smaller row is
-    done.  A same-row neighbour at the cap settles an entry, and an entry
-    with cap 0 stays 0.
-    """
-    full = (1 << n) - 1
-    pow3 = {1 << i: 3**i for i in range(n)}  # lowest set bit -> its ternary digit weight
-    ternary = [0] * (1 << n)
-    for m in range(1, 1 << n):
-        low = m & -m
-        ternary[m] = ternary[m ^ low] + pow3[low]
-    alpha = bytearray(3**n)
-    found = None
-    for q_bits in range(1, full + 1):
-        q_size = q_bits.bit_count()
-        outside = full ^ q_bits
-        row = 2 * ternary[q_bits]
-        previous_rows = [2 * pow3[low] for low in pow3 if q_bits & low]
-        extra = 0
-        while True:  # R = Q | extra over the subsets `extra` of the complement, ascending
-            region = q_bits | extra
-            cap = base[region]
-            if q_size < cap:
-                cap = q_size
-            if cap:
-                idx = row + ternary[extra]
-                rest = extra
-                while rest:
-                    low = rest & -rest
-                    if alpha[idx - pow3[low]] == cap:
-                        alpha[idx] = cap
-                        break
-                    rest ^= low
-                else:  # max and min inline: a list of the values costs about 30% more
-                    hi, lo, rest = 0, n, extra
-                    while rest:
-                        low = rest & -rest
-                        v = alpha[idx - pow3[low]]
-                        if v > hi:
-                            hi = v
-                        if v < lo:
-                            lo = v
-                        rest ^= low
-                    for offset in previous_rows:
-                        v = alpha[idx - offset]
-                        if v > hi:
-                            hi = v
-                        if v < lo:
-                            lo = v
-                    value = alpha[idx] = hi + 1 if live[region] and lo == hi else hi
-                    if value != cap:
-                        if region == full:
-                            return full, q_bits
-                        if found is None or region > found[0]:
-                            found = (region, q_bits)
-            if extra == outside:
-                break
-            extra = (extra - outside) & outside
-    return found
-
-
-def _quotient_counterexample(
-    n: int, base: bytes, live: bytearray, classes: list[list[int]]
-) -> Optional[tuple[int, int]]:
-    """The fairness scan over twin-class counts: the (P, Q) masks, or None.
-
-    The family is invariant under permutations inside each class, so
-    alpha(Q, R) depends only on the counts (q_c, r_c) = (|Q & C|, |R & C|)
-    of each class C of size s, 0 <= q_c <= r_c <= s.  Class c is one
-    mixed-radix digit start[q_c] + r_c - q_c, with start[q] the number of
-    pairs whose q is smaller, and weight the product of the earlier
-    classes' (s + 1)(s + 2)/2.  Removing a member of R - Q in class c
-    moves to (q_c, r_c - 1), one weight down in the same row; removing a
-    member of Q moves to (q_c - 1, r_c - 1), (s + 2 - q_c) weights down,
-    the same offset for the whole row.  Each orbit is looked up in `base`
-    and `live` at its representative, the lowest r_c members of each class.
-
-    Rows (count vectors q) run in ascending order of their smallest
-    member, the lowest q_c members of each class; a row's predecessors
-    have smaller ones, and the first row to violate at R = full holds the
-    smallest violating Q.  A violation below full maps back to the largest
-    member R of its orbit (the highest r_c members of each class), and for
-    the largest such R to the smallest violating Q inside it.
-    """
-    full = (1 << n) - 1
-    sizes = [len(members) for members in classes]
-    weights = []
-    total = 1
-    for s in sizes:
-        weights.append(total)
-        total *= (s + 1) * (s + 2) // 2
-    lowest = [list(itertools.accumulate(members, int.__or__, initial=0)) for members in classes]
-    # cells[c][q]: (digit offset, lowest r members, same-row offsets) of class c for r = q..s
-    cells = []
-    for s, w, low in zip(sizes, weights, lowest):
-        per_q, start = [], 0
-        for q in range(s + 1):
-            per_q.append([((start + r - q) * w, low[r], (w,) if r > q else ()) for r in range(q, s + 1)])
-            start += s + 1 - q
-        cells.append(per_q)
-    rows = sorted(
-        itertools.product(*(range(s + 1) for s in sizes)),
-        key=lambda counts: sum(low[q] for low, q in zip(lowest, counts)),
-    )
-    alpha = bytearray(total)
-    violations = []
-    for counts in rows[1:]:  # rows[0] is Q = empty: alpha stays 0
-        q_size = sum(counts)
-        previous_rows = [(s + 2 - q) * w for s, q, w in zip(sizes, counts, weights) if q]
-        # (idx, representative region, same-row offsets) over R ascending per class
-        entries = cells[0][counts[0]]
-        for per_q, q in zip(cells[1:], counts[1:]):
-            entries = [
-                (idx + offset, region | low, same + more)
-                for idx, region, same in entries
-                for offset, low, more in per_q[q]
-            ]
-        for idx, region, same in entries:
-            cap = base[region]
-            if q_size < cap:
-                cap = q_size
-            if cap:
-                for offset in same:
-                    if alpha[idx - offset] == cap:
-                        alpha[idx] = cap
-                        break
-                else:
-                    hi, lo = 0, n
-                    for offset in same:
-                        v = alpha[idx - offset]
-                        if v > hi:
-                            hi = v
-                        if v < lo:
-                            lo = v
-                    for offset in previous_rows:
-                        v = alpha[idx - offset]
-                        if v > hi:
-                            hi = v
-                        if v < lo:
-                            lo = v
-                    value = alpha[idx] = hi + 1 if live[region] and lo == hi else hi
-                    if value != cap:
-                        if region == full:
-                            return full, sum(low[q] for low, q in zip(lowest, counts))
-                        violations.append((counts, region))
-    if not violations:
-        return None
-
-    def members_of(counts: tuple[int, ...], region: int) -> tuple[int, int]:
-        """The largest region of the orbit and the smallest Q of counts inside it."""
-        p_bits = q_bits = 0
-        for members, q in zip(classes, counts):
-            top = members[len(members) - sum(1 for m in members if m & region) :]
-            p_bits |= sum(top)
-            q_bits |= sum(top[:q])
-        return p_bits, q_bits
-
-    # the largest P, then the smallest Q
-    return min((members_of(*violation) for violation in violations), key=lambda pq: (-pq[0], pq[1]))
+    for s in adversary.live_sets:
+        live[s.bits] = 1
+    for region in range(1, 1 << n):
+        cap = power[region]
+        if not cap or live[region]:
+            continue
+        keep, rest = 0, region  # keep collects N(region)
+        while rest:
+            low = rest & -rest
+            if power[region ^ low] == cap:
+                keep |= low
+            rest ^= low
+        if keep.bit_count() > cap:
+            continue
+        targets, rest = keep, region ^ keep
+        for _ in range(cap - keep.bit_count()):
+            low = rest & -rest
+            targets |= low
+            rest ^= low
+        return ProcessSet(n, region), ProcessSet(n, targets)
+    return None
 
 
 def is_fair(adversary: Adversary) -> bool:

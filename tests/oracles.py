@@ -2,13 +2,13 @@
 
 Everything here works on plain integers (bit masks) and deliberately
 avoids the package's own recursion, memoization, and search strategies,
-except `slow_fairness_counterexample`: the per-Q fairness scan, kept on the
-package's region tables as the reference for the pair-table kernel, and the
-`slow_check_*` checkers and `slow_admits_trace`: the validity and
-agreement checkers compare values by one `canonical_json` text each, the
-reference for the hash-keyed checkers, and the termination checker and the
-admission test ask `RunTrace.has_decided` (a pass over every decision) per
-process, the reference for the one-pass versions.
+except `slow_fairness_counterexample`: the direct per-Q fairness scan, kept
+on the package's region tables as the reference for the local fairness
+criterion, and the `slow_check_*` checkers and `slow_admits_trace`: the
+validity and agreement checkers compare values by one `canonical_json` text
+each, the reference for the hash-keyed checkers, and the termination checker
+and the admission test ask `RunTrace.has_decided` (a pass over every
+decision) per process, the reference for the one-pass versions.
 """
 
 from __future__ import annotations
@@ -103,14 +103,14 @@ def brute_fair(masks: frozenset[int], n: int) -> bool:
 def slow_fairness_counterexample(adversary: Adversary):
     """The per-Q fairness scan: one full region table per touching set Q.
 
-    Same contract and scan order as `advlab.fairness_counterexample` (P from
-    the largest mask down, Q ascending), at n * 4**n cost; the reference the
-    pair-table kernel must match pair for pair.
+    Same contract and scan order as `advlab.fairness_counterexample` (P
+    ascending, then Q ascending), at n * 4**n cost; the reference the local
+    criterion must match pair for pair.
     """
     n = adversary.n
     full = (1 << n) - 1
     base = adversary.region_table(full)
-    for p_bits in range(full, 0, -1):
+    for p_bits in range(1, full + 1):
         descending = []
         q_bits = p_bits
         while q_bits:
@@ -120,22 +120,6 @@ def slow_fairness_counterexample(adversary: Adversary):
             if adversary.region_table(q_bits)[p_bits] != min(q_bits.bit_count(), base[p_bits]):
                 return ProcessSet(n, p_bits), ProcessSet(n, q_bits)
     return None
-
-
-def brute_twin_classes(masks: frozenset[int], n: int) -> set[frozenset[int]]:
-    """Classes of 0-based processes i, j whose transposition maps the family onto itself.
-
-    Each process's class is every j it is a twin of, so a twin relation that
-    were not transitive would show as overlapping classes.
-    """
-
-    def swapped(m: int, i: int, j: int) -> int:
-        return m & ~(1 << i | 1 << j) | (m >> i & 1) << j | (m >> j & 1) << i
-
-    def twins(i: int, j: int) -> bool:
-        return {swapped(m, i, j) for m in masks} == set(masks)
-
-    return {frozenset(j for j in range(n) if twins(i, j)) for i in range(n)}
 
 
 def brute_alpha_table(masks: frozenset[int], n: int) -> tuple[int, ...]:

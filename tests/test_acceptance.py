@@ -19,6 +19,7 @@ from advlab import (
     ProcessSet,
     agreement_function,
     csize,
+    fairness_counterexample,
     is_fair,
     is_superset_closed,
     is_symmetric,
@@ -46,7 +47,13 @@ from advlab.protocols import (
 )
 from advlab.sim import enumerate_schedules, generate_admissible_schedule
 
-from oracles import all_families, brute_setcon, superset_closed_families, symmetric_families
+from oracles import (
+    all_families,
+    brute_setcon,
+    slow_fairness_counterexample,
+    superset_closed_families,
+    symmetric_families,
+)
 
 UNFAIR_TRIPLE = Adversary.of(3, [[1], [2, 3], [1, 2, 3]])
 FAIR_NONSTRUCTURED = Adversary.of(3, [[1], [2], [3], [1, 3], [2, 3], [1, 2, 3]])
@@ -91,9 +98,10 @@ def test_criterion_01_counterexample_reproduction(tmp_path):
         assert report["setcon"] == 2
         classify = run_cli_json(tmp_path, "classify", "--adversary", str(path))
         assert classify["fair"] is False
-        assert classify["counterexample"]["P"] == [1, 2, 3]
-        assert classify["counterexample"]["Q"] == [2, 3]
-        assert classify["counterexample"]["setcon_PQ"] == 1
+        assert classify["counterexample"]["P"] == [1, 2]
+        assert classify["counterexample"]["Q"] == [2]
+        assert classify["counterexample"]["setcon_PQ"] == 0
+        assert classify["counterexample"]["bound"] == 1
         table = run_cli_json(tmp_path, "alpha", "--adversary", str(path))
         # masks: {}, {1}, {2}, {1,2}, {3}, {1,3}, {2,3}, {1,2,3}
         assert table["table"] == [0, 1, 0, 1, 0, 1, 1, 2]
@@ -260,3 +268,16 @@ def test_criterion_10_derived_functions_monotonic():
         for masks in all_families(3):
             adv = Adversary(3, tuple(ProcessSet(3, m) for m in masks))
             assert agreement_function(adv).is_monotonic(), masks
+
+
+def test_criterion_11_fairness_census_n4():
+    with criterion(11, "fairness-census-n4", 60.0):
+        fair = 0
+        for masks in all_families(4):
+            if not masks:
+                continue
+            adv = Adversary(4, tuple(ProcessSet(4, m) for m in masks))
+            pair = fairness_counterexample(adv)
+            assert pair == slow_fairness_counterexample(adv), sorted(masks)
+            fair += pair is None
+        assert fair == 2205, fair

@@ -84,7 +84,7 @@ class TestClassify:
         assert main(["classify", "--adversary", unfair_file]) == 0
         out = capsys.readouterr().out
         assert "fair=false" in out
-        assert "P={1,2,3} Q={2,3}" in out
+        assert "P={1,2} Q={2} setcon_PQ=0 bound=1" in out
 
     def test_fair_nonstructured(self, fair_file, capsys):
         assert main(["classify", "--adversary", fair_file, "--format", "json"]) == 0
