@@ -20,7 +20,6 @@ from .adversary import (
     is_symmetric,
     replay_witness,
     restrict,
-    restrict_intersecting,
     setcon,
     setcon_witness,
     sizes_adversary,
@@ -52,7 +51,6 @@ __all__ = [
     "is_symmetric",
     "replay_witness",
     "restrict",
-    "restrict_intersecting",
     "setcon",
     "setcon_witness",
     "sizes_adversary",

@@ -115,7 +115,15 @@ def restrict(adversary: Adversary, region: ProcessSet) -> Adversary:
 
 
 def restrict_intersecting(adversary: Adversary, region: ProcessSet, targets: ProcessSet) -> Adversary:
-    """Live sets inside region that intersect targets; requires targets subseteq region."""
+    """Live sets inside region that intersect targets; requires targets subseteq region.
+
+    The library does not call this: `Adversary.region_table(T)` gives the
+    power of every such restriction at once.  The tests use this set-valued
+    form as the slow reference for that table (fairness witnesses and the
+    bound min(|T|, power) are checked on `setcon` of it).  It stays as a
+    name the benchmark's tracer hooks, here and in `advlab.bgg`, and leaves
+    the library when the tracer is repointed (ROADMAP item 1).
+    """
     if region.n != adversary.n or targets.n != adversary.n:
         raise ValueError("universe mismatch between adversary and arguments")
     if not targets.issubset(region):

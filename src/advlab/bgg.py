@@ -20,7 +20,9 @@ selections above it, so each simulator keeps its last window and trail
 and recomputes them only when the view or `BGShared.registrations`, the
 count of `BGShared.register` calls, has changed.
 `SelectionHistory.per_simulator` sums the records per simulator, and
-`selection_report` reads the final quarter once for its four checks.
+`selection_report`, the only entry point to the four bounded-run
+properties, reads the final quarter and the eligible live simulators once
+and hands them to each check.
 
 The step machinery underneath is a pluggable oracle, built by a factory
 called with (is_live, locals) so it can observe the simulators' current
@@ -46,8 +48,9 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 from .adversary import Adversary, adversary_to_json_obj
-# Unused here; kept as attributes of this module because the benchmark's
-# tracer (perfbench/tracing.py) wraps them under these names.
+# The library does not call these here.  The benchmark's tracer
+# (perfbench/tracing.py) wraps them as attributes of this module, so they
+# stay until the tracer is repointed (ROADMAP item 1).
 from .adversary import agreement_function, restrict_intersecting, setcon  # noqa: F401
 from .checkers import Verdict
 from .processes import ProcessSet
@@ -148,7 +151,12 @@ def gate_threshold(adversary: Adversary, part: int, active: int) -> int:
 
 
 def power_within(adversary: Adversary, region: ProcessSet, active: ProcessSet) -> int:
-    """Set-consensus power of the region's live sets that touch the active processes."""
+    """Set-consensus power of the region's live sets that touch the active processes.
+
+    The library does not call this: rounds read the region table through
+    `powered`.  It stays because the benchmark's tracer hooks this name,
+    and leaves when the tracer is repointed (ROADMAP item 1).
+    """
     if region.n != adversary.n or active.n != adversary.n:
         raise ValueError("universe mismatch between adversary and arguments")
     return adversary.region_table(active.bits)[region.bits]
@@ -307,9 +315,6 @@ class SelectionHistory:
     records: list[dict] = field(default_factory=list)
     final_pmem: list = field(default_factory=list)
 
-    def live_sims(self) -> list[int]:
-        return [s for s in range(1, self.sim_count + 1) if s not in self.pattern]
-
     def per_simulator(self) -> dict[int, dict[str, int]]:
         """Rounds, gated rounds, re-selections, fallbacks and BLOCKED steps per simulator id."""
         counts = {
@@ -390,18 +395,7 @@ def run_bgg_selection(
     return history
 
 
-def _eligible_live(history: SelectionHistory) -> tuple[list[int], Optional[int]]:
-    bound = gate_threshold(history.adversary, *participation(history.final_pmem))
-    live = [s for s in history.live_sims() if s <= bound]
-    return live, (max(live) if live else None)
-
-
-# Each public check reads the final quarter and the eligible live simulators
-# itself; `selection_report` reads them once and passes them to the same
-# private bodies.
-
-
-def check_participation_stability(history: SelectionHistory) -> Verdict:
+def _participation_stability(quarter: list[dict]) -> Verdict:
     """The participation arrays settle: final-quarter rounds all read the same (P, A).
 
     On a history from run_bgg_selection this cannot fail: no oracle writes
@@ -409,25 +403,17 @@ def check_participation_stability(history: SelectionHistory) -> Verdict:
     and the check only re-reads it.  It is kept so the report keeps its four
     properties.
     """
-    return _participation_stability(history.quarter_records())
-
-
-def _participation_stability(quarter: list[dict]) -> Verdict:
     seen = {(r["P"], r["A"]) for r in quarter}
     if len(seen) > 1:
         return Verdict("participation-stability", False, {"observed": sorted(seen)})
     return Verdict("participation-stability", True)
 
 
-def check_window_stability(history: SelectionHistory) -> Verdict:
-    """Each eligible live simulator computes one constant window in the final
-
-    quarter, and all of them agree on the narrowing prefix above the top one.
-    """
-    return _window_stability(history.quarter_records(), *_eligible_live(history))
-
-
 def _window_stability(quarter: list[dict], live: list[int], top: Optional[int]) -> Verdict:
+    """Each eligible live simulator computes one constant window in the final quarter.
+
+    All of them also agree on the narrowing prefix above the top one.
+    """
     if top is None:
         return Verdict("window-stability", True, {"note": "no live eligible simulator"})
     windows: dict[int, set] = {sid: set() for sid in live}
@@ -445,17 +431,13 @@ def _window_stability(quarter: list[dict], live: list[int], top: Optional[int]) 
     return Verdict("window-stability", True)
 
 
-def check_selection_feasibility(history: SelectionHistory) -> Verdict:
+def _selection_feasibility(adversary: Adversary, quarter: list[dict], live: list[int], top: Optional[int]) -> Verdict:
     """Eligible live simulators can always take the powered branch late in the run.
 
     In every final-quarter round of such a simulator some live set inside
     its window carries power at least its id, and any late re-selection
     actually used that branch.  Meaningful for fair adversaries.
     """
-    return _selection_feasibility(history.adversary, history.quarter_records(), *_eligible_live(history))
-
-
-def _selection_feasibility(adversary: Adversary, quarter: list[dict], live: list[int], top: Optional[int]) -> Verdict:
     if top is None:
         return Verdict("selection-feasibility", True, {"note": "no live eligible simulator"})
     feasible: dict[tuple[int, int, int], bool] = {}  # (A, W, sid) -> some powered live set
@@ -479,16 +461,12 @@ def _selection_feasibility(adversary: Adversary, quarter: list[dict], live: list
     return Verdict("selection-feasibility", True)
 
 
-def check_liveset_coverage(history: SelectionHistory) -> Verdict:
-    """The processes stepped successfully late in the run form a live set that
-
-    touches the unfinished processes, unless the top live simulator is pinned
-    on one process and every lower live simulator stays away from it.
-    """
-    return _liveset_coverage(history, history.quarter_records(), *_eligible_live(history))
-
-
 def _liveset_coverage(history: SelectionHistory, quarter: list[dict], live: list[int], top: Optional[int]) -> Verdict:
+    """The processes stepped successfully late in the run form a live set touching the unfinished ones.
+
+    The exception: the top live simulator is pinned on one process and
+    every lower live simulator stays away from it.
+    """
     if top is None:
         return Verdict("liveset-coverage", True, {"note": "no live eligible simulator"})
     _, active_bits = participation(history.final_pmem)
@@ -519,14 +497,19 @@ def _liveset_coverage(history: SelectionHistory, quarter: list[dict], live: list
 def selection_report(history: SelectionHistory) -> list[Verdict]:
     """All bounded-run selection properties in stable order.
 
-    The same verdicts as the four public checks, from one read of the final
-    quarter and of the eligible live simulators.
+    The one route to the four verdicts: participation stability, window
+    stability, selection feasibility and live-set coverage.  The final
+    quarter and the eligible live simulators (no halt in the pattern, id at
+    most the gate threshold of the final status array) are read once and
+    passed to each check.
     """
     quarter = history.quarter_records()
-    eligible = _eligible_live(history)
+    bound = gate_threshold(history.adversary, *participation(history.final_pmem))
+    live = [s for s in range(1, history.sim_count + 1) if s not in history.pattern and s <= bound]
+    top = max(live) if live else None
     return [
         _participation_stability(quarter),
-        _window_stability(quarter, *eligible),
-        _selection_feasibility(history.adversary, quarter, *eligible),
-        _liveset_coverage(history, quarter, *eligible),
+        _window_stability(quarter, live, top),
+        _selection_feasibility(history.adversary, quarter, live, top),
+        _liveset_coverage(history, quarter, live, top),
     ]

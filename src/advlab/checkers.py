@@ -3,7 +3,8 @@
 Checkers are pure functions of a trace and their parameters; they never
 care how the trace was produced.  A failing verdict carries a witness
 pinned to the first violating event, and re-checking the trace truncated
-at the witness still fails.
+at the witness still fails (the tests cut traces with `truncate_trace`,
+which lives in `tests/oracles.py`).
 
 Values compare by their canonical JSON text (`sim.canonical_json`) through
 a hashable key, `value_key`: a plain int or str keys as itself, any other

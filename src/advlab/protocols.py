@@ -21,12 +21,11 @@ instance blocked reports a "blocked" status while it keeps re-checking.
 
 from __future__ import annotations
 
-from collections import defaultdict
 from typing import Callable, Iterable, Optional
 
 from .alpha import AgreementFunction
 from .processes import MAX_UNIVERSE, ProcessSet
-from .sim import RunTrace, Schedule
+from .sim import Schedule
 
 
 class Protocol:
@@ -345,28 +344,6 @@ class Cons23(Protocol):
             if cell is not None and cell["val"] is not None:
                 return cell["val"]
             self.statuses[pid] = "blocked"
-
-
-def adaptive_lock_analysis(trace: RunTrace) -> tuple[int, set, set]:
-    """Pull the lock-level flow out of an adaptive-set-consensus trace.
-
-    Returns (smallest deciding lock level, values ever locked at that level,
-    decided values).  Every decided value must appear in the middle set: the
-    level at which the first process settles pins what later processes can
-    adopt.
-    """
-    last_lock: dict[int, int] = {}
-    locked: dict[int, set] = defaultdict(set)
-    for ev in trace.events:
-        if ev.kind == "update":
-            reg = ev.payload.get("reg") if isinstance(ev.payload, dict) else None
-            if reg is not None:
-                last_lock[ev.pid] = reg[1]
-                locked[reg[1]].add(reg[0])
-    if not trace.decisions:
-        raise ValueError("trace has no decisions to analyze")
-    floor = min(last_lock[d.pid] for d in trace.decisions)
-    return floor, locked[floor], {d.value for d in trace.decisions}
 
 
 def default_inputs(n: int, pids: Optional[Iterable[int]] = None) -> dict[int, int]:

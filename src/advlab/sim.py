@@ -194,17 +194,11 @@ def run_to_quiescence(
             decisions.append(new(Decision, (idx, pid, stop.value)))
             waiting.discard(pid)
     extended = Schedule(n, tuple(steps), dict(schedule.halted_at), schedule.correct)
-    return _run_trace(extended, protocol.inputs, events, decisions, protocol.statuses, ProcessSet(n, participating))
-
-
-def _run_trace(
-    schedule: Schedule, inputs: dict, events: list, decisions: list, statuses: dict, participating: ProcessSet
-) -> RunTrace:
-    """participating is the set of processes with an event; a decided one is
-    "decided", any other has its entry in statuses, else "running"."""
+    # A participating process is "decided", else has its protocol status, else is "running".
+    participants = ProcessSet(n, participating)
     decided = {d.pid for d in decisions}
-    final = {pid: "decided" if pid in decided else statuses.get(pid, "running") for pid in participating}
-    return RunTrace(schedule, dict(inputs), events, decisions, participating, final)
+    final = {pid: "decided" if pid in decided else protocol.statuses.get(pid, "running") for pid in participants}
+    return RunTrace(extended, dict(protocol.inputs), events, decisions, participants, final)
 
 
 def generate_schedule(adversary, seed: int, budget: int) -> Schedule:
@@ -348,20 +342,6 @@ def _interleavings(counts: dict[int, int]) -> Iterator[list[int]]:
             j -= 1
         order[i], order[j] = order[j], order[i]
         order[i + 1 :] = reversed(order[i + 1 :])
-
-
-def truncate_trace(trace: RunTrace, step: int) -> RunTrace:
-    """The prefix of a trace up to and including the given step index."""
-    events = [e for e in trace.events if e.step <= step]
-    decisions = [d for d in trace.decisions if d.step <= step]
-    prefix = Schedule(
-        trace.n,
-        trace.schedule.steps[: step + 1],
-        {p: at for p, at in trace.schedule.halted_at.items() if at <= step},
-        trace.schedule.correct,
-    )
-    participating = ProcessSet.of(trace.n, {e.pid for e in events})
-    return _run_trace(prefix, trace.inputs, events, decisions, {}, participating)
 
 
 def canonical_json(obj: object) -> str:

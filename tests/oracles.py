@@ -9,6 +9,10 @@ validity and agreement checkers compare values by one `canonical_json` text
 each, the reference for the hash-keyed checkers, and the termination checker
 and the admission test ask `RunTrace.has_decided` (a pass over every
 decision) per process, the reference for the one-pass versions.
+
+It also holds `truncate_trace`, the prefix of a recorded trace up to a
+step, which the checker tests use to re-check a trace cut at a witness and
+the simulator's golden digest uses to pin prefixes.
 """
 
 from __future__ import annotations
@@ -19,7 +23,7 @@ from typing import Iterable, Optional
 from advlab import Adversary, ProcessSet
 from advlab.alpha import AgreementFunction
 from advlab.checkers import Verdict
-from advlab.sim import RunTrace, canonical_json
+from advlab.sim import RunTrace, Schedule, canonical_json
 
 
 def brute_setcon(masks: frozenset[int]) -> int:
@@ -276,3 +280,23 @@ def slow_admits_trace(alpha: AgreementFunction, trace: RunTrace) -> bool:
         return False
     halted_undecided = [p for p in part if p in trace.schedule.halted_at and not trace.has_decided(p)]
     return len(halted_undecided) <= level - 1
+
+
+def truncate_trace(trace: RunTrace, step: int) -> RunTrace:
+    """The prefix of a trace up to and including the given step index.
+
+    A process with an event in the prefix is "decided" if it decided by
+    then, else "running"; protocol statuses are not kept.
+    """
+    events = [e for e in trace.events if e.step <= step]
+    decisions = [d for d in trace.decisions if d.step <= step]
+    prefix = Schedule(
+        trace.n,
+        trace.schedule.steps[: step + 1],
+        {p: at for p, at in trace.schedule.halted_at.items() if at <= step},
+        trace.schedule.correct,
+    )
+    participating = ProcessSet.of(trace.n, {e.pid for e in events})
+    decided = {d.pid for d in decisions}
+    final = {pid: "decided" if pid in decided else "running" for pid in participating}
+    return RunTrace(prefix, dict(trace.inputs), events, decisions, participating, final)

@@ -24,19 +24,12 @@ from advlab import (
     is_superset_closed,
     is_symmetric,
     restrict,
-    restrict_intersecting,
     setcon,
     symmetric_setcon,
     t_resilient_adversary,
 )
-from advlab.bgg import (
-    GATE_ADAPTIVE,
-    check_liveset_coverage,
-    check_participation_stability,
-    check_selection_feasibility,
-    check_window_stability,
-    run_bgg_selection,
-)
+from advlab.adversary import restrict_intersecting
+from advlab.bgg import GATE_ADAPTIVE, run_bgg_selection, selection_report
 from advlab.cli import main as cli_main, run_campaign
 from advlab.protocols import (
     AdaptiveSetConsensus,
@@ -254,12 +247,7 @@ def test_criterion_09_selection_property_suite():
                 for halted in itertools.combinations(range(1, sims + 1), rsize):
                     pattern = {s: budget // 6 + 3 * s for s in halted}
                     history = run_bgg_selection(adv, pattern=pattern, budget=budget, gate_mode=GATE_ADAPTIVE)
-                    for verdict in (
-                        check_participation_stability(history),
-                        check_window_stability(history),
-                        check_selection_feasibility(history),
-                        check_liveset_coverage(history),
-                    ):
+                    for verdict in selection_report(history):
                         assert verdict.passed, (masks, pattern, verdict)
 
 

@@ -22,13 +22,13 @@ from advlab import (
     is_symmetric,
     replay_witness,
     restrict,
-    restrict_intersecting,
     setcon,
     setcon_witness,
     sizes_adversary,
     symmetric_setcon,
     t_resilient_adversary,
 )
+from advlab.adversary import restrict_intersecting
 from oracles import (
     all_families,
     brute_fair,

@@ -18,10 +18,6 @@ from advlab.bgg import (
     SelectionImpossible,
     SimulatorLocal,
     SUCCESS,
-    check_liveset_coverage,
-    check_participation_stability,
-    check_selection_feasibility,
-    check_window_stability,
     compute_window,
     gate_threshold,
     participation,
@@ -40,6 +36,11 @@ from oracles import all_families, brute_restrict_touching, brute_setcon
 
 def fair_example():
     return Adversary.of(3, [[1], [2], [3], [1, 3], [2, 3], [1, 2, 3]])
+
+
+def report_by_prop(history):
+    """The verdicts of `selection_report`, keyed by property name."""
+    return {v.prop: v for v in selection_report(history)}
 
 
 class TestReadParticipation:
@@ -301,16 +302,16 @@ class TestBoundedProperties:
             if r["gated"] and r["simulator"] == 2:
                 r["W"] = r["W"] ^ 0b1
                 break
-        assert not check_window_stability(history).passed
+        assert not report_by_prop(history)["window-stability"].passed
 
     def test_selection_feasibility_checker_catches_an_empty_window(self):
         adv = fair_example()
         history = run_bgg_selection(adv, budget=400, gate_mode=GATE_ADAPTIVE)
-        assert check_selection_feasibility(history).passed
+        assert report_by_prop(history)["selection-feasibility"].passed
         # the last late round of simulator 1 sees no window: nothing powered fits
         late = [r for r in history.quarter_records() if r["gated"] and r["simulator"] == 1]
         late[-1]["W"] = 0
-        verdict = check_selection_feasibility(history)
+        verdict = report_by_prop(history)["selection-feasibility"]
         assert not verdict.passed
         assert verdict.witness == {"round": late[-1]["round"], "simulator": 1, "window": 0}
 
@@ -331,12 +332,9 @@ class TestSelectionPropertySweep:
                 for halted in itertools.combinations(range(1, sims + 1), rsize):
                     pattern = {s: budget // 6 + 3 * s for s in halted}
                     history = run_bgg_selection(adv, pattern=pattern, budget=budget, gate_mode=GATE_ADAPTIVE)
-                    for verdict in (
-                        check_window_stability(history),
-                        check_selection_feasibility(history),
-                        check_liveset_coverage(history),
-                    ):
-                        assert verdict.passed, (adv, pattern, verdict)
+                    report = report_by_prop(history)
+                    for prop in ("window-stability", "selection-feasibility", "liveset-coverage"):
+                        assert report[prop].passed, (adv, pattern, report[prop])
 
 
 class TestVerbatimGateDeviation:
@@ -448,14 +446,3 @@ class TestGolden:
         monkeypatch.setattr(bgg, "simulator_round", checked_round)
         runs = sum(1 for _ in golden_runs())
         assert runs == 2322 and gated > 100_000
-
-    def test_report_equals_the_four_checks(self):
-        for run in golden_runs():
-            if isinstance(run, SelectionImpossible):
-                continue
-            assert selection_report(run) == [
-                check_participation_stability(run),
-                check_window_stability(run),
-                check_selection_feasibility(run),
-                check_liveset_coverage(run),
-            ]

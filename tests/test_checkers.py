@@ -26,7 +26,6 @@ from advlab.sim import (
     enumerate_schedules,
     run_to_quiescence,
     trace_from_json_obj,
-    truncate_trace,
 )
 from oracles import (
     slow_admits_trace,
@@ -34,6 +33,7 @@ from oracles import (
     slow_check_k_agreement,
     slow_check_termination,
     slow_check_validity,
+    truncate_trace,
 )
 
 

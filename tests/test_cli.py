@@ -910,6 +910,9 @@ class TestBgg:
         obj = json.loads(capsys.readouterr().out)
         assert (obj["gate_mode"], obj["budget"]) == ("verbatim", 1200)
         assert [v["pass"] for v in obj["properties"]] == [True, True, True, False]
+        assert [v["property"] for v in obj["properties"]] == [
+            "participation-stability", "window-stability", "selection-feasibility", "liveset-coverage"
+        ]
         witness = {"stepped": 0, "top": 1, "top_steps": []}
         assert json.loads((out_dir / "witnesses.json").read_text()) == [
             {"property": "liveset-coverage", "witness": witness}

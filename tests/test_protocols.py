@@ -1,5 +1,7 @@
 """Protocol state machines: safe agreement, instance cycling, adaptive, pairwise."""
 
+from collections import defaultdict
+
 import pytest
 
 from advlab import AgreementFunction, agreement_function
@@ -13,17 +15,39 @@ from advlab.protocols import (
     OracleAgreement,
     RoundRobinSetConsensus,
     SafeAgreement,
-    adaptive_lock_analysis,
     default_inputs,
     safe_agreement_unsafe_halt,
 )
 from advlab.sim import (
+    RunTrace,
     Schedule,
     enumerate_schedules,
     generate_admissible_schedule,
     generate_schedule,
     run_to_quiescence,
 )
+
+
+def adaptive_lock_analysis(trace: RunTrace) -> tuple[int, set, set]:
+    """Pull the lock-level flow out of an adaptive-set-consensus trace.
+
+    Returns (smallest deciding lock level, values ever locked at that level,
+    decided values).  Every decided value must appear in the middle set: the
+    level at which the first process settles pins what later processes can
+    adopt.
+    """
+    last_lock: dict[int, int] = {}
+    locked: dict[int, set] = defaultdict(set)
+    for ev in trace.events:
+        if ev.kind == "update":
+            reg = ev.payload.get("reg") if isinstance(ev.payload, dict) else None
+            if reg is not None:
+                last_lock[ev.pid] = reg[1]
+                locked[reg[1]].add(reg[0])
+    if not trace.decisions:
+        raise ValueError("trace has no decisions to analyze")
+    floor = min(last_lock[d.pid] for d in trace.decisions)
+    return floor, locked[floor], {d.value for d in trace.decisions}
 
 
 def exhaustive_failures(make_protocol, fn, n, steps_per_process, halts, max_tail):

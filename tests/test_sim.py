@@ -20,9 +20,10 @@ from advlab.sim import (
     run_to_quiescence,
     trace_from_json_obj,
     trace_to_json_obj,
-    truncate_trace,
     _interleavings,
 )
+
+from oracles import truncate_trace
 
 
 class CountingProtocol(Protocol):
