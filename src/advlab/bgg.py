@@ -13,26 +13,28 @@ is powered for simulator sid when it lies inside the window and
 `adversary.region_table(active)[s] >= sid` (`powered`), and the level
 α(P) of a participating set P is `adversary.region_table(full)[P]`, the
 table the adversary's agreement function wraps.  P, A, the gate threshold
-min(|A|, α(P)) and the table of A depend on the status array alone, so
-`BGShared.view` reads them once per change of that array, not once per
-round.  A simulator's window depends only on that view and on the
-selections above it, so each simulator keeps its last window and trail
-and recomputes them only when the view or `BGShared.registrations`, the
+min(|A|, α(P)) and the table of A depend on the status array alone, and
+nothing writes that array during a run, so `run_bgg_selection` reads them
+once (`status_view`) and hands the same view to every round.  A
+simulator's window depends only on that view and on the selections above
+it, so each simulator keeps its last window and trail and recomputes them
+only when it is handed another view or `BGShared.registrations`, the
 count of `BGShared.register` calls, has changed.
 `SelectionHistory.per_simulator` sums the records per simulator, and
 `selection_report`, the only entry point to the four bounded-run
 properties, reads the final quarter and the eligible live simulators once
 and hands them to each check.
 
-The step machinery underneath is a pluggable oracle, built by a factory
-called with (is_live, locals) so it can observe the simulators' current
-targets; `ContentionOracle` is the default factory.  It models agreement
-contention deterministically: a step on a process is blocked exactly
-while a higher-id simulator that is still taking rounds targets the same
-process, and steps held by stopped simulators never block anyone
+The step machinery underneath is a step function
+`step(sid, pid, round_no) -> SUCCESS | BLOCKED`, built by an oracle
+factory called with (is_live, locals) so it can observe the simulators'
+current targets; `contention_oracle` is the default factory.  It models
+agreement contention deterministically: a step on a process is blocked
+exactly while a higher-id simulator that is still taking rounds targets
+the same process, and steps held by stopped simulators never block anyone
 (departed blockers get cleaned up).  It lists each simulator's higher-id
-contenders once, when it is built, and a step walks only that list.  A
-scripted oracle can inject other block patterns, subject to the same
+contenders once, when it is built, and a step walks only that list.
+Another factory can inject other block patterns, subject to the same
 "blocked only while another simulator holds the process" rule.
 
 Activation gate: the loop body verbatim runs when the simulator id is at
@@ -79,11 +81,13 @@ class SelectionImpossible(Exception):
 class BGShared:
     """Shared arrays: per-simulator (process, live-set mask) selections and per-process status.
 
-    `view` derives what a round needs from the status array and keeps it
-    until the array changes.  `register` is the one writer of a selection
-    in a run: it bumps `registrations`, which keys the simulators' window
-    memo, so a selection written to the list directly is seen by
-    `compute_window` but not by a simulator whose window is memoised.
+    `register` is the one writer of a selection in a run: it bumps
+    `registrations`, which keys the simulators' window memo, so a selection
+    written to the list directly is seen by `compute_window` but not by a
+    simulator whose window is memoised.  Nothing writes `pmem` during a run,
+    so `run_bgg_selection` reads its `status_view` once and no round polls
+    it; a writer of a status would refresh the view where it writes, the
+    way `register` bumps `registrations`.
     """
 
     # Write through `register` in a run that `simulator_round` reads: a direct
@@ -91,8 +95,6 @@ class BGShared:
     selections: list[tuple[Optional[int], int]]
     pmem: list[object]
     registrations: int = field(default=0, init=False, repr=False, compare=False)
-    _view_of: tuple = field(default=(None, None), init=False, repr=False, compare=False)  # (adversary, pmem copy)
-    _view: tuple = field(default=(), init=False, repr=False, compare=False)
 
     @classmethod
     def fresh(cls, n: int, sim_count: int, pmem: Optional[list] = None) -> "BGShared":
@@ -105,22 +107,6 @@ class BGShared:
         """Publish simulator sid's selection (process pid, live set s)."""
         self.selections[sid] = (pid, s)
         self.registrations += 1
-
-    def view(self, adversary: Adversary) -> tuple[int, int, int, bytes]:
-        """(P, A, gate threshold, region_table(A)) of the current status array.
-
-        Recomputed only when the status array (or the adversary object)
-        differs from the one it was derived from, so a write to `pmem` shows
-        in the next round.  The same tuple is returned until then, so its
-        identity keys the window memo.
-        """
-        seen_adversary, seen_pmem = self._view_of
-        if adversary is not seen_adversary or self.pmem != seen_pmem:
-            part, active = participation(self.pmem)
-            threshold = gate_threshold(adversary, part, active)
-            self._view_of = (adversary, list(self.pmem))
-            self._view = (part, active, threshold, adversary.region_table(active))
-        return self._view
 
 
 @dataclass
@@ -150,6 +136,12 @@ def gate_threshold(adversary: Adversary, part: int, active: int) -> int:
     return min(active.bit_count(), adversary.region_table((1 << adversary.n) - 1)[part])
 
 
+def status_view(adversary: Adversary, pmem: list) -> tuple[int, int, int, bytes]:
+    """(P, A, gate threshold, region_table(A)) of a status array: all a round reads of it."""
+    part, active = participation(pmem)
+    return part, active, gate_threshold(adversary, part, active), adversary.region_table(active)
+
+
 def power_within(adversary: Adversary, region: ProcessSet, active: ProcessSet) -> int:
     """Set-consensus power of the region's live sets that touch the active processes.
 
@@ -170,22 +162,23 @@ def powered(table: bytes, s: int, window: int, sid: int) -> bool:
     return s & ~window == 0 and table[s] >= sid
 
 
-def compute_window(sid: int, shared: BGShared, part: int, table: bytes, trail: Optional[list] = None) -> int:
-    """Narrow the participation down the higher simulators' registered choices.
+def compute_window(sid: int, shared: BGShared, part: int, table: bytes) -> tuple[int, tuple]:
+    """(window, trail): the participation narrowed down the higher simulators' registered choices.
 
     From the top simulator down to sid+1: a registered (process, live set)
     pair narrows the window to that live set minus its process, provided the
-    set is powered for its owner's id in the current window.  Pure in
-    (selections above sid, part, table).
+    set is powered for its owner's id in the current window.  The trail
+    holds (simulator, window after it) per step.  Pure in (selections above
+    sid, part, table).
     """
     window = part
+    trail = []
     for j in range(len(shared.selections) - 1, sid, -1):
         p_tmp, s_tmp = shared.selections[j]
         if p_tmp is not None and powered(table, s_tmp, window, j):
             window = s_tmp & ~(1 << (p_tmp - 1))
-        if trail is not None:
-            trail.append((j, window))
-    return window
+        trail.append((j, window))
+    return window, tuple(trail)
 
 
 def select_live_set(adversary: Adversary, table: bytes, window: int, part: int, sid: int) -> tuple[int, bool]:
@@ -208,48 +201,38 @@ def _next_in_cycle(s: int, pid: int) -> int:
     return pid + _lowest(higher) if higher else _lowest(s)
 
 
-class ContentionOracle:
-    """Default step oracle: higher-id live simulators win process conflicts."""
+Step = Callable[[int, int, int], str]  # (sid, pid, round_no) -> SUCCESS or BLOCKED
 
-    def __init__(self, is_live: Callable[[int], bool], targets: dict[int, SimulatorLocal]):
-        self._is_live = is_live
-        # per sid, the (id, local) pairs of the simulators that can block it
-        self._higher = {
-            sid: [(other, loc) for other, loc in targets.items() if other > sid] for sid in targets
-        }
 
-    def simulate_step(self, sid: int, pid: int, round_no: int) -> str:
-        for other, loc in self._higher[sid]:
-            if loc.p_cur == pid and self._is_live(other):
+def contention_oracle(is_live: Callable[[int], bool], targets: dict[int, SimulatorLocal]) -> Step:
+    """Default oracle factory: higher-id live simulators win process conflicts."""
+    # per sid, the (id, local) pairs of the simulators that can block it
+    higher = {sid: [(other, loc) for other, loc in targets.items() if other > sid] for sid in targets}
+
+    def step(sid: int, pid: int, round_no: int) -> str:
+        for other, loc in higher[sid]:
+            if loc.p_cur == pid and is_live(other):
                 return BLOCKED
         return SUCCESS
 
-
-class ScriptedOracle:
-    """Test oracle driven by an explicit step function."""
-
-    def __init__(self, step_fn: Callable[[int, int, int], str]):
-        self._step_fn = step_fn
-
-    def simulate_step(self, sid: int, pid: int, round_no: int) -> str:
-        return self._step_fn(sid, pid, round_no)
+    return step
 
 
 def simulator_round(
     local: SimulatorLocal,
     shared: BGShared,
-    oracle,
+    view: tuple[int, int, int, bytes],
+    step: Step,
     adversary: Adversary,
     gate_mode: str = GATE_VERBATIM,
     round_no: int = 0,
 ) -> dict:
     """One full loop iteration of a simulator; returns the round record.
 
-    The window and trail are those of `compute_window`, recomputed only when
-    the status view or the registration count differs from the simulator's
-    last computation.
+    `view` is the `status_view` of `shared.pmem`.  The window and trail are
+    those of `compute_window`, recomputed only when the view or the
+    registration count differs from the simulator's last computation.
     """
-    view = shared.view(adversary)
     part, active, threshold, table = view
     sid = local.sid
     if not (sid >= threshold if gate_mode == GATE_VERBATIM else sid <= threshold):
@@ -270,9 +253,7 @@ def simulator_round(
         }
     seen_view, seen_registrations, window, trail = local.memo
     if seen_view is not view or seen_registrations != shared.registrations:
-        steps: list = []
-        window = compute_window(sid, shared, part, table, steps)
-        trail = tuple(steps)
+        window, trail = compute_window(sid, shared, part, table)
         local.memo = (view, shared.registrations, window, trail)
     s_cur = local.s_cur
     reselected = fallback = False
@@ -284,7 +265,7 @@ def simulator_round(
         local.s_cur = s_cur
         shared.register(sid, stepped, s_cur)
         reselected = True
-    result = oracle.simulate_step(sid, stepped, round_no)
+    result = step(sid, stepped, round_no)
     p_cur = local.p_cur = _next_in_cycle(s_cur, stepped) if result == SUCCESS else stepped
     return {
         "round": round_no,
@@ -352,15 +333,15 @@ def run_bgg_selection(
     pattern: Optional[dict[int, int]] = None,
     gate_mode: str = GATE_VERBATIM,
     initial_pmem: Optional[list] = None,
-    oracle: Callable[[Callable[[int], bool], dict[int, SimulatorLocal]], object] = ContentionOracle,
+    oracle: Callable[[Callable[[int], bool], dict[int, SimulatorLocal]], Step] = contention_oracle,
 ) -> SelectionHistory:
     """Replay all simulators round-robin for `budget` global rounds.
 
     The pattern maps a simulator id to the number of rounds it takes before
     halting; absent ids run for the whole budget.  The simulator count is
     the agreement level of the full universe.  `oracle` is a factory called
-    with (is_live, locals), so scripted oracles can observe the simulators'
-    current targets.
+    with (is_live, locals) that returns the step function, so it can
+    observe the simulators' current targets.
     """
     if gate_mode not in (GATE_VERBATIM, GATE_ADAPTIVE):
         raise ValueError(f"unknown gate mode {gate_mode!r}")
@@ -380,7 +361,8 @@ def run_bgg_selection(
         limit = pattern.get(sid)
         return limit is None or taken[sid] < limit
 
-    step_oracle = oracle(is_live, locals_)
+    step = oracle(is_live, locals_)
+    view = status_view(adversary, shared.pmem)
     limit_of = pattern.get
     append = history.records.append
     for round_no in range(budget):
@@ -389,7 +371,7 @@ def run_bgg_selection(
         if limit is not None and taken[sid] >= limit:
             continue
         # through the module global, once per record: the benchmark's tracer wraps it
-        append(simulator_round(locals_[sid], shared, step_oracle, adversary, gate_mode, round_no))
+        append(simulator_round(locals_[sid], shared, view, step, adversary, gate_mode, round_no))
         taken[sid] += 1
     history.final_pmem = list(shared.pmem)
     return history

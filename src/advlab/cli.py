@@ -46,6 +46,7 @@ from .protocols import (
 from .sim import (
     RunTrace,
     Schedule,
+    check_schedulable,
     count_schedules,
     enumerate_schedules,
     generate_admissible_schedule,
@@ -478,19 +479,19 @@ def _check_tail(args) -> None:
         raise InputError(f"--tail must not be negative, got {args.tail}")
 
 
-def _campaign(args, policy: Policy, fn, n: int, runs: int, shard_stream, traces: bool = False) -> int:
-    """Run and report a campaign of `runs` runs; with traces, each run's trace goes to --out.
+def _campaign(
+    args, policy: Policy, fn, n: int, inputs: dict[int, int], runs: int, shard_stream, trace_dir: Optional[Path] = None
+) -> int:
+    """Run and report a campaign of `runs` runs; with trace_dir, each run's trace goes there.
 
     shard_stream is as for `_sharded_campaign`, which gets as many shards as
-    `_shard_count` gives.  The output directory is made only once the
+    `_shard_count` gives.  The caller makes trace_dir only once the
     arguments have passed their checks, so an input error leaves nothing
     behind.
     """
     name = args.protocol
-    inputs = _parse_inputs(args, n)
     if policy.needs_fn and fn is None:
         raise InputError(f"{name} needs --alpha or --adversary")
-    trace_dir = _out_dir(args) if traces else None
     make = lambda: policy.make(n, inputs, fn)
     result = _sharded_campaign(make, shard_stream, fn, args.tail, trace_dir, shards=_shard_count(runs))
     counts = sorted(result.violations.items())
@@ -535,20 +536,24 @@ def cmd_simulate(args) -> int:
     if fn is None:
         raise InputError("simulate needs --adversary or --alpha")
     budget = _budget(args, DEFAULT_SIM_BUDGET)
-    base = args.seed
-    if args.format == "text":
-        print(f"seed={base} seeds={args.seeds} budget={budget}")
-    seeds = range(base, base + args.seeds)
     if adversary is not None:
         n, generate, model = adversary.n, generate_schedule, adversary
     else:
         n, generate, model = fn.n, generate_admissible_schedule, fn
+    # every input error is raised before the header, so stdout stays empty
+    inputs = _parse_inputs(args, n)
+    check_schedulable(model, budget)
+    trace_dir = _out_dir(args) if args.out else None
+    base = args.seed
+    if args.format == "text":
+        print(f"seed={base} seeds={args.seeds} budget={budget}")
+    seeds = range(base, base + args.seeds)
 
     def shard_stream(k: int, shards: int):
         # each shard generates only its own seeds' schedules
         return ((seed, generate(model, seed, budget)) for seed in seeds[k::shards])
 
-    return _campaign(args, policy, fn, n, args.seeds, shard_stream, traces=bool(args.out))
+    return _campaign(args, policy, fn, n, inputs, args.seeds, shard_stream, trace_dir)
 
 
 def cmd_enumerate(args) -> int:
@@ -565,7 +570,7 @@ def cmd_enumerate(args) -> int:
         # skipping another shard's schedule costs a few us, against at least 60 us for a run
         return islice(enumerate(enumerate_schedules(args.n, args.steps, args.halts)), k, None, shards)
 
-    return _campaign(args, policy, fn, args.n, count, shard_stream)
+    return _campaign(args, policy, fn, args.n, _parse_inputs(args, args.n), count, shard_stream)
 
 
 def cmd_check(args) -> int:
@@ -623,6 +628,8 @@ def cmd_bgg(args) -> int:
             raise InputError(f"--halt {item}: simulator ids run 1..{sim_count} for this adversary")
         if rounds < 0:
             raise InputError(f"--halt {item}: the round count must not be negative")
+        if sid in pattern:
+            raise InputError(f"--halt {item}: simulator {sid} is already given --halt {sid}:{pattern[sid]}")
         pattern[sid] = rounds
     history = bgg_mod.run_bgg_selection(
         adversary, pattern=pattern, budget=budget, gate_mode=args.gate

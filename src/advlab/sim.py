@@ -201,6 +201,22 @@ def run_to_quiescence(
     return RunTrace(extended, dict(protocol.inputs), events, decisions, participants, final)
 
 
+def check_schedulable(model, budget: int) -> None:
+    """Raise the ValueError that every seed's schedule for (model, budget) would raise.
+
+    model is an adversary (`generate_schedule`) or an agreement function
+    (`generate_admissible_schedule`).  Both generators call this first; a
+    campaign calls it before it prints or forks anything.
+    """
+    if isinstance(model, alpha_mod.AgreementFunction):
+        if not model.admissible_masks:
+            raise ValueError("the agreement function admits no runs at all")
+    elif not model.live_sets:
+        raise ValueError("cannot schedule against the empty adversary")
+    if budget < 2 * model.n:
+        raise ValueError(f"budget must be at least 2n = {2 * model.n}")
+
+
 def generate_schedule(adversary, seed: int, budget: int) -> Schedule:
     """Seeded adversary-compliant schedule: the correct set is a live set.
 
@@ -209,10 +225,7 @@ def generate_schedule(adversary, seed: int, budget: int) -> Schedule:
     budget // (2 * |live set|) activations, faulty ones a short random
     prefix, and the whole multiset is shuffled uniformly.
     """
-    if not adversary.live_sets:
-        raise ValueError("cannot schedule against the empty adversary")
-    if budget < 2 * adversary.n:
-        raise ValueError(f"budget must be at least 2n = {2 * adversary.n}")
+    check_schedulable(adversary, budget)
     rng = random.Random(seed)
     live = rng.choice(adversary.live_sets)
     extras = [p for p in range(1, adversary.n + 1) if p not in live and rng.random() < 0.5]
@@ -227,13 +240,9 @@ def generate_admissible_schedule(alpha: alpha_mod.AgreementFunction, seed: int, 
     outside P never step and are not marked correct, so completion tails
     keep the participation at P.
     """
-    if budget < 2 * alpha.n:
-        raise ValueError(f"budget must be at least 2n = {2 * alpha.n}")
-    candidates = alpha.admissible_masks
-    if not candidates:
-        raise ValueError("the agreement function admits no runs at all")
+    check_schedulable(alpha, budget)
     rng = random.Random(seed)
-    part = rng.choice(candidates)
+    part = rng.choice(alpha.admissible_masks)
     level = alpha.of_bits(part)
     ids = [p for p in range(1, alpha.n + 1) if part >> (p - 1) & 1]
     faulty_count = rng.randint(0, min(level - 1, len(ids) - 1))

@@ -14,12 +14,10 @@ from advlab.bgg import (
     GATE_VERBATIM,
     PM_ACTIVE,
     PM_DONE,
-    ScriptedOracle,
     SelectionImpossible,
     SimulatorLocal,
     SUCCESS,
     compute_window,
-    gate_threshold,
     participation,
     power_within,
     powered,
@@ -27,6 +25,7 @@ from advlab.bgg import (
     select_live_set,
     selection_report,
     simulator_round,
+    status_view,
     warm_up_budget,
 )
 from advlab.sim import canonical_json
@@ -41,6 +40,11 @@ def fair_example():
 def report_by_prop(history):
     """The verdicts of `selection_report`, keyed by property name."""
     return {v.prop: v for v in selection_report(history)}
+
+
+def succeed(sid, pid, round_no):
+    """A step function under which every step succeeds."""
+    return SUCCESS
 
 
 class TestReadParticipation:
@@ -58,31 +62,43 @@ class TestReadParticipation:
 
 
 class TestStatusView:
-    def expected(self, adv, pmem):
-        part, active = participation(pmem)
-        return part, active, gate_threshold(adv, part, active), adv.region_table(active)
+    def test_view_of_each_status_array(self):
+        cases = [
+            ([PM_ACTIVE] * 3, 0b111, 0b111),
+            ([PM_ACTIVE, PM_DONE, None], 0b011, 0b001),
+            ([PM_DONE, PM_ACTIVE, PM_ACTIVE], 0b111, 0b110),
+            ([PM_DONE] * 3, 0b111, 0),
+            ([None] * 3, 0, 0),
+        ]
+        for adv in (fair_example(), Adversary.of(3, [[1, 2, 3]]), all_nonempty(3)):
+            for pmem, part, active in cases:
+                threshold = min(active.bit_count(), agreement_function(adv).of_bits(part))
+                assert status_view(adv, pmem) == (part, active, threshold, adv.region_table(active))
 
-    def test_view_follows_writes_to_the_status_array(self):
-        adv = fair_example()
-        shared = BGShared.fresh(3, 2)
-        assert shared.view(adv) == self.expected(adv, [PM_ACTIVE] * 3)
-        for pid, status in ((0, PM_DONE), (2, None), (0, PM_ACTIVE)):
-            shared.pmem[pid] = status
-            assert shared.view(adv) == self.expected(adv, shared.pmem)
-        other = Adversary.of(3, [[1, 2, 3]])
-        assert shared.view(other) == self.expected(other, shared.pmem)
-
-    def test_rounds_read_the_status_array_as_it_is_now(self):
+    def test_a_round_reads_the_view_it_is_handed(self):
         adv = fair_example()
         shared = BGShared.fresh(3, 2)
         local = SimulatorLocal(1)
-        oracle = ScriptedOracle(lambda sid, pid, round_no: SUCCESS)
-        first = simulator_round(local, shared, oracle, adv, GATE_ADAPTIVE, 0)
-        shared.pmem[:] = [PM_DONE, PM_ACTIVE, None]
-        second = simulator_round(local, shared, oracle, adv, GATE_ADAPTIVE, 1)
-        assert (first["P"], first["A"]) == (0b111, 0b111)
+        first = simulator_round(local, shared, status_view(adv, shared.pmem), succeed, adv, GATE_ADAPTIVE, 0)
+        # the view of another status array, not shared.pmem, is what the next round reads
+        view = status_view(adv, [PM_DONE, PM_ACTIVE, None])
+        second = simulator_round(local, shared, view, succeed, adv, GATE_ADAPTIVE, 1)
+        assert shared.pmem == [PM_ACTIVE] * 3
+        assert (first["P"], first["A"], first["W"]) == (0b111, 0b111, 0b111)
         assert (second["P"], second["A"]) == (0b011, 0b010)
         assert second["W"] == 0b011 and second["s_cur"] & ~0b011 == 0
+
+    def test_a_run_reads_the_status_view_once(self, monkeypatch):
+        calls = []
+
+        def counted(adversary, pmem):
+            calls.append(list(pmem))
+            return status_view(adversary, pmem)
+
+        monkeypatch.setattr(bgg, "status_view", counted)
+        pmem = [PM_DONE, PM_ACTIVE, PM_ACTIVE]
+        history = run_bgg_selection(fair_example(), budget=400, gate_mode=GATE_ADAPTIVE, initial_pmem=pmem)
+        assert len(history.records) == 400 and calls == [pmem]
 
 
 class TestComputeWindow:
@@ -90,14 +106,13 @@ class TestComputeWindow:
         adv = fair_example()
         shared = BGShared.fresh(3, 2)
         part, active = participation(shared.pmem)
-        assert compute_window(1, shared, part, adv.region_table(active)) == part
+        assert compute_window(1, shared, part, adv.region_table(active)) == (part, ((2, part),))
 
     def test_hand_traced_narrowing(self):
         adv = fair_example()
         shared = BGShared.fresh(3, 2)
         shared.selections[2] = (1, 0b111)
-        window = compute_window(1, shared, 0b111, adv.region_table(0b111))
-        assert window == 0b110
+        assert compute_window(1, shared, 0b111, adv.region_table(0b111)) == (0b110, ((2, 0b110),))
 
     def test_hand_traced_narrowing_partial_set(self):
         adv = fair_example()
@@ -105,8 +120,7 @@ class TestComputeWindow:
         full = ProcessSet.full(3)
         shared.selections[2] = (1, 0b101)
         assert power_within(adv, ProcessSet.of(3, [1, 3]), full) == 2
-        window = compute_window(1, shared, 0b111, adv.region_table(0b111))
-        assert window == 0b100
+        assert compute_window(1, shared, 0b111, adv.region_table(0b111)) == (0b100, ((2, 0b100),))
 
     def test_window_only_shrinks_along_the_trail(self):
         adv = all_nonempty(3)
@@ -114,8 +128,8 @@ class TestComputeWindow:
         shared = BGShared.fresh(3, sim_count)
         shared.selections[3] = (2, 0b111)
         shared.selections[2] = (3, 0b101)
-        trail = []
-        window = compute_window(1, shared, 0b111, adv.region_table(0b111), trail)
+        window, trail = compute_window(1, shared, 0b111, adv.region_table(0b111))
+        assert [j for j, _ in trail] == list(range(sim_count, 1, -1))
         bits = [0b111] + [b for _, b in trail]
         for before, after in zip(bits, bits[1:]):
             assert after & ~before == 0
@@ -127,13 +141,13 @@ class TestWindowMemo:
         adv = fair_example()
         shared = BGShared.fresh(3, 2)
         low, high = SimulatorLocal(1), SimulatorLocal(2)
-        oracle = ScriptedOracle(lambda sid, pid, round_no: SUCCESS)
-        first = simulator_round(low, shared, oracle, adv, GATE_ADAPTIVE, 0)
+        view = status_view(adv, shared.pmem)
+        first = simulator_round(low, shared, view, succeed, adv, GATE_ADAPTIVE, 0)
         assert first["W"] == 0b111 and first["trail"] == ((2, 0b111),)
         # simulator 2 selects {1, 3} and registers process 1 in it
-        top = simulator_round(high, shared, oracle, adv, GATE_ADAPTIVE, 1)
+        top = simulator_round(high, shared, view, succeed, adv, GATE_ADAPTIVE, 1)
         assert top["reselected"] and shared.selections[2] == (1, 0b101)
-        second = simulator_round(low, shared, oracle, adv, GATE_ADAPTIVE, 2)
+        second = simulator_round(low, shared, view, succeed, adv, GATE_ADAPTIVE, 2)
         assert second["W"] == 0b100 and second["trail"] == ((2, 0b100),)
         assert second["reselected"] and second["s_cur"] == 0b100
 
@@ -142,8 +156,8 @@ class TestWindowMemo:
         shared = BGShared.fresh(3, 2)
         shared.register(2, 1, 0b101)
         local = SimulatorLocal(1)
-        oracle = ScriptedOracle(lambda sid, pid, round_no: SUCCESS)
-        rounds = [simulator_round(local, shared, oracle, adv, GATE_ADAPTIVE, r) for r in range(4)]
+        view = status_view(adv, shared.pmem)
+        rounds = [simulator_round(local, shared, view, succeed, adv, GATE_ADAPTIVE, r) for r in range(4)]
         assert rounds[0]["reselected"] and not any(r["reselected"] for r in rounds[1:])
         # recomputed once after the round's own registration, then reused as is
         assert rounds[1]["trail"] == ((2, 0b100),) and rounds[2]["trail"] is rounds[1]["trail"]
@@ -225,7 +239,7 @@ class TestSimulatorRound:
                     return BLOCKED
                 return SUCCESS
 
-            return ScriptedOracle(step)
+            return step
 
         history = run_bgg_selection(adv, budget=12, gate_mode=GATE_ADAPTIVE, oracle=factory)
         sim2 = [r for r in history.records if r["simulator"] == 2]
@@ -432,15 +446,15 @@ class TestGolden:
         original = bgg.simulator_round
         gated = 0
 
-        def checked_round(local, shared, oracle, adversary, gate_mode, round_no):
+        def checked_round(local, shared, view, step, adversary, gate_mode, round_no):
             nonlocal gated
-            part, _, _, table = shared.view(adversary)
-            trail = []
-            window = compute_window(local.sid, shared, part, table, trail)
-            record = original(local, shared, oracle, adversary, gate_mode, round_no)
+            # the view read once per run is still the view of the status array
+            assert view == status_view(adversary, shared.pmem)
+            expected = compute_window(local.sid, shared, view[0], view[3])
+            record = original(local, shared, view, step, adversary, gate_mode, round_no)
             if record["gated"]:
                 gated += 1
-                assert (record["W"], record["trail"]) == (window, tuple(trail)), record
+                assert (record["W"], record["trail"]) == expected, record
             return record
 
         monkeypatch.setattr(bgg, "simulator_round", checked_round)

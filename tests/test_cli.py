@@ -183,6 +183,41 @@ class TestSimulate:
         assert main(argv) == 0
         assert capsys.readouterr().out.startswith("seed=1 seeds=3 budget=72\n")
 
+    INPUT_ERRORS = {
+        "inputs": "--inputs needs 3 comma-separated values, got 2",
+        "budget": "budget must be at least 2n = 6",
+        "no-live-sets": "cannot schedule against the empty adversary",
+        "no-admitted-run": "the agreement function admits no runs at all",
+        "out-is-a-file": "cannot use ",
+    }
+
+    @pytest.mark.parametrize("case", INPUT_ERRORS)
+    def test_input_errors_print_nothing_and_fork_nothing(self, resilient_file, tmp_path, monkeypatch, capsys, case):
+        # 1,000 seeds would be split across forked shards on two or more cores
+        argv = ["simulate", "--protocol", "adaptive", "--adversary", resilient_file, "--seeds", "1000"]
+        if case == "inputs":
+            argv += ["--inputs", "1,2"]
+        elif case == "budget":
+            argv += ["--budget", "4"]
+        elif case == "no-live-sets":
+            argv[4] = str(tmp_path / "empty.json")
+            (tmp_path / "empty.json").write_text(json.dumps({"n": 3, "live_sets": []}))
+        elif case == "no-admitted-run":
+            argv[3:5] = ["--alpha", str(tmp_path / "zero.alpha.json")]
+            (tmp_path / "zero.alpha.json").write_text(json.dumps({"n": 3, "table": [0] * 8}))
+        else:
+            (tmp_path / "file").write_text("")
+            argv += ["--out", str(tmp_path / "file")]
+
+        def no_fork():
+            raise AssertionError("a shard was forked")
+
+        monkeypatch.setattr(os, "fork", no_fork)
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {self.INPUT_ERRORS[case]}") and captured.err.count("\n") == 1, captured.err
+
     def test_unknown_protocol_exits_2(self, unfair_file):
         assert main(["simulate", "--protocol", "nope", "--adversary", unfair_file]) == 2
 
@@ -883,6 +918,13 @@ class TestBgg:
         assert main(["bgg", "--adversary", str(path), "--halt", halt]) == 2
         assert capsys.readouterr().err.startswith("error:")
         assert main(["bgg", "--adversary", str(path), "--halt", "1:10"]) == 0
+
+    def test_repeated_halt_id_exits_2(self, fair_file, capsys):
+        argv = ["bgg", "--adversary", fair_file, "--halt", "2:5", "--halt", "2:900"]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: --halt 2:900: simulator 2 is already given --halt 2:5\n"
 
     def test_default_gate_is_verbatim(self, fair_file, capsys):
         code = main(["bgg", "--adversary", fair_file])
