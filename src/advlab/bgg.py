@@ -341,12 +341,19 @@ def run_bgg_selection(
     halting; absent ids run for the whole budget.  The simulator count is
     the agreement level of the full universe.  `oracle` is a factory called
     with (is_live, locals) that returns the step function, so it can
-    observe the simulators' current targets.
+    observe the simulators' current targets.  `initial_pmem`, when given,
+    holds one status per process: PM_UNSET, PM_ACTIVE or PM_DONE.
     """
     if gate_mode not in (GATE_VERBATIM, GATE_ADAPTIVE):
         raise ValueError(f"unknown gate mode {gate_mode!r}")
     if budget < 1:
         raise ValueError(f"the budget must be at least 1 round, got {budget}")
+    if initial_pmem is not None:
+        if len(initial_pmem) != adversary.n:
+            raise ValueError(f"initial_pmem needs {adversary.n} entries, one per process, got {len(initial_pmem)}")
+        for pid, status in enumerate(initial_pmem, 1):
+            if status is not PM_UNSET and status not in (PM_ACTIVE, PM_DONE):
+                raise ValueError(f"initial_pmem gives process {pid} the unknown status {status!r}")
     full = (1 << adversary.n) - 1
     sim_count = adversary.region_table(full)[full]
     pattern = dict(pattern or {})

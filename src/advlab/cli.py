@@ -10,7 +10,8 @@ budget where none is given on the command line.
 `run_campaign` is the one campaign engine: `simulate`, `enumerate` and the
 test suite all check protocol runs through it.  The two subcommands split a
 large campaign across the usable cores (`_sharded_campaign`) and merge the
-shards into the result one process would have given.
+shards into the result one process would have given; if any shard fails,
+the campaign runs again in one process, which gives its result or error.
 """
 
 from __future__ import annotations
@@ -363,31 +364,6 @@ def _shard_count(runs: int) -> int:
     return max(1, min(cores, runs // MIN_SHARD_RUNS))
 
 
-def _shard_outcome(make_protocol, shard_stream, fn, max_tail, trace_dir, k: int, shards: int):
-    """Shard k's (result, None), or (None, (position, exception)) for its first error.
-
-    position is the failing run's place in the whole stream: the shard
-    counts each run as attempted before it pulls the run's schedule, so an
-    error while generating a schedule is placed at that run too.
-    """
-    attempted = 0
-
-    def counted():
-        nonlocal attempted
-        runs = iter(shard_stream(k, shards))
-        while True:
-            attempted += 1
-            item = next(runs, None)
-            if item is None:
-                return
-            yield item
-
-    try:
-        return run_campaign(make_protocol, counted(), fn, max_tail, trace_dir), None
-    except Exception as exc:
-        return None, (k + (attempted - 1) * shards, exc)
-
-
 def _merge(results: list[CampaignResult]) -> CampaignResult:
     """One CampaignResult from the shards': counts summed, failures in run order."""
     violations: dict[str, int] = {}
@@ -420,20 +396,34 @@ def _sharded_campaign(
     """run_campaign over a labelled stream split into shards, one process each.
 
     shard_stream(k, shards) yields runs k, k + shards, k + 2 * shards, ...
-    of the stream; labels are ints that increase along it.  The parent
-    forks shards - 1 workers, runs shard 0 itself, then reads each worker's
-    pickled outcome from its pipe to the end before reaping it.  The
-    merged result equals run_campaign's on the whole stream, and so do the
-    trace files.  An error in any shard is raised here, the one from the
-    earliest run in stream order, once every worker has been reaped; the
-    trace files of runs after it may then differ from one process's.
+    of the stream; labels are ints that increase along it.  The merged
+    result of the shards equals run_campaign's on the whole stream, and so
+    do the trace files.  When any shard fails (an error, or a worker lost),
+    the campaign runs again in this process over the whole stream, the call
+    that shards == 1 makes, so its result or its earliest error is one
+    process's; the trace files of runs after an error may then differ from
+    one process's.
     """
-    if shards == 1:
-        return run_campaign(make_protocol, shard_stream(0, 1), fn, max_tail, trace_dir)
+    if shards > 1:
+        results = _shard_results(
+            lambda k: run_campaign(make_protocol, shard_stream(k, shards), fn, max_tail, trace_dir), shards
+        )
+        if results is not None:
+            return _merge(results)
+    return run_campaign(make_protocol, shard_stream(0, 1), fn, max_tail, trace_dir)
+
+
+def _shard_results(run_shard: Callable[[int], CampaignResult], shards: int) -> Optional[list[CampaignResult]]:
+    """run_shard(k) for k in range(shards), or None once any shard has failed.
+
+    The parent forks shards - 1 workers, runs shard 0 itself, then reads
+    each worker's pickled result from its pipe to the end.  A worker that
+    fails writes nothing, so its pipe does not unpickle.  Every worker is
+    reaped before this returns.
+    """
     import pickle
     import signal
 
-    job = (make_protocol, shard_stream, fn, max_tail, trace_dir)
     pids, pipes = [], []
     try:
         for k in range(1, shards):
@@ -445,27 +435,21 @@ def _sharded_campaign(
                     # Leave through os._exit whatever happens: no exit handler runs
                     # and no buffer inherited from the parent (its stdout) is flushed.
                     try:
-                        sink.write(pickle.dumps(_shard_outcome(*job, k, shards)))
+                        sink.write(pickle.dumps(run_shard(k)))
                         sink.flush()
                     finally:
                         os._exit(0)
             pids.append(pid)
-        outcomes = [_shard_outcome(*job, 0, shards)]
-        for k, pipe in enumerate(pipes, 1):
-            data = pipe.read()
-            if not data:
-                raise RuntimeError(f"campaign shard {k} of {shards} exited without a result")
-            outcomes.append(pickle.loads(data))
+        try:
+            return [run_shard(0)] + [pickle.loads(pipe.read()) for pipe in pipes]
+        except Exception:
+            return None
     finally:
         for pipe in pipes:
             pipe.close()
         for pid in pids:
             os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
-    errors = [error for _, error in outcomes if error is not None]
-    if errors:
-        raise min(errors, key=lambda error: error[0])[1]
-    return _merge([result for result, _ in outcomes])
 
 
 def _policy(name: str) -> Policy:
@@ -479,9 +463,17 @@ def _check_tail(args) -> None:
         raise InputError(f"--tail must not be negative, got {args.tail}")
 
 
-def _campaign(
-    args, policy: Policy, fn, n: int, inputs: dict[int, int], runs: int, shard_stream, trace_dir: Optional[Path] = None
-) -> int:
+def _protocol_factory(args, policy: Policy, fn, n: int, inputs: dict[int, int]) -> Callable[[], Protocol]:
+    """The campaign's fresh-protocol factory.  One protocol is built here, so
+    that a constructor's input error is raised before anything is printed or
+    forked."""
+    if policy.needs_fn and fn is None:
+        raise InputError(f"{args.protocol} needs --alpha or --adversary")
+    policy.make(n, inputs, fn)
+    return lambda: policy.make(n, inputs, fn)
+
+
+def _campaign(args, make, fn, runs: int, shard_stream, trace_dir: Optional[Path] = None) -> int:
     """Run and report a campaign of `runs` runs; with trace_dir, each run's trace goes there.
 
     shard_stream is as for `_sharded_campaign`, which gets as many shards as
@@ -490,9 +482,6 @@ def _campaign(
     behind.
     """
     name = args.protocol
-    if policy.needs_fn and fn is None:
-        raise InputError(f"{name} needs --alpha or --adversary")
-    make = lambda: policy.make(n, inputs, fn)
     result = _sharded_campaign(make, shard_stream, fn, args.tail, trace_dir, shards=_shard_count(runs))
     counts = sorted(result.violations.items())
     obj = {
@@ -543,6 +532,7 @@ def cmd_simulate(args) -> int:
     # every input error is raised before the header, so stdout stays empty
     inputs = _parse_inputs(args, n)
     check_schedulable(model, budget)
+    make = _protocol_factory(args, policy, fn, n, inputs)
     trace_dir = _out_dir(args) if args.out else None
     base = args.seed
     if args.format == "text":
@@ -553,7 +543,7 @@ def cmd_simulate(args) -> int:
         # each shard generates only its own seeds' schedules
         return ((seed, generate(model, seed, budget)) for seed in seeds[k::shards])
 
-    return _campaign(args, policy, fn, n, inputs, args.seeds, shard_stream, trace_dir)
+    return _campaign(args, make, fn, args.seeds, shard_stream, trace_dir)
 
 
 def cmd_enumerate(args) -> int:
@@ -564,13 +554,14 @@ def cmd_enumerate(args) -> int:
     if policy is None:
         _emit(args, {"schedules": count}, [f"schedules={count}"])
         return 0
+    make = _protocol_factory(args, policy, fn, args.n, _parse_inputs(args, args.n))
     from itertools import islice
 
     def shard_stream(k: int, shards: int):
         # skipping another shard's schedule costs a few us, against at least 60 us for a run
         return islice(enumerate(enumerate_schedules(args.n, args.steps, args.halts)), k, None, shards)
 
-    return _campaign(args, policy, fn, args.n, _parse_inputs(args, args.n), count, shard_stream)
+    return _campaign(args, make, fn, count, shard_stream)
 
 
 def cmd_check(args) -> int:

@@ -202,6 +202,20 @@ class TestSelection:
         with pytest.raises(SelectionImpossible):
             select_live_set(adv, adv.region_table(0), 0, 0, 1)
 
+    @pytest.mark.parametrize(
+        "pmem, message",
+        [
+            ([PM_ACTIVE, PM_ACTIVE], "initial_pmem needs 3 entries, one per process, got 2"),
+            ([PM_ACTIVE] * 4, "initial_pmem needs 3 entries, one per process, got 4"),
+            (["busy", PM_ACTIVE, PM_DONE], "initial_pmem gives process 1 the unknown status 'busy'"),
+        ],
+        ids=["short", "long", "unknown-status"],
+    )
+    def test_initial_status_array_is_checked(self, pmem, message):
+        adv = Adversary.of(3, [[1], [2], [3], [1, 2, 3]])
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            run_bgg_selection(adv, budget=8, initial_pmem=pmem)
+
 
 class TestSimulatorRound:
     def test_round_robin_cycling(self):

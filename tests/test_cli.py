@@ -4,6 +4,7 @@ import argparse
 import itertools
 import json
 import os
+import signal
 import subprocess
 import sys
 import threading
@@ -189,6 +190,7 @@ class TestSimulate:
         "no-live-sets": "cannot schedule against the empty adversary",
         "no-admitted-run": "the agreement function admits no runs at all",
         "out-is-a-file": "cannot use ",
+        "constructor": "the pairwise protocol is defined over a 3-process universe",
     }
 
     @pytest.mark.parametrize("case", INPUT_ERRORS)
@@ -205,6 +207,9 @@ class TestSimulate:
         elif case == "no-admitted-run":
             argv[3:5] = ["--alpha", str(tmp_path / "zero.alpha.json")]
             (tmp_path / "zero.alpha.json").write_text(json.dumps({"n": 3, "table": [0] * 8}))
+        elif case == "constructor":
+            argv[2:5] = ["cons23", "--alpha", str(tmp_path / "wf4.alpha.json")]
+            (tmp_path / "wf4.alpha.json").write_text(json.dumps(AgreementFunction.wait_free(4).to_json_obj()))
         else:
             (tmp_path / "file").write_text("")
             argv += ["--out", str(tmp_path / "file")]
@@ -339,6 +344,17 @@ class TestEnumerate:
 
     def test_bound_exceeded_exits_2(self):
         assert main(["enumerate", "--n", "3", "--steps", "5"]) == 2
+
+    def test_constructor_error_prints_nothing_and_forks_nothing(self, monkeypatch, capsys):
+        # 813,120 runs would be split across forked shards on two or more cores
+        def no_fork():
+            raise AssertionError("a shard was forked")
+
+        monkeypatch.setattr(os, "fork", no_fork)
+        assert main(["enumerate", "--n", "4", "--steps", "3", "--halts", "1", "--protocol", "cons23"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: the pairwise protocol is defined over a 3-process universe\n"
 
     @pytest.mark.parametrize("n", ["0", "-1"])
     def test_universe_below_one_exits_2(self, capsys, n):
@@ -793,6 +809,19 @@ class TestSharding:
         with pytest.raises(expected[0], match=f"^{expected[1]}$"):
             cli._sharded_campaign(make, stream, None, 10, None, shards)
         assert_no_child_left()
+
+    def test_a_lost_worker_reruns_the_campaign_in_process(self):
+        parent = os.getpid()
+        fn = AgreementFunction.wait_free(3)
+
+        def make():
+            if os.getpid() != parent:
+                os.kill(os.getpid(), signal.SIGKILL)
+            return cli.POLICIES["adaptive"].make(3, default_inputs(3), fn)
+
+        result = cli._sharded_campaign(make, self.enumerated(3, 2, 1), fn, 120, None, 2)
+        assert_no_child_left()
+        assert result == cli.run_campaign(make, enumerate(enumerate_schedules(3, 2, 1)), fn, 120)
 
     @pytest.mark.parametrize("shards", [1, 2, 3])
     def test_trace_write_error_exits_2(self, wf3_file, tmp_path, monkeypatch, capsys, shards):
