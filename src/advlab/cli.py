@@ -4,8 +4,9 @@ Subcommands: setcon, classify, alpha, compare, simulate, enumerate, check,
 bgg.  Exit codes are stable across subcommands: 0 means every check passed
 or was not applicable, 1 means at least one property violation (a witness
 file is written), 2 means an input error.  All randomness flows from an
-explicit seed, which is printed; ADVLAB_BUDGET overrides the default
-budget where none is given on the command line.
+explicit seed, which is printed.  Each subcommand declares only the
+flags it reads: `--out` belongs to the five that write files (alpha,
+simulate, enumerate, check, bgg).
 
 `run_campaign` is the one campaign engine: `simulate`, `enumerate` and the
 test suite all check protocol runs through it.  The two subcommands split a
@@ -76,7 +77,7 @@ def _load_json(path: str):
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, json.JSONDecodeError, RecursionError) as exc:  # RecursionError: nested too deep
         raise InputError(f"cannot read {path}: {exc}") from exc
 
 
@@ -142,20 +143,8 @@ def _report(args, obj: dict, lines: list[str], failures: list[dict]) -> int:
     return 1 if failures else 0
 
 
-def _budget(args, default: int) -> int:
-    if getattr(args, "budget", None) is not None:
-        return args.budget
-    env = os.environ.get("ADVLAB_BUDGET")
-    if env:
-        try:
-            return int(env)
-        except ValueError as exc:
-            raise InputError(f"ADVLAB_BUDGET is not an integer: {env!r}") from exc
-    return default
-
-
 def _parse_inputs(args, n: int) -> dict[int, int]:
-    if not args.inputs:
+    if args.inputs is None:
         return default_inputs(n)
     try:
         values = [int(x) for x in args.inputs.split(",")]
@@ -524,7 +513,7 @@ def cmd_simulate(args) -> int:
     adversary, fn = _load_model(args)
     if fn is None:
         raise InputError("simulate needs --adversary or --alpha")
-    budget = _budget(args, DEFAULT_SIM_BUDGET)
+    budget = args.budget
     if adversary is not None:
         n, generate, model = adversary.n, generate_schedule, adversary
     else:
@@ -569,7 +558,7 @@ def cmd_check(args) -> int:
     if args.k is not None and args.k < 1:
         raise InputError(f"--k must be at least 1, got {args.k}")
     among = None
-    if args.among:
+    if args.among is not None:
         try:
             among = [int(x) for x in args.among.split(",")]
         except ValueError as exc:
@@ -605,7 +594,7 @@ def cmd_bgg(args) -> int:
     adversary = _load_adversary(args.adversary)
     fair = adv_mod.is_fair(adversary)
     warm_up = bgg_mod.warm_up_budget(adversary.n)
-    budget = _budget(args, warm_up)
+    budget = warm_up if args.budget is None else args.budget
     if budget < 1:
         raise InputError(f"the bgg budget must be at least 1 round, got {budget}")
     sim_count = adv_mod.setcon(adversary)
@@ -644,9 +633,10 @@ def cmd_bgg(args) -> int:
         lines.append(f"simulator={sid} " + " ".join(f"{k}={v}" for k, v in counts.items()))
     warnings = 0
     failures: list[dict] = []
-    if not fair:
+    if not adversary.live_sets or not fair:
         obj["properties"] = "not-applicable"
-        lines.append("properties=not-applicable (adversary is not fair)")
+        why = "has no live sets" if not adversary.live_sets else "is not fair"
+        lines.append(f"properties=not-applicable (adversary {why})")
     elif budget < warm_up:
         warnings += 1
         obj["properties"] = "inconclusive"
@@ -673,14 +663,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="advlab", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, func, budget=False, seeds=False):
+    def common(p, func):
         p.add_argument("--format", choices=("text", "json"), default="text")
-        p.add_argument("--out", help="directory for traces, tables, and witness files")
-        if budget:
-            p.add_argument("--budget", type=int, default=None)
-        if seeds:
-            p.add_argument("--seed", type=int, default=DEFAULT_SEED)
-            p.add_argument("--seeds", type=int, default=100)
         p.set_defaults(func=func)
 
     for name, func, text in (
@@ -691,6 +675,8 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=text)
         p.add_argument("--adversary", required=True)
         common(p, func)
+        if name == "alpha":
+            p.add_argument("--out", metavar="DIR", help="also write the table to DIR/<adversary>.alpha.json")
 
     p = sub.add_parser("compare", help="pointwise order of two agreement functions")
     p.add_argument("alpha_a")
@@ -703,7 +689,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alpha")
     p.add_argument("--inputs")
     p.add_argument("--tail", type=int, default=400)
-    common(p, cmd_simulate, budget=True, seeds=True)
+    p.add_argument("--budget", type=int, default=DEFAULT_SIM_BUDGET)
+    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
+    p.add_argument("--seeds", type=int, default=100)
+    common(p, cmd_simulate)
+    p.add_argument("--out", metavar="DIR", help="write each run's trace and any witnesses.json here")
 
     p = sub.add_parser("enumerate", help="exhaustive small schedules, optionally with a protocol")
     p.add_argument("--n", type=int, required=True)
@@ -715,6 +705,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--inputs")
     p.add_argument("--tail", type=int, default=120)
     common(p, cmd_enumerate)
+    p.add_argument("--out", metavar="DIR", help="directory for witnesses.json (default advlab-out)")
 
     p = sub.add_parser("check", help="re-check recorded trace files")
     p.add_argument("--trace", action="append", required=True)
@@ -722,12 +713,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int)
     p.add_argument("--among", help="restrict the termination check to these processes (CSV)")
     common(p, cmd_check)
+    p.add_argument("--out", metavar="DIR", help="directory for witnesses.json (default advlab-out)")
 
     p = sub.add_parser("bgg", help="live-set selection run with bounded property checks")
     p.add_argument("--adversary", required=True)
     p.add_argument("--gate", choices=(bgg_mod.GATE_VERBATIM, bgg_mod.GATE_ADAPTIVE), default=bgg_mod.GATE_VERBATIM)
     p.add_argument("--halt", action="append", metavar="SIM:ROUNDS")
-    common(p, cmd_bgg, budget=True)
+    p.add_argument("--budget", type=int, default=None, help="rounds (default: the warm-up budget, 400*n)")
+    common(p, cmd_bgg)
+    p.add_argument("--out", metavar="DIR", help="write bgg-history.json and any witnesses.json here")
 
     return parser
 

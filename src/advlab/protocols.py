@@ -21,7 +21,7 @@ instance blocked reports a "blocked" status while it keeps re-checking.
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Optional
+from typing import Callable, Optional
 
 from .alpha import AgreementFunction
 from .processes import MAX_UNIVERSE, ProcessSet
@@ -346,6 +346,6 @@ class Cons23(Protocol):
             self.statuses[pid] = "blocked"
 
 
-def default_inputs(n: int, pids: Optional[Iterable[int]] = None) -> dict[int, int]:
+def default_inputs(n: int) -> dict[int, int]:
     """Distinct per-process inputs, the worst case for agreement bounds."""
-    return {p: 100 + p for p in (pids if pids is not None else range(1, n + 1))}
+    return {p: 100 + p for p in range(1, n + 1)}

@@ -7,10 +7,13 @@ import os
 import signal
 import subprocess
 import sys
+import tempfile
 import threading
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from advlab import AgreementFunction, cli
 from advlab.cli import main
@@ -175,6 +178,17 @@ class TestSimulate:
         assert main(argv + ["--out", str(out_dir)]) == 2
         assert capsys.readouterr().err == "error: bad --inputs value '1,x'\n"
         assert not out_dir.exists()
+
+    @pytest.mark.parametrize("command", ["simulate", "enumerate"])
+    def test_empty_inputs_exits_2(self, unfair_file, capsys, command):
+        argv = {
+            "simulate": ["simulate", "--protocol", "adaptive", "--adversary", unfair_file, "--seeds", "2"],
+            "enumerate": ["enumerate", "--n", "2", "--steps", "2", "--protocol", "safe-agreement"],
+        }[command]
+        assert main(argv + ["--inputs", ""]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: bad --inputs value ''\n"
 
     def test_json_output_is_one_document(self, unfair_file, capsys):
         argv = ["simulate", "--protocol", "adaptive", "--adversary", unfair_file, "--seeds", "3", "--budget", "72"]
@@ -529,6 +543,12 @@ class TestCheckCommand:
         err = capsys.readouterr().err
         assert err == f"error: --among names process {pid} outside 1..3 of trace {three_process_trace}\n"
 
+    def test_empty_among_exits_2(self, three_process_trace, capsys):
+        assert main(["check", "--trace", three_process_trace, "--among", ""]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: bad --among value ''\n"
+
     def test_matching_arguments_still_pass(self, three_process_trace, tmp_path, capsys):
         wf3 = tmp_path / "wf3.json"
         wf3.write_text(json.dumps({"n": 3, "table": [0, 1, 1, 2, 1, 2, 2, 3]}))
@@ -879,6 +899,16 @@ class TestBgg:
         assert code == 0
         assert "not-applicable" in out
 
+    def test_no_live_sets_not_applicable(self, tmp_path, capsys):
+        path = tmp_path / "empty.json"
+        path.write_text(json.dumps({"n": 3, "live_sets": []}))
+        argv = ["bgg", "--adversary", str(path)]
+        assert main(argv) == 0
+        assert "properties=not-applicable (adversary has no live sets)" in capsys.readouterr().out.splitlines()
+        assert main(argv + ["--format", "json"]) == 0
+        obj = json.loads(capsys.readouterr().out)
+        assert (obj["properties"], obj["rounds_recorded"], obj["warnings"]) == ("not-applicable", 0, 0)
+
     def test_low_budget_inconclusive(self, fair_file, capsys):
         code = main(["bgg", "--adversary", fair_file, "--budget", "60", "--gate", "adaptive"])
         out = capsys.readouterr().out
@@ -994,22 +1024,28 @@ class TestBgg:
 
 
 class TestCommonMachinery:
-    def test_env_budget_override(self, fair_file, capsys, monkeypatch):
-        monkeypatch.setenv("ADVLAB_BUDGET", "60")
-        code = main(["bgg", "--adversary", fair_file, "--gate", "adaptive"])
-        out = capsys.readouterr().out
-        assert code == 0
-        assert "budget=60" in out
-        assert "inconclusive" in out  # 60 is below the warm-up threshold
+    @pytest.mark.parametrize("command", ["setcon", "classify", "compare"])
+    def test_out_is_rejected_where_nothing_is_written(self, fair_file, tmp_path, capsys, command):
+        argv = [command] + ([fair_file, fair_file] if command == "compare" else ["--adversary", fair_file])
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--out", str(tmp_path / "x")])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --out" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
 
-    def test_bad_env_budget_exits_2(self, fair_file, monkeypatch):
-        monkeypatch.setenv("ADVLAB_BUDGET", "soon")
-        assert main(["bgg", "--adversary", fair_file]) == 2
-
-    def test_env_budget_below_one_exits_2(self, fair_file, capsys, monkeypatch):
-        monkeypatch.setenv("ADVLAB_BUDGET", "0")
-        assert main(["bgg", "--adversary", fair_file]) == 2
-        assert capsys.readouterr().err.startswith("error: the bgg budget must be at least 1 round")
+    @pytest.mark.parametrize("command", ["setcon", "compare", "check"])
+    def test_deeply_nested_json_exits_2(self, tmp_path, capsys, command):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 100_000 + "]" * 100_000)
+        argv = {
+            "setcon": ["setcon", "--adversary", str(path)],
+            "compare": ["compare", str(path), str(path)],
+            "check": ["check", "--trace", str(path)],
+        }[command]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: cannot read {path}: ") and captured.err.count("\n") == 1
 
     @pytest.mark.parametrize(
         "argv",
@@ -1066,3 +1102,97 @@ class TestCommonMachinery:
         assert main(argv) == 0
         second = capsys.readouterr().out
         assert first == second
+
+
+# Random JSON documents; max_leaves bounds their size and depth.
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-2, 8) | st.floats() | st.text(max_size=3),
+    lambda kids: st.lists(kids, max_size=4)
+    | st.dictionaries(
+        st.sampled_from(["n", "live_sets", "table", "schedule", "steps", "events", "value"]) | st.text(max_size=3),
+        kids,
+        max_size=4,
+    ),
+    max_leaves=12,
+)
+
+
+def _replace_node(obj, index: int, value):
+    """obj with its index-th node (in pre-order, counted modulo the node count) replaced by value."""
+    nodes = []
+
+    def walk(node, parent, key):
+        nodes.append((parent, key))
+        children = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+        for k, child in children:
+            walk(child, node, k)
+
+    walk(obj, None, None)
+    parent, key = nodes[index % len(nodes)]
+    if parent is None:
+        return value
+    parent[key] = value
+    return obj
+
+
+class TestFuzz:
+    """Random files through every file-reading subcommand: exit 0, 1 or 2, never a traceback."""
+
+    ADVERSARIES = JSON_VALUES | st.fixed_dictionaries(
+        {
+            "n": st.integers(-1, 5) | JSON_VALUES,
+            "live_sets": st.lists(st.lists(st.integers(-1, 6) | JSON_VALUES, max_size=4), max_size=5),
+        }
+    )
+    ALPHAS = JSON_VALUES | st.fixed_dictionaries(
+        {"n": st.integers(-1, 4) | JSON_VALUES, "table": st.lists(st.integers(-1, 4) | JSON_VALUES, max_size=17)}
+    )
+
+    @staticmethod
+    def base_trace() -> dict:
+        schedule = Schedule(2, (1, 2, 1, 2), halted_at={2: 3})
+        trace = run_to_quiescence(cli.POLICIES["safe-agreement"].make(2, default_inputs(2), None), schedule, max_tail=20)
+        return trace_to_json_obj(trace)
+
+    @staticmethod
+    def run(tmp: Path, argv: list, files: dict) -> None:
+        for name, obj in files.items():
+            (tmp / name).write_text(json.dumps(obj))
+        code = main(argv)
+        assert code in (0, 1, 2), (argv, files)
+
+    @settings(max_examples=60, deadline=None)
+    @given(adversary=ADVERSARIES)
+    def test_adversary_files(self, adversary):
+        with tempfile.TemporaryDirectory() as tmp:
+            tmp = Path(tmp)
+            path = str(tmp / "a.json")
+            for argv in (["setcon"], ["classify"], ["alpha", "--out", str(tmp / "o")]):
+                self.run(tmp, argv + ["--adversary", path], {"a.json": adversary})
+
+    @settings(max_examples=60, deadline=None)
+    @given(a=ALPHAS, b=ALPHAS)
+    def test_agreement_function_files(self, a, b):
+        with tempfile.TemporaryDirectory() as tmp:
+            tmp = Path(tmp)
+            self.run(tmp, ["compare", str(tmp / "a.json"), str(tmp / "b.json")], {"a.json": a, "b.json": b})
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        node=st.integers(0, 10**6),
+        value=JSON_VALUES,
+        alpha=st.none() | ALPHAS,
+        k=st.sampled_from([None, "1", "2"]),
+    )
+    def test_trace_files(self, node, value, alpha, k):
+        trace = _replace_node(self.base_trace(), node, value)
+        with tempfile.TemporaryDirectory() as tmp:
+            tmp = Path(tmp)
+            argv = ["check", "--trace", str(tmp / "t.json"), "--out", str(tmp / "o")]
+            files = {"t.json": trace}
+            if alpha is not None:
+                argv += ["--alpha", str(tmp / "f.json")]
+                files["f.json"] = alpha
+            if k is not None:
+                argv += ["--k", k]
+            self.run(tmp, argv, files)
