@@ -3,10 +3,12 @@
 Subcommands: setcon, classify, alpha, compare, simulate, enumerate, check,
 bgg.  Exit codes are stable across subcommands: 0 means every check passed
 or was not applicable, 1 means at least one property violation (a witness
-file is written), 2 means an input error.  All randomness flows from an
-explicit seed, which is printed.  Each subcommand declares only the
-flags it reads: `--out` belongs to the five that write files (alpha,
-simulate, enumerate, check, bgg).
+file is written), 2 means an input error, an InputError raised by the
+checks here.  Any other exception, a library ValueError on input that
+passed them included, is a fault of the program and ends in a traceback.  All
+randomness flows from an explicit seed, which is printed.  Each subcommand
+declares only the flags it reads: `--out` belongs to the five that write
+files (alpha, simulate, enumerate, check, bgg).
 
 `run_campaign` is the one campaign engine: `simulate`, `enumerate` and the
 test suite all check protocol runs through it.  The two subcommands split a
@@ -71,6 +73,14 @@ MIN_SHARD_RUNS = 500
 
 class InputError(Exception):
     pass
+
+
+def _checked(call, *args):
+    """call(*args), where a ValueError can only come from the user's input: it becomes an InputError."""
+    try:
+        return call(*args)
+    except ValueError as exc:
+        raise InputError(str(exc)) from exc
 
 
 def _load_json(path: str):
@@ -222,7 +232,7 @@ def cmd_alpha(args) -> int:
 def cmd_compare(args) -> int:
     a = _load_alpha(args.alpha_a, strict=False)
     b = _load_alpha(args.alpha_b, strict=False)
-    verdict = compare_pointwise(a, b)
+    verdict = _checked(compare_pointwise, a, b)
     _emit(args, {"comparison": verdict.value}, [f"comparison={verdict.value}"])
     return 0
 
@@ -458,7 +468,7 @@ def _protocol_factory(args, policy: Policy, fn, n: int, inputs: dict[int, int]) 
     forked."""
     if policy.needs_fn and fn is None:
         raise InputError(f"{args.protocol} needs --alpha or --adversary")
-    policy.make(n, inputs, fn)
+    _checked(policy.make, n, inputs, fn)
     return lambda: policy.make(n, inputs, fn)
 
 
@@ -520,7 +530,7 @@ def cmd_simulate(args) -> int:
         n, generate, model = fn.n, generate_admissible_schedule, fn
     # every input error is raised before the header, so stdout stays empty
     inputs = _parse_inputs(args, n)
-    check_schedulable(model, budget)
+    _checked(check_schedulable, model, budget)
     make = _protocol_factory(args, policy, fn, n, inputs)
     trace_dir = _out_dir(args) if args.out else None
     base = args.seed
@@ -538,8 +548,11 @@ def cmd_simulate(args) -> int:
 def cmd_enumerate(args) -> int:
     _check_tail(args)
     policy = None if args.protocol is None else _policy(args.protocol)
+    if policy is None and (args.inputs is not None or args.out is not None):
+        flag = "--inputs" if args.inputs is not None else "--out"
+        raise InputError(f"{flag} needs --protocol: enumerate without one only counts schedules")
     _, fn = _load_model(args, args.n)
-    count = count_schedules(args.n, args.steps, args.halts)
+    count = _checked(count_schedules, args.n, args.steps, args.halts)
     if policy is None:
         _emit(args, {"schedules": count}, [f"schedules={count}"])
         return 0
@@ -733,7 +746,7 @@ def main(argv=None) -> int:
     args = _PARSER.parse_args(argv)
     try:
         return args.func(args)
-    except (InputError, ValueError) as exc:
+    except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -52,17 +52,6 @@ class Protocol:
         raise NotImplementedError
 
 
-class EchoProtocol(Protocol):
-    """Write the input, look once, decide the own input.  Baseline and test stub."""
-
-    name = "echo"
-
-    def program(self, pid: int):
-        v = self._input(pid)
-        yield {"val": v}
-        return v
-
-
 def safe_agreement_unsafe_halt(schedule: Schedule) -> bool:
     """True iff some halted process stops inside its unsafe window.
 
@@ -233,38 +222,6 @@ class EmbeddedAgreement:
         return value
 
 
-class IdealSetConsensus:
-    """Simulation-level set-consensus object: at most `limit` distinct outputs.
-
-    The first `limit` proposers keep their own values, later proposers adopt
-    the first pooled one.  This is the adversarial extreme allowed by the
-    contract, which is what the calling protocol's bounds must absorb.
-    """
-
-    def __init__(self, limit: int):
-        self.limit = limit
-        self.pool: list = []
-
-    def propose(self, value):
-        if len(self.pool) < self.limit:
-            self.pool.append(value)
-            return value
-        return self.pool[0]
-
-
-class OracleAgreement:
-    """Adaptive-agreement subroutine backed by ideal objects, for fast tests."""
-
-    def __init__(self, fn: AgreementFunction):
-        self.fn = fn
-        self._objects: dict[int, IdealSetConsensus] = {}
-
-    def run(self, proto: Protocol, pid: int, parts: int, level: int, proposal, rec: dict, payload):
-        """A generator, like EmbeddedAgreement.run, that takes no step."""
-        yield from ()
-        return self._objects.setdefault(parts, IdealSetConsensus(level)).propose(proposal)
-
-
 class AdaptiveSetConsensus(Protocol):
     """Set consensus that adapts to the observed participation.
 
@@ -277,8 +234,9 @@ class AdaptiveSetConsensus(Protocol):
     there the process only waits for participation to grow.  Estimates are
     bit masks; the instance space of an estimate is keyed by str(mask).
 
-    The subroutine must be a fresh EmbeddedAgreement or OracleAgreement per
-    execution; it is given the estimate's level, read from its `fn`.
+    The subroutine must be a fresh EmbeddedAgreement, or another object with
+    its `fn` and `run`, per execution; it is given the estimate's level, read
+    from its `fn`.
     """
 
     name = "adaptive"

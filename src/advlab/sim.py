@@ -73,9 +73,6 @@ class Schedule:
         if self.correct.n != self.n:
             raise ValueError("correct-set universe does not match the schedule")
 
-    def participants(self) -> ProcessSet:
-        return ProcessSet.of(self.n, set(self.steps))
-
 
 class Event(NamedTuple):
     step: int
@@ -104,15 +101,6 @@ class RunTrace:
     @property
     def n(self) -> int:
         return self.schedule.n
-
-    def decided_value(self, pid: int):
-        for d in self.decisions:
-            if d.pid == pid:
-                return d.value
-        return None
-
-    def has_decided(self, pid: int) -> bool:
-        return any(d.pid == pid for d in self.decisions)
 
     def first_steps(self) -> dict[int, int]:
         seen: dict[int, int] = {}

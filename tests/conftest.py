@@ -9,14 +9,13 @@ from advlab import Adversary, AgreementFunction
 from advlab.protocols import (
     AdaptiveSetConsensus,
     Cons23,
-    EchoProtocol,
     EmbeddedAgreement,
-    OracleAgreement,
     RoundRobinSetConsensus,
     SafeAgreement,
     default_inputs,
 )
 from advlab.sim import enumerate_schedules, generate_admissible_schedule, run_to_quiescence
+from oracles import EchoProtocol, OracleAgreement
 
 
 @pytest.fixture

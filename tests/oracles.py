@@ -7,12 +7,16 @@ on the package's region tables as the reference for the local fairness
 criterion, and the `slow_check_*` checkers and `slow_admits_trace`: the
 validity and agreement checkers compare values by one `canonical_json` text
 each, the reference for the hash-keyed checkers, and the termination checker
-and the admission test ask `RunTrace.has_decided` (a pass over every
-decision) per process, the reference for the one-pass versions.
+and the admission test ask `has_decided` (a pass over every decision) per
+process, the reference for the one-pass versions.
 
 It also holds `truncate_trace`, the prefix of a recorded trace up to a
 step, which the checker tests use to re-check a trace cut at a witness and
-the simulator's golden digest uses to pin prefixes.
+the simulator's golden digest uses to pin prefixes; and the test protocols:
+`EchoProtocol`, the simplest program the executor runs, and
+`OracleAgreement`, an adaptive-agreement subroutine of ideal
+`IdealSetConsensus` objects that takes no step, which the `adaptive-oracle`
+golden protocol passes to `AdaptiveSetConsensus`.
 """
 
 from __future__ import annotations
@@ -23,6 +27,7 @@ from typing import Iterable, Optional
 from advlab import Adversary, ProcessSet
 from advlab.alpha import AgreementFunction
 from advlab.checkers import Verdict
+from advlab.protocols import Protocol
 from advlab.sim import RunTrace, Schedule, canonical_json
 
 
@@ -247,6 +252,11 @@ def slow_check_k_agreement(trace: RunTrace, k: int) -> Verdict:
     return Verdict("k-agreement", True)
 
 
+def has_decided(trace: RunTrace, pid: int) -> bool:
+    """Whether the process decided in the trace: a pass over every decision."""
+    return any(d.pid == pid for d in trace.decisions)
+
+
 def slow_check_termination(trace: RunTrace, among: Optional[Iterable[int]] = None) -> Verdict:
     """Every correct participant decided (optionally restricted to a client set)."""
     scope = set(among) if among is not None else None
@@ -255,7 +265,7 @@ def slow_check_termination(trace: RunTrace, among: Optional[Iterable[int]] = Non
             continue
         if scope is not None and pid not in scope:
             continue
-        if not trace.has_decided(pid):
+        if not has_decided(trace, pid):
             return Verdict(
                 "termination", False, {"process": pid, "status": trace.statuses.get(pid)}
             )
@@ -278,7 +288,7 @@ def slow_admits_trace(alpha: AgreementFunction, trace: RunTrace) -> bool:
     level = alpha.value_of(part)
     if level < 1:
         return False
-    halted_undecided = [p for p in part if p in trace.schedule.halted_at and not trace.has_decided(p)]
+    halted_undecided = [p for p in part if p in trace.schedule.halted_at and not has_decided(trace, p)]
     return len(halted_undecided) <= level - 1
 
 
@@ -300,3 +310,47 @@ def truncate_trace(trace: RunTrace, step: int) -> RunTrace:
     decided = {d.pid for d in decisions}
     final = {pid: "decided" if pid in decided else "running" for pid in participating}
     return RunTrace(prefix, dict(trace.inputs), events, decisions, participating, final)
+
+
+class EchoProtocol(Protocol):
+    """Write the input, look once, decide the own input."""
+
+    name = "echo"
+
+    def program(self, pid: int):
+        v = self._input(pid)
+        yield {"val": v}
+        return v
+
+
+class IdealSetConsensus:
+    """Simulation-level set-consensus object: at most `limit` distinct outputs.
+
+    The first `limit` proposers keep their own values, later proposers adopt
+    the first pooled one.  This is the adversarial extreme allowed by the
+    contract, which is what the calling protocol's bounds must absorb.
+    """
+
+    def __init__(self, limit: int):
+        self.limit = limit
+        self.pool: list = []
+
+    def propose(self, value):
+        if len(self.pool) < self.limit:
+            self.pool.append(value)
+            return value
+        return self.pool[0]
+
+
+class OracleAgreement:
+    """Adaptive-agreement subroutine backed by ideal objects, in place of
+    `advlab.protocols.EmbeddedAgreement`."""
+
+    def __init__(self, fn: AgreementFunction):
+        self.fn = fn
+        self._objects: dict[int, IdealSetConsensus] = {}
+
+    def run(self, proto: Protocol, pid: int, parts: int, level: int, proposal, rec: dict, payload):
+        """A generator, like EmbeddedAgreement.run, that takes no step."""
+        yield from ()
+        return self._objects.setdefault(parts, IdealSetConsensus(level)).propose(proposal)

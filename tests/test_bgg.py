@@ -366,7 +366,7 @@ class TestSelectionPropertySweep:
 
 
 class TestVerbatimGateDeviation:
-    """ROADMAP item 5: the verbatim gate polarity breaks live-set coverage.
+    """ROADMAP item 8: the verbatim gate polarity breaks live-set coverage.
 
     On {{1},{2},{3},{1,2,3}} with simulator 2 halted after 206 rounds, the
     gate threshold min(|A|, α(P)) is 2, so the verbatim gate (id at least the

@@ -16,7 +16,7 @@ from advlab.checkers import (
     value_key,
 )
 from advlab.cli import POLICIES
-from advlab.protocols import EchoProtocol, SafeAgreement, default_inputs
+from advlab.protocols import SafeAgreement, default_inputs
 from advlab.sim import (
     Decision,
     Event,
@@ -28,6 +28,7 @@ from advlab.sim import (
     trace_from_json_obj,
 )
 from oracles import (
+    EchoProtocol,
     slow_admits_trace,
     slow_check_alpha_agreement,
     slow_check_k_agreement,

@@ -15,10 +15,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from advlab import AgreementFunction, cli
+from advlab import Adversary, AgreementFunction, ProcessSet, adversary_to_json_obj, agreement_function, cli
 from advlab.cli import main
-from advlab.protocols import EchoProtocol, default_inputs
+from advlab.protocols import default_inputs
 from advlab.sim import ProtocolFault, Schedule, enumerate_schedules, run_to_quiescence, trace_to_json_obj
+
+from oracles import EchoProtocol
 
 
 @pytest.fixture
@@ -151,6 +153,15 @@ class TestCompare:
         b.write_text(json.dumps(AgreementFunction.t_resilient(3, 1).to_json_obj()))
         assert main(["compare", str(a), str(b)]) == 0
         assert "comparison=GE" in capsys.readouterr().out
+
+    def test_universe_mismatch_exits_2(self, tmp_path, capsys):
+        a, b = tmp_path / "a.json", tmp_path / "b.json"
+        a.write_text(json.dumps(AgreementFunction.wait_free(2).to_json_obj()))
+        b.write_text(json.dumps(AgreementFunction.wait_free(1).to_json_obj()))
+        assert main(["compare", str(a), str(b)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: universe mismatch: 2 vs 1\n"
 
 
 class TestSimulate:
@@ -358,6 +369,17 @@ class TestEnumerate:
 
     def test_bound_exceeded_exits_2(self):
         assert main(["enumerate", "--n", "3", "--steps", "5"]) == 2
+
+    @pytest.mark.parametrize("flag, value", [("--inputs", "garbage"), ("--inputs", "1,2"), ("--out", "OUT")])
+    def test_count_only_rejects_inputs_and_out(self, tmp_path, capsys, flag, value):
+        # without a protocol nothing reads them, so they are refused rather than ignored
+        out = tmp_path / "nonexistent" / "x"
+        value = str(out) if value == "OUT" else value
+        assert main(["enumerate", "--n", "2", "--steps", "2", flag, value]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {flag} needs --protocol: enumerate without one only counts schedules\n"
+        assert not out.parent.exists()
 
     def test_constructor_error_prints_nothing_and_forks_nothing(self, monkeypatch, capsys):
         # 813,120 runs would be split across forked shards on two or more cores
@@ -1001,7 +1023,7 @@ class TestBgg:
         assert not (out_dir / "bgg-history.json").exists()
 
     def test_verbatim_gate_deviation_witness(self, tmp_path, capsys):
-        # ROADMAP item 5: under the verbatim gate, halting simulator 2 after
+        # ROADMAP item 8: under the verbatim gate, halting simulator 2 after
         # 206 rounds leaves simulator 1 gated out, so nothing is stepped late
         path = tmp_path / "singletons.json"
         path.write_text(json.dumps({"n": 3, "live_sets": [[1], [1, 2, 3], [2], [3]]}))
@@ -1074,6 +1096,16 @@ class TestCommonMachinery:
             os.close(write)
         assert (proc.returncode, proc.stderr) == (0, b"")
 
+    def test_library_value_error_is_not_an_input_error(self, fair_file, monkeypatch):
+        # only InputError means exit 2; a ValueError raised inside a run is a fault of the program
+        def broken_run(*args, **kwargs):
+            raise ValueError("a fault inside the run")
+
+        monkeypatch.setattr(cli, "run_to_quiescence", broken_run)
+        argv = ["simulate", "--protocol", "adaptive", "--adversary", fair_file, "--seeds", "2", "--budget", "24"]
+        with pytest.raises(ValueError, match="a fault inside the run"):
+            main(argv)
+
     def test_parser_is_built_once(self, fair_file, capsys, monkeypatch):
         def refuse(*args, **kwargs):
             raise AssertionError("main built a parser")
@@ -1136,7 +1168,8 @@ def _replace_node(obj, index: int, value):
 
 
 class TestFuzz:
-    """Random files through every file-reading subcommand: exit 0, 1 or 2, never a traceback."""
+    """Random files and small random argv values through every file-reading
+    subcommand: exit 0, 1 or 2, never a traceback."""
 
     ADVERSARIES = JSON_VALUES | st.fixed_dictionaries(
         {
@@ -1147,6 +1180,16 @@ class TestFuzz:
     ALPHAS = JSON_VALUES | st.fixed_dictionaries(
         {"n": st.integers(-1, 4) | JSON_VALUES, "table": st.lists(st.integers(-1, 4) | JSON_VALUES, max_size=17)}
     )
+    # Valid families over at most 3 processes: the argv fuzz runs either one of
+    # them or the random documents above, so that it reaches the runs as well
+    # as the file checks.
+    FAMILIES = st.integers(1, 3).flatmap(
+        lambda n: st.sets(st.integers(1, (1 << n) - 1), min_size=1, max_size=7).map(
+            lambda masks: Adversary.of(n, [ProcessSet(n, m).members() for m in masks])
+        )
+    )
+    PROTOCOLS = st.sampled_from(sorted(cli.POLICIES))
+    INPUTS = st.none() | st.lists(st.integers(0, 3), min_size=1, max_size=4).map(lambda v: ",".join(map(str, v)))
 
     @staticmethod
     def base_trace() -> dict:
@@ -1158,8 +1201,33 @@ class TestFuzz:
     def run(tmp: Path, argv: list, files: dict) -> None:
         for name, obj in files.items():
             (tmp / name).write_text(json.dumps(obj))
-        code = main(argv)
+        cwd = os.getcwd()
+        os.chdir(tmp)  # a report without --out writes its witnesses to ./advlab-out
+        try:
+            code = main(argv)
+        finally:
+            os.chdir(cwd)
         assert code in (0, 1, 2), (argv, files)
+
+    @staticmethod
+    def flags(**values) -> list[str]:
+        """--name=value for each value that is not None: in this form argparse takes a value such as -1:3."""
+        return [f"--{name}={value}" for name, value in values.items() if value is not None]
+
+    @staticmethod
+    def models(tmp: Path, which: str, family: Adversary, random_files) -> tuple[list[str], dict]:
+        """The --adversary and --alpha arguments that `which` names, and the
+        files a.json and f.json: the family and its agreement function, or the
+        random documents (adversary, agreement function) when given."""
+        if random_files is None:
+            random_files = adversary_to_json_obj(family), agreement_function(family).to_json_obj()
+        argv = {
+            "none": [],
+            "adversary": ["--adversary", str(tmp / "a.json")],
+            "alpha": ["--alpha", str(tmp / "f.json")],
+            "both": ["--adversary", str(tmp / "a.json"), "--alpha", str(tmp / "f.json")],
+        }[which]
+        return argv, dict(zip(("a.json", "f.json"), random_files))
 
     @settings(max_examples=60, deadline=None)
     @given(adversary=ADVERSARIES)
@@ -1195,4 +1263,64 @@ class TestFuzz:
                 files["f.json"] = alpha
             if k is not None:
                 argv += ["--k", k]
+            self.run(tmp, argv, files)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        protocol=PROTOCOLS,
+        which=st.sampled_from(["adversary", "alpha", "both"]),
+        family=FAMILIES,
+        random_files=st.none() | st.tuples(ADVERSARIES, ALPHAS),
+        budget=st.none() | st.integers(-1, 30),
+        tail=st.none() | st.integers(-1, 30),
+        seed=st.none() | st.integers(-1, 3),
+        seeds=st.sampled_from([5, 1, 0]),
+        inputs=INPUTS,
+    )
+    def test_simulate_argv(self, protocol, which, family, random_files, budget, tail, seed, seeds, inputs):
+        with tempfile.TemporaryDirectory() as tmp:
+            tmp = Path(tmp)
+            model_argv, files = self.models(tmp, which, family, random_files)
+            argv = ["simulate", "--protocol", protocol, "--out", str(tmp / "o")] + model_argv
+            argv += self.flags(budget=budget, tail=tail, seed=seed, seeds=seeds, inputs=inputs)
+            self.run(tmp, argv, files)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        protocol=st.none() | PROTOCOLS,
+        which=st.sampled_from(["none", "adversary", "alpha"]),
+        family=FAMILIES,
+        random_files=st.none() | st.tuples(ADVERSARIES, ALPHAS),
+        n=st.none() | st.integers(-1, 3),
+        steps=st.integers(1, 2) | st.sampled_from([-1, 0, 8]),
+        halts=st.none() | st.integers(-1, 3),
+        tail=st.none() | st.integers(-1, 30),
+        inputs=INPUTS,
+        out=st.booleans(),
+    )
+    def test_enumerate_argv(self, protocol, which, family, random_files, n, steps, halts, tail, inputs, out):
+        n = family.n if n is None else n
+        with tempfile.TemporaryDirectory() as tmp:
+            tmp = Path(tmp)
+            model_argv, files = self.models(tmp, which, family, random_files)
+            argv = ["enumerate"] + model_argv + (["--protocol", protocol] if protocol else [])
+            argv += self.flags(n=n, steps=steps, halts=halts, tail=tail, inputs=inputs, out=tmp / "o" if out else None)
+            self.run(tmp, argv, files)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        family=FAMILIES,
+        random_files=st.none() | st.tuples(ADVERSARIES, ALPHAS),
+        gate=st.sampled_from(["verbatim", "adaptive"]),
+        budget=st.none() | st.integers(-1, 30),
+        halts=st.lists(st.tuples(st.integers(-1, 3), st.integers(-1, 40)).map(lambda h: f"{h[0]}:{h[1]}"), max_size=2)
+        | st.sampled_from([["x"], ["1"], ["1:2:3"]]),
+        out=st.booleans(),
+    )
+    def test_bgg_argv(self, family, random_files, gate, budget, halts, out):
+        with tempfile.TemporaryDirectory() as tmp:
+            tmp = Path(tmp)
+            model_argv, files = self.models(tmp, "adversary", family, random_files)
+            argv = ["bgg", "--gate", gate] + model_argv + self.flags(budget=budget, out=tmp / "o" if out else None)
+            argv += [f"--halt={h}" for h in halts]
             self.run(tmp, argv, files)

@@ -11,8 +11,6 @@ from advlab.protocols import (
     AdaptiveSetConsensus,
     Cons23,
     EmbeddedAgreement,
-    IdealSetConsensus,
-    OracleAgreement,
     RoundRobinSetConsensus,
     SafeAgreement,
     default_inputs,
@@ -26,6 +24,8 @@ from advlab.sim import (
     generate_schedule,
     run_to_quiescence,
 )
+
+from oracles import IdealSetConsensus, OracleAgreement
 
 
 def adaptive_lock_analysis(trace: RunTrace) -> tuple[int, set, set]:
@@ -65,6 +65,11 @@ def admissible_failures(make_protocol, fn, seeds, budget, max_tail):
     return run_campaign(make_protocol, schedules, fn, max_tail).failures
 
 
+def decided(trace: RunTrace) -> dict:
+    """Each deciding process's decision."""
+    return {d.pid: d.value for d in trace.decisions}
+
+
 def safe_agreement():
     return SafeAgreement(2, default_inputs(2))
 
@@ -80,7 +85,7 @@ def adaptive(fn, subroutine=EmbeddedAgreement):
 class TestSafeAgreement:
     def test_solo_decides_own_input(self):
         trace = run_to_quiescence(SafeAgreement(2, {1: 5}), Schedule(2, (1, 1, 1, 1)), max_tail=0)
-        assert trace.decided_value(1) == 5
+        assert decided(trace) == {1: 5}
 
     def test_equal_inputs_force_that_value(self):
         sched = Schedule(2, (1, 2, 2, 1, 1, 2, 2, 1, 1, 2))
@@ -92,7 +97,7 @@ class TestSafeAgreement:
         sched = Schedule(2, (1, 2, 1, 1, 1, 1), {2: 1})
         assert safe_agreement_unsafe_halt(sched)
         trace = run_to_quiescence(SafeAgreement(2, {1: 5, 2: 7}), sched, max_tail=20)
-        assert not trace.has_decided(1)
+        assert 1 not in decided(trace)
         assert trace.statuses[1] == "blocked"
 
     def test_unsafe_window_classifier(self):
@@ -112,7 +117,7 @@ class TestSafeAgreement:
                 continue
             trace = run_to_quiescence(SafeAgreement(2, default_inputs(2)), sched, max_tail=30)
             correct = next(iter(sched.correct))
-            if not trace.has_decided(correct):
+            if correct not in decided(trace):
                 assert trace.statuses[correct] == "blocked"
                 blocked += 1
         assert blocked > 0
@@ -144,7 +149,7 @@ class TestRoundRobinSetConsensus:
             sched = Schedule(2, tuple([1, 2] * sp))
             proto = RoundRobinSetConsensus(2, {1: 4, 2: 6}, fn)
             trace = run_to_quiescence(proto, sched)
-            assert trace.has_decided(1) and trace.has_decided(2)
+            assert decided(trace).keys() == {1, 2}
             assert len({d.value for d in trace.decisions}) <= 2
 
 
@@ -162,7 +167,7 @@ class TestIdealObjects:
         proto = AdaptiveSetConsensus(3, default_inputs(3), OracleAgreement(fn))
         trace = run_to_quiescence(proto, sched)
         assert check_validity(trace).passed
-        assert all(trace.has_decided(p) for p in (1, 2, 3))
+        assert decided(trace).keys() == {1, 2, 3}
 
 
 class TestAdaptiveSetConsensus:
@@ -170,7 +175,7 @@ class TestAdaptiveSetConsensus:
         fn = AgreementFunction.wait_free(3)
         proto = AdaptiveSetConsensus(3, {1: 7}, EmbeddedAgreement(fn))
         trace = run_to_quiescence(proto, Schedule(3, (1,) * 8), max_tail=0)
-        assert trace.decided_value(1) == 7
+        assert decided(trace) == {1: 7}
 
     def test_equal_inputs(self):
         fn = AgreementFunction.wait_free(2)
@@ -194,7 +199,7 @@ class TestAdaptiveSetConsensus:
         proto = AdaptiveSetConsensus(3, {2: 5, 3: 8}, EmbeddedAgreement(fn))
         sched = Schedule(3, (2, 2, 2, 2, 3, 2, 3, 2), {1: -1})
         trace = run_to_quiescence(proto, sched, max_tail=200)
-        assert trace.has_decided(2) and trace.has_decided(3)
+        assert decided(trace).keys() == {2, 3}
         assert {d.value for d in trace.decisions} <= {5, 8}
         assert len({d.value for d in trace.decisions}) == 1  # level is 1 at {2,3}
 
@@ -215,8 +220,7 @@ class TestCons23:
         proto = Cons23(3, {2: 11, 3: 12})
         sched = Schedule(3, (2, 3, 2, 3, 3, 2))
         trace = run_to_quiescence(proto, sched, max_tail=0)
-        assert trace.decided_value(2) == 11
-        assert trace.decided_value(3) == 11
+        assert decided(trace) == {2: 11, 3: 11}
 
     def test_requires_three_processes_and_inputs(self):
         with pytest.raises(ValueError):
@@ -237,4 +241,4 @@ class TestCons23:
         proto = Cons23(3, {2: 11, 3: 12})
         sched = Schedule(3, (3, 3, 3, 3, 2, 3, 3))
         trace = run_to_quiescence(proto, sched, max_tail=0)
-        assert trace.decided_value(3) == 11
+        assert decided(trace)[3] == 11
