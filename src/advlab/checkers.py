@@ -110,10 +110,7 @@ def check_termination(trace: RunTrace, among: Optional[Iterable[int]] = None) ->
 
 
 def check_k_agreement(trace: RunTrace, k: int) -> Verdict:
-    """At most k distinct decisions overall, and every one of them valid."""
-    validity = check_validity(trace)
-    if not validity.passed:
-        return Verdict("k-agreement", False, validity.witness)
+    """At most k distinct decisions overall; whether they are valid is `check_validity`'s question."""
     distinct: set[object] = set()
     for d in trace.decisions:
         distinct.add(value_key(d.value))

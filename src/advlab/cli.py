@@ -11,10 +11,13 @@ declares only the flags it reads: `--out` belongs to the five that write
 files (alpha, simulate, enumerate, check, bgg).
 
 `run_campaign` is the one campaign engine: `simulate`, `enumerate` and the
-test suite all check protocol runs through it.  The two subcommands split a
-large campaign across the usable cores (`_sharded_campaign`) and merge the
-shards into the result one process would have given; if any shard fails,
-the campaign runs again in one process, which gives its result or error.
+test suite all check protocol runs through it.  A run's verdicts come from
+its protocol's policy (`Policy.verdicts`), so `check --protocol P` gives a
+trace that `simulate --protocol P` wrote the verdicts its campaign gave it.
+The two campaign subcommands split a large campaign across the usable cores
+(`_sharded_campaign`) and merge the shards into the result one process
+would have given; if any shard fails, the campaign runs again in one
+process, which gives its result or error.
 """
 
 from __future__ import annotations
@@ -238,13 +241,21 @@ def cmd_compare(args) -> int:
 
 
 class Policy(NamedTuple):
-    """How one protocol is built, and how its runs are checked besides validity on every run."""
+    """How one protocol is built, and how its runs are checked."""
 
     make: Callable[[int, dict, Optional[AgreementFunction]], Protocol]  # (n, inputs, fn) -> a fresh protocol
     agreement: Callable[[RunTrace, Optional[AgreementFunction]], Verdict]  # checked on every run
     live: Callable[[RunTrace, Optional[AgreementFunction]], bool]  # when termination is checked
     among: Optional[tuple[int, ...]] = None  # the processes that must terminate; None: all correct
     needs_fn: bool = True  # whether make and the checks need an agreement function
+
+    def verdicts(self, trace: RunTrace, fn: Optional[AgreementFunction]) -> list[Verdict]:
+        """A run's verdicts, for a campaign and for `check` alike: validity, then
+        the agreement property, then termination where the live condition holds."""
+        verdicts = [check_validity(trace), self.agreement(trace, fn)]
+        if self.live(trace, fn):
+            verdicts.append(check_termination(trace, among=self.among))
+        return verdicts
 
 
 # Keyed by the protocol's `name`; the only place a protocol name maps to
@@ -296,9 +307,8 @@ def run_campaign(
 ) -> CampaignResult:
     """Run a fresh protocol to quiescence on each labelled schedule and check it.
 
-    The protocol's `name` selects its policy in POLICIES: validity and the
-    agreement property on every run, termination only where the policy's
-    condition holds.  With trace_dir, each trace is written there as
+    The protocol's `name` selects its policy in POLICIES, whose `verdicts`
+    judge each run.  With trace_dir, each trace is written there as
     trace-<label>.json; a trace that cannot be written raises InputError.
     The result also counts the activations the runs took, how many of them
     their completion tails took, and the runs whose tail was cut off at
@@ -327,10 +337,7 @@ def run_campaign(
         if trace_dir is not None:
             path = trace_dir / f"trace-{label}.json"
             _write(path, json.dumps(trace_to_json_obj(trace), sort_keys=True))
-        verdicts = [check_validity(trace), policy.agreement(trace, fn)]
-        if policy.live(trace, fn):
-            verdicts.append(check_termination(trace, among=policy.among))
-        for verdict in verdicts:
+        for verdict in policy.verdicts(trace, fn):
             checked[verdict.prop] = checked.get(verdict.prop, 0) + 1
             violations[verdict.prop] = violations.get(verdict.prop, 0) + (0 if verdict.passed else 1)
             if not verdict.passed:
@@ -567,15 +574,13 @@ def cmd_enumerate(args) -> int:
 
 
 def cmd_check(args) -> int:
-    fn = _load_alpha(args.alpha) if args.alpha else None
-    if args.k is not None and args.k < 1:
-        raise InputError(f"--k must be at least 1, got {args.k}")
-    among = None
-    if args.among is not None:
-        try:
-            among = [int(x) for x in args.among.split(",")]
-        except ValueError as exc:
-            raise InputError(f"bad --among value {args.among!r}") from exc
+    """Re-check trace files under the policy of --protocol: the verdicts its campaign gives each run."""
+    policy = _policy(args.protocol)
+    if policy.needs_fn and args.alpha is None:
+        raise InputError(f"{args.protocol} needs --alpha")
+    if not policy.needs_fn and args.alpha is not None:
+        raise InputError(f"{args.protocol} does not read --alpha")
+    fn = None if args.alpha is None else _load_alpha(args.alpha)
     failures: list[dict] = []
     all_lines: list[str] = []
     reports = []
@@ -587,14 +592,8 @@ def cmd_check(args) -> int:
             raise InputError(f"bad trace file {path}: {type(exc).__name__}: {exc}") from exc
         if fn is not None and fn.n != trace.n:
             raise InputError(f"universe mismatch: trace {path} has n={trace.n}, --alpha has n={fn.n}")
-        for pid in among or ():
-            if not 1 <= pid <= trace.n:
-                raise InputError(f"--among names process {pid} outside 1..{trace.n} of trace {path}")
-        verdicts = [check_validity(trace), check_termination(trace, among=among)]
-        if fn is not None:
-            verdicts.append(check_alpha_agreement(trace, fn))
-        if args.k is not None:
-            verdicts.append(check_k_agreement(trace, args.k))
+        _checked(policy.make, trace.n, trace.inputs, fn)  # a trace the protocol could not have produced
+        verdicts = policy.verdicts(trace, fn)
         reports.append({"trace": path, "verdicts": [v.to_json_obj() for v in verdicts]})
         for v in verdicts:
             all_lines.append(f"{path}: {v.prop}={'pass' if v.passed else 'FAIL'}")
@@ -720,11 +719,10 @@ def build_parser() -> argparse.ArgumentParser:
     common(p, cmd_enumerate)
     p.add_argument("--out", metavar="DIR", help="directory for witnesses.json (default advlab-out)")
 
-    p = sub.add_parser("check", help="re-check recorded trace files")
+    p = sub.add_parser("check", help="re-check recorded trace files under a protocol's policy")
     p.add_argument("--trace", action="append", required=True)
+    p.add_argument("--protocol", required=True)
     p.add_argument("--alpha")
-    p.add_argument("--k", type=int)
-    p.add_argument("--among", help="restrict the termination check to these processes (CSV)")
     common(p, cmd_check)
     p.add_argument("--out", metavar="DIR", help="directory for witnesses.json (default advlab-out)")
 

@@ -15,7 +15,7 @@ from advlab.checkers import (
     check_validity,
     value_key,
 )
-from advlab.cli import POLICIES
+from advlab.cli import POLICIES, run_campaign
 from advlab.protocols import SafeAgreement, default_inputs
 from advlab.sim import (
     Decision,
@@ -146,8 +146,22 @@ class TestKAgreement:
         assert check_k_agreement(trace, 2).passed
 
     def test_invalid_value_fails_regardless(self):
+        # an invalid value fails validity whatever k is; k-agreement counts
+        # only distinct decisions, so a campaign records one violation
         trace = hand_trace(2, [1, 2], [(1, 1, 999)], {1: 5, 2: 7})
-        assert not check_k_agreement(trace, 5).passed
+        assert not check_validity(trace).passed
+        assert check_k_agreement(trace, 1).passed
+
+        class InventsValue(EchoProtocol):
+            name = "safe-agreement"
+
+            def program(self, pid):
+                yield {"val": self._input(pid)}
+                return 999
+
+        result = run_campaign(lambda: InventsValue(2, default_inputs(2)), [(1, Schedule(2, (1, 2)))], None, 4)
+        assert result.violations == {"validity": 1, "k-agreement": 0, "termination": 0}
+        assert [f["property"] for f in result.failures] == ["validity"]
 
     def test_wait_free_alpha_agreement_is_implied_by_validity(self):
         # sanity cross-check: with level == |P| everywhere, any trace passing

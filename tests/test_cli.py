@@ -325,7 +325,7 @@ class TestSimulate:
         capsys.readouterr()
         trace = out_dir / "trace-1.json"
         assert trace.exists()
-        assert main(["check", "--trace", str(trace), "--k", "1", "--among", "2,3"]) == 0
+        assert main(["check", "--trace", str(trace), "--protocol", "cons23"]) == 0
 
     def test_safe_agreement_seeded(self, fair_file, capsys):
         code = main(
@@ -518,21 +518,22 @@ class TestCheckCommand:
 
     def test_failing_trace_exits_1_with_witness(self, failing_trace, tmp_path):
         out_dir = tmp_path / "w"
-        code = main(["check", "--trace", failing_trace, "--out", str(out_dir)])
+        code = main(["check", "--trace", failing_trace, "--protocol", "safe-agreement", "--out", str(out_dir)])
         assert code == 1
         assert (out_dir / "witnesses.json").exists()
 
     def test_witness_file_over_a_directory_exits_2(self, failing_trace, tmp_path, capsys):
         taken = tmp_path / "w" / "witnesses.json"
         taken.mkdir(parents=True)
-        assert main(["check", "--trace", failing_trace, "--out", str(tmp_path / "w")]) == 2
+        argv = ["check", "--trace", failing_trace, "--protocol", "safe-agreement", "--out", str(tmp_path / "w")]
+        assert main(argv) == 2
         assert capsys.readouterr().err.startswith(f"error: cannot write {taken}: ")
 
     @pytest.mark.parametrize("obj", [{"n": 3}, [], {"n": 3, "schedule": []}, {"n": 3, "schedule": {"steps": 5}}])
     def test_malformed_trace_exits_2(self, tmp_path, capsys, obj):
         path = tmp_path / "trace.json"
         path.write_text(json.dumps(obj))
-        assert main(["check", "--trace", str(path)]) == 2
+        assert main(["check", "--trace", str(path), "--protocol", "safe-agreement"]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: bad trace file") and "Traceback" not in err
 
@@ -549,35 +550,48 @@ class TestCheckCommand:
         # participants fit inside it
         wf2 = tmp_path / "wf2.json"
         wf2.write_text(json.dumps({"n": 2, "table": [0, 1, 1, 2]}))
-        assert main(["check", "--trace", three_process_trace, "--alpha", str(wf2)]) == 2
+        assert main(["check", "--trace", three_process_trace, "--protocol", "adaptive", "--alpha", str(wf2)]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"error: universe mismatch: trace {three_process_trace} has n=3, --alpha has n=2\n"
 
-    @pytest.mark.parametrize("k", ["0", "-1"])
-    def test_k_below_one_exits_2(self, three_process_trace, capsys, k):
-        assert main(["check", "--trace", three_process_trace, "--k", k]) == 2
-        assert capsys.readouterr().err == f"error: --k must be at least 1, got {k}\n"
-
-    @pytest.mark.parametrize("among, pid", [("9", 9), ("0,2", 0), ("2,4", 4)])
-    def test_among_outside_universe_exits_2(self, three_process_trace, capsys, among, pid):
-        assert main(["check", "--trace", three_process_trace, "--among", among]) == 2
-        err = capsys.readouterr().err
-        assert err == f"error: --among names process {pid} outside 1..3 of trace {three_process_trace}\n"
-
-    def test_empty_among_exits_2(self, three_process_trace, capsys):
-        assert main(["check", "--trace", three_process_trace, "--among", ""]) == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err == "error: bad --among value ''\n"
-
     def test_matching_arguments_still_pass(self, three_process_trace, tmp_path, capsys):
         wf3 = tmp_path / "wf3.json"
         wf3.write_text(json.dumps({"n": 3, "table": [0, 1, 1, 2, 1, 2, 2, 3]}))
-        argv = ["check", "--trace", three_process_trace, "--alpha", str(wf3), "--k", "3", "--among", "1,2,3"]
-        assert main(argv) == 0
-        out = capsys.readouterr().out
+        out = ""
+        for protocol in ("adaptive", "alpha-setcons"):
+            assert main(["check", "--trace", three_process_trace, "--protocol", protocol, "--alpha", str(wf3)]) == 0
+            out += capsys.readouterr().out
         assert "alpha-agreement=pass" in out and "k-agreement=pass" in out
+
+    @pytest.mark.parametrize(
+        "protocol, alpha, message",
+        [
+            ("adaptive", False, "adaptive needs --alpha"),
+            ("cons23", True, "cons23 does not read --alpha"),
+            ("nope", False, "unknown protocol 'nope' (choose from safe-agreement, alpha-setcons, adaptive, cons23)"),
+        ],
+    )
+    def test_protocol_and_alpha_errors_exit_2(self, three_process_trace, wf3_file, capsys, protocol, alpha, message):
+        argv = ["check", "--trace", three_process_trace, "--protocol", protocol]
+        assert main(argv + (["--alpha", wf3_file] if alpha else [])) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
+
+    def test_empty_alpha_exits_2(self, three_process_trace, capsys):
+        # an empty --alpha names no file: it used to stand for no --alpha at all
+        assert main(["check", "--trace", three_process_trace, "--protocol", "adaptive", "--alpha", ""]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: cannot read : ")
+
+    def test_trace_the_protocol_cannot_produce_exits_2(self, failing_trace, capsys):
+        # cons23 is defined over 3 processes only; this trace has 2
+        assert main(["check", "--trace", failing_trace, "--protocol", "cons23"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: the pairwise protocol is defined over a 3-process universe\n"
 
     @pytest.mark.parametrize("edit", ["steps-and-decision", "halted_at", "inputs", "statuses"])
     def test_out_of_range_process_ids_exit_2(self, tmp_path, capsys, edit):
@@ -593,7 +607,7 @@ class TestCheckCommand:
             obj[edit]["9"] = obj[edit]["1"]
         path = tmp_path / "trace.json"
         path.write_text(json.dumps(obj))
-        assert main(["check", "--trace", str(path)]) == 2
+        assert main(["check", "--trace", str(path), "--protocol", "safe-agreement"]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: bad trace file") and "outside 1..3" in err
 
@@ -610,7 +624,7 @@ class TestCheckCommand:
         holder[what] = {key if p == pid else p: v for p, v in holder[what].items()}
         path = tmp_path / "trace.json"
         path.write_text(json.dumps(obj))
-        assert main(["check", "--trace", str(path)]) == 2
+        assert main(["check", "--trace", str(path), "--protocol", "safe-agreement"]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
         reason = f"{what} key {json.dumps(key)} is not a process id"
@@ -644,7 +658,7 @@ class TestCheckCommand:
         holder[field[-1]] = value
         path = tmp_path / "edited.json"
         path.write_text(json.dumps(obj))
-        assert main(["check", "--trace", str(path), "--alpha", str(wf3), "--k", "1"]) == 2
+        assert main(["check", "--trace", str(path), "--protocol", "adaptive", "--alpha", str(wf3)]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
         reason = f"{what} {json.dumps(value)} is not an integer"
@@ -717,6 +731,63 @@ class TestCampaignEngine:
         witnesses = json.loads((out_dir / "witnesses.json").read_text())
         assert {w["property"] for w in witnesses} == {"k-agreement"}
         assert {w["run"] for w in witnesses} == {"1", "2", "3", "4"}
+
+
+class TestCheckRoundTrip:
+    """`check --protocol P` gives the trace files of a `simulate --protocol P`
+    campaign the verdicts the campaign gave their runs."""
+
+    WAIT_FREE = [[1], [1, 2], [1, 2, 3], [1, 3], [2], [2, 3], [3]]
+    RESILIENT = [[1, 2], [1, 2, 3], [1, 3], [2, 3]]
+    UNFAIR = [[1], [1, 2, 3], [2, 3]]
+    FAIR = [[1], [1, 2, 3], [1, 3], [2], [2, 3], [3]]
+
+    @pytest.mark.parametrize(
+        "protocol, live_sets, seeds, budget, split, termination",
+        [
+            # termination is checked only where no process halted in its unsafe window
+            ("safe-agreement", RESILIENT, 100, 24, False, (53, 0)),
+            ("cons23", WAIT_FREE, 50, 96, False, (50, 7)),
+            # every run breaks k-agreement: SplitCons23 decides each process's own input
+            ("cons23", RESILIENT, 4, 48, True, (4, 0)),
+            # termination is checked only on the runs the agreement function admits
+            ("adaptive", UNFAIR, 50, 24, False, (36, 0)),
+            ("alpha-setcons", FAIR, 50, 24, False, (35, 0)),
+        ],
+        ids=["safe-agreement", "cons23", "cons23-split", "adaptive", "alpha-setcons"],
+    )
+    def test_check_gives_the_campaign_verdicts(
+        self, tmp_path, capsys, monkeypatch, protocol, live_sets, seeds, budget, split, termination
+    ):
+        adversary = tmp_path / "adversary.json"
+        adversary.write_text(json.dumps({"n": 3, "live_sets": live_sets}))
+        runs = tmp_path / "runs"
+        argv = ["simulate", "--protocol", protocol, "--adversary", str(adversary), "--seeds", str(seeds)]
+        with monkeypatch.context() as patched:
+            if split:
+                patched.setattr(cli, "Cons23", TestCampaignEngine.SplitCons23)
+            code = main(argv + ["--budget", str(budget), "--out", str(runs), "--format", "json"])
+        campaign = json.loads(capsys.readouterr().out)
+        assert (campaign["checked"]["termination"], campaign["violations"]["termination"]) == termination
+        assert code == (1 if split else int(termination[1] > 0))
+
+        argv = ["check", "--protocol", protocol, "--format", "json", "--out", str(tmp_path / "w")]
+        if cli.POLICIES[protocol].needs_fn:
+            assert main(["alpha", "--adversary", str(adversary), "--out", str(tmp_path)]) == 0
+            capsys.readouterr()
+            argv += ["--alpha", str(tmp_path / "adversary.alpha.json")]
+        for seed in range(1, seeds + 1):
+            argv += ["--trace", str(runs / f"trace-{seed}.json")]
+        assert main(argv) == code
+        checked: dict = {}
+        violations: dict = {}
+        for report in json.loads(capsys.readouterr().out)["reports"]:
+            for verdict in report["verdicts"]:
+                prop = verdict["property"]
+                checked[prop] = checked.get(prop, 0) + 1
+                violations[prop] = violations.get(prop, 0) + (not verdict["pass"])
+        assert checked == campaign["checked"]
+        assert violations == campaign["violations"]
 
 
 def assert_no_child_left():
@@ -1062,7 +1133,7 @@ class TestCommonMachinery:
         argv = {
             "setcon": ["setcon", "--adversary", str(path)],
             "compare": ["compare", str(path), str(path)],
-            "check": ["check", "--trace", str(path)],
+            "check": ["check", "--trace", str(path), "--protocol", "safe-agreement"],
         }[command]
         assert main(argv) == 2
         captured = capsys.readouterr()
@@ -1249,20 +1320,20 @@ class TestFuzz:
     @given(
         node=st.integers(0, 10**6),
         value=JSON_VALUES,
-        alpha=st.none() | ALPHAS,
-        k=st.sampled_from([None, "1", "2"]),
+        protocol=PROTOCOLS,
+        alpha=st.just(AgreementFunction.wait_free(2).to_json_obj()) | ALPHAS,
     )
-    def test_trace_files(self, node, value, alpha, k):
+    def test_trace_files(self, node, value, protocol, alpha):
+        # --alpha goes with the protocols that read it: either the base trace's
+        # wait-free table or a random document
         trace = _replace_node(self.base_trace(), node, value)
         with tempfile.TemporaryDirectory() as tmp:
             tmp = Path(tmp)
-            argv = ["check", "--trace", str(tmp / "t.json"), "--out", str(tmp / "o")]
+            argv = ["check", "--trace", str(tmp / "t.json"), "--protocol", protocol, "--out", str(tmp / "o")]
             files = {"t.json": trace}
-            if alpha is not None:
+            if cli.POLICIES[protocol].needs_fn:
                 argv += ["--alpha", str(tmp / "f.json")]
                 files["f.json"] = alpha
-            if k is not None:
-                argv += ["--k", k]
             self.run(tmp, argv, files)
 
     @settings(max_examples=100, deadline=None)
