@@ -18,10 +18,20 @@ layer's power queries read the tables of other touching masks.  Each
 Adversary keeps its own tables, keyed by T, so nothing is cached at module
 level.
 
+Two lemmas about a region table s let the kernel read it instead of
+rescanning it:
+
+- Neighbour lemma: s(R - i) is s(R) - 1 or s(R) for every i in R (proof
+  sketch in `fairness_counterexample`).  `_region_powers` uses it to stop
+  at the first neighbour of R that differs from the first one, and
+  `fairness_counterexample` rests its criterion on it.
+- Witness lemma: a live S inside R has 1 + min_p s(S - p) <= s(S) <= s(R),
+  by the recursion and monotonicity.  So only the live sets with
+  s(S) = s(R) can realize s(R), and `setcon_witness` searches only those.
+
 Fairness is decided by a local criterion on that one table: every region
 R that is not live and has power s(R) >= 1 must hold more than s(R)
-processes whose removal keeps its power.  `fairness_counterexample` gives
-the proof sketch.
+processes whose removal keeps its power.
 
 Everything here is exhaustive by design and meant for universes of at
 most 16 processes.
@@ -29,8 +39,12 @@ most 16 processes.
 
 from __future__ import annotations
 
+from bisect import bisect_left
+from collections import Counter
 from dataclasses import dataclass, field
+from itertools import compress
 from math import comb
+from operator import attrgetter
 from typing import Iterable, Optional
 
 from .alpha import AgreementFunction
@@ -146,6 +160,11 @@ def _region_powers(n: int, masks: list[int]) -> bytes:
     a region reaching outside U copies a smaller entry, which keeps sparse
     families over large universes cheap.  Entries are at most n, so a byte
     each.
+
+    The neighbour lemma (see `fairness_counterexample`) puts every
+    alpha(R - i) in {alpha(R) - 1, alpha(R)}.  So the scan stops at the
+    first neighbour that differs from the first one: the larger of the two
+    is alpha(R).  When all neighbours equal v, alpha(R) = v + [R in F].
     """
     size = 1 << n
     live = bytearray(size)
@@ -153,21 +172,23 @@ def _region_powers(n: int, masks: list[int]) -> bytes:
     for m in masks:
         live[m] = 1
         union |= m
+    outside = ~union
     table = bytearray(size)
     for region in range(1, size):
-        if region & ~union:
+        if region & outside:
             table[region] = table[region & union]
             continue
-        hi, lo, rest = 0, n, region
+        rest = region & (region - 1)  # R minus its lowest process: the first neighbour
+        first = table[rest]
         while rest:
             low = rest & -rest
             v = table[region ^ low]
-            if v > hi:
-                hi = v
-            if v < lo:
-                lo = v
+            if v != first:
+                table[region] = v if v > first else first
+                break
             rest ^= low
-        table[region] = hi + 1 if live[region] and lo == hi else hi
+        else:
+            table[region] = first + live[region]
     return bytes(table)
 
 
@@ -197,24 +218,36 @@ def setcon_witness(adversary: Adversary) -> SetconWitness:
     """Extract the deterministic witness chain for setcon(adversary).
 
     Ties in the arg-max live set are broken by smallest bit-mask encoding,
-    ties in the arg-min process by smallest id.
+    ties in the arg-min process by smallest id.  By the witness lemma only
+    a live S with s(S) = s(R) can realize s(R), and for a live S the
+    recursion makes 1 + min_p s(S - p) = s(S), so each link is the first
+    such S inside R in mask order (a byte search of `level`, which marks
+    each live S with s(S) + 1), and its process is the first p in S with
+    s(S - p) = s(S) - 1.
     """
     full = (1 << adversary.n) - 1
     power = adversary.region_table(full)
+    level = bytearray(full + 1)  # s(S) + 1 at each live S, else 0
+    for s in adversary.live_sets:
+        level[s.bits] = power[s.bits] + 1
     chain = []
     region = full
     while power[region]:
-        for s in adversary.live_sets:  # ascending mask: ties keep the smallest encoding
-            if s.bits & ~region:
-                continue
-            # ascending id: ties keep the smallest process
-            low, a = min((power[s.bits & ~(1 << (p - 1))], p) for p in s.members())
-            if low + 1 == power[region]:
-                break
-        else:
+        target = power[region]
+        m = level.find(target + 1)  # ascending mask: ties keep the smallest encoding
+        while m >= 0 and m & ~region:
+            m = level.find(target + 1, m + 1)
+        if m < 0:
             raise AssertionError(f"no live set realizes the power of region {region:#x}")
-        chain.append((s, a))
-        region = s.bits & ~(1 << (a - 1))
+        rest = m  # ascending id: the arg-min is the first p with s(S - p) = s(S) - 1
+        while rest and power[m ^ (rest & -rest)] != target - 1:
+            rest &= rest - 1
+        low = rest & -rest
+        if not low:
+            raise AssertionError(f"no process of live set {m:#x} lowers its power")
+        s = adversary.live_sets[bisect_left(adversary.live_sets, m, key=attrgetter("bits"))]
+        chain.append((s, low.bit_length()))
+        region = m ^ low
     return SetconWitness(len(chain), tuple(chain))
 
 
@@ -256,10 +289,10 @@ def csize(adversary: Adversary) -> int:
 
 def _closed_csize(adversary: Adversary) -> int:
     """csize's formula, for a caller that already knows the non-empty family is superset-closed."""
-    live = bytearray(1 << adversary.n)
+    dead = bytearray(b"\x01") * (1 << adversary.n)
     for s in adversary.live_sets:
-        live[s.bits] = 1
-    return adversary.n - max(m.bit_count() for m in range(1 << adversary.n) if not live[m])
+        dead[s.bits] = 0
+    return adversary.n - max(map(int.bit_count, compress(range(1 << adversary.n), dead)))
 
 
 def is_superset_closed(adversary: Adversary) -> bool:
@@ -275,9 +308,7 @@ def is_superset_closed(adversary: Adversary) -> bool:
 
 def is_symmetric(adversary: Adversary) -> bool:
     """True iff membership depends only on cardinality."""
-    counts: dict[int, int] = {}
-    for s in adversary.live_sets:
-        counts[len(s)] = counts.get(len(s), 0) + 1
+    counts = Counter(map(int.bit_count, map(attrgetter("bits"), adversary.live_sets)))
     return all(counts[k] == comb(adversary.n, k) for k in counts)
 
 
@@ -324,13 +355,14 @@ def fairness_counterexample(adversary: Adversary) -> Optional[tuple[ProcessSet, 
         cap = power[region]
         if not cap or live[region]:
             continue
-        keep, rest = 0, region  # keep collects N(region)
-        while rest:
+        keep, count, rest = 0, 0, region  # keep collects N(region) until it outgrows cap
+        while rest and count <= cap:
             low = rest & -rest
             if power[region ^ low] == cap:
                 keep |= low
+                count += 1
             rest ^= low
-        if keep.bit_count() > cap:
+        if count > cap:
             continue
         targets, rest = keep, region ^ keep
         for _ in range(cap - keep.bit_count()):
@@ -353,7 +385,7 @@ def symmetric_setcon(adversary: Adversary) -> int:
     """
     if not is_symmetric(adversary):
         raise ValueError("the distinct-size formula applies only to symmetric adversaries")
-    return len({len(s) for s in adversary.live_sets})
+    return len(set(map(int.bit_count, map(attrgetter("bits"), adversary.live_sets))))
 
 
 def agreement_function(adversary: Adversary) -> AgreementFunction:

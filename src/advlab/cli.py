@@ -511,8 +511,8 @@ def _load_model(args, n: Optional[int] = None):
     when given, must agree.  Without --alpha the function is derived from
     the adversary.
     """
-    adversary = _load_adversary(args.adversary) if args.adversary else None
-    fn = _load_alpha(args.alpha) if args.alpha else None
+    adversary = None if args.adversary is None else _load_adversary(args.adversary)
+    fn = None if args.alpha is None else _load_alpha(args.alpha)
     sizes = {"--n": n} if n is not None else {}
     sizes.update((flag, model.n) for flag, model in (("--adversary", adversary), ("--alpha", fn)) if model is not None)
     if len(set(sizes.values())) > 1:

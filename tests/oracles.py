@@ -4,7 +4,10 @@ Everything here works on plain integers (bit masks) and deliberately
 avoids the package's own recursion, memoization, and search strategies,
 except `slow_fairness_counterexample`: the direct per-Q fairness scan, kept
 on the package's region tables as the reference for the local fairness
-criterion, and the `slow_check_*` checkers and `slow_admits_trace`: the
+criterion; `slow_region_powers` and `slow_setcon_witness`: the region-table
+recursion with the full max/min scan over every R - i and the witness scan
+over every live set, the references for the package's early-stopping
+versions; and the `slow_check_*` checkers and `slow_admits_trace`: the
 validity and agreement checkers compare values by one `canonical_json` text
 each, the reference for the hash-keyed checkers, and the termination checker
 and the admission test ask `has_decided` (a pass over every decision) per
@@ -129,6 +132,46 @@ def slow_fairness_counterexample(adversary: Adversary):
             if adversary.region_table(q_bits)[p_bits] != min(q_bits.bit_count(), base[p_bits]):
                 return ProcessSet(n, p_bits), ProcessSet(n, q_bits)
     return None
+
+
+def slow_region_powers(n: int, masks) -> bytes:
+    """The region table by the full recursion: the max and min over every R - i.
+
+    The reference for `advlab.adversary._region_powers`, which stops at the
+    first neighbour that differs from the first one.
+    """
+    size = 1 << n
+    live = bytearray(size)
+    for m in masks:
+        live[m] = 1
+    table = bytearray(size)
+    for region in range(1, size):
+        below = [table[region & ~(1 << i)] for i in range(n) if region >> i & 1]
+        table[region] = max(max(below), live[region] * (1 + min(below)))
+    return bytes(table)
+
+
+def slow_setcon_witness(n: int, masks) -> list[tuple[int, int]]:
+    """Witness chain of (live-set mask, removed process id) over `slow_region_powers`.
+
+    Each link tries every live set inside the region in ascending mask
+    order, takes the min over all its members, and keeps the first set that
+    realizes the region's power: the reference for `advlab.setcon_witness`,
+    which skips the sets below that power.
+    """
+    power = slow_region_powers(n, masks)
+    chain = []
+    region = (1 << n) - 1
+    while power[region]:
+        for s in sorted(masks):
+            if s & ~region:
+                continue
+            low, a = min((power[s & ~(1 << i)], i + 1) for i in range(n) if s >> i & 1)
+            if low + 1 == power[region]:
+                break
+        chain.append((s, a))
+        region = s & ~(1 << (a - 1))
+    return chain
 
 
 def brute_alpha_table(masks: frozenset[int], n: int) -> tuple[int, ...]:

@@ -38,6 +38,8 @@ from oracles import (
     brute_witness,
     distinct_sizes,
     slow_fairness_counterexample,
+    slow_region_powers,
+    slow_setcon_witness,
     upward_closure,
 )
 
@@ -60,6 +62,15 @@ def blocky_family(rng, n):
         counts = tuple(sum(1 for i in range(n) if m >> i & 1 and blocks[i] == b) for b in range(n))
         orbits.setdefault(counts, []).append(m)
     return family(n, [m for orbit in orbits.values() if rng.random() < 0.85 for m in orbit])
+
+
+def assert_matches_slow_scans(adv, touching=()):
+    """The region tables (the full touching mask and the given ones) and the
+    witness chain equal the full-scan references, byte for byte."""
+    n, masks = adv.n, [s.bits for s in adv.live_sets]
+    for t in ((1 << n) - 1, *touching):
+        assert adv.region_table(t) == slow_region_powers(n, [m for m in masks if m & t]), (adv, t)
+    assert [(s.bits, a) for s, a in setcon_witness(adv).chain] == slow_setcon_witness(n, masks), adv
 
 
 class TestProcessSet:
@@ -263,6 +274,28 @@ class TestSetcon:
             masks = frozenset(m for m in range(1, 1 << n) if rng.random() < density)
             chain = [(s.bits, a) for s, a in setcon_witness(family(n, masks)).chain]
             assert chain == brute_witness(masks), sorted(masks)
+
+    def test_fast_paths_match_slow_scans_on_all_n3_families(self):
+        for masks in all_families(3):
+            assert_matches_slow_scans(family(3, masks), touching=range(1, 7))
+
+    @pytest.mark.parametrize("n", range(4, 11))
+    def test_fast_paths_match_slow_scans_on_seeded_families(self, n):
+        rng = random.Random(f"slow-scans:{n}")
+        for density in (0.25, 0.6):
+            for _ in range(2):
+                masks = frozenset(m for m in range(1, 1 << n) if rng.random() < density)
+                touching = [rng.randrange(1, 1 << n) for _ in range(3)]
+                assert_matches_slow_scans(family(n, masks), touching)
+                assert_matches_slow_scans(family(n, upward_closure(masks, n)), touching)
+
+    @pytest.mark.parametrize("n", range(3, 13))
+    def test_fast_paths_match_slow_scans_on_structured_families(self, n):
+        touching = [1, 1 << n - 1, (1 << n // 2) - 1]
+        cases = [all_nonempty(n), cyclic_edge_closure(n), sizes_adversary(n, [1, n]), sizes_adversary(n, [2, n - 1])]
+        cases += [t_resilient_adversary(n, t) for t in {1, n // 2, n - 2}]
+        for adv in cases:
+            assert_matches_slow_scans(adv, touching)
 
     def test_witness_is_deterministic(self, unfair_triple):
         w1 = setcon_witness(unfair_triple)

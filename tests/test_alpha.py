@@ -1,6 +1,7 @@
 """Agreement-function values, constructors, ordering, and run admission."""
 
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -66,6 +67,22 @@ class TestConstructors:
             AgreementFunction(2, (1, 1, 1, 2))
         with pytest.raises(ValueError):
             AgreementFunction(2, (0, 1, 1, 3))
+
+    @pytest.mark.parametrize(
+        "table, message",
+        [
+            ((0, 1, True, 2), "level True at mask 2 is not an integer"),
+            ((0, 1, 1.0, 2), "level 1.0 at mask 2 is not an integer"),
+            ((0, 1, -1, 2), "level -1 at mask 2 outside 0..2"),
+            ((0, 1, 1, 3), "level 3 at mask 3 outside 0..2"),
+            ((0, 3, 1, "2"), "level 3 at mask 1 outside 0..2"),  # the first bad entry is named
+            ((0, 1, 1, None), "level None at mask 3 is not an integer"),
+            ((1, 1, 1, 2), "the empty set must map to level 0"),
+        ],
+    )
+    def test_level_errors_name_the_first_bad_entry(self, table, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            AgreementFunction(2, table)
 
     def test_json_roundtrip_and_strict_loading(self):
         fn = AgreementFunction.t_resilient(3, 1)

@@ -201,6 +201,16 @@ class TestSimulate:
         assert captured.out == ""
         assert captured.err == "error: bad --inputs value ''\n"
 
+    @pytest.mark.parametrize("flag", ["--alpha", "--adversary"])
+    def test_empty_model_file_exits_2(self, unfair_file, capsys, flag):
+        # an empty path names no file; it is not read as an absent flag
+        argv = ["simulate", "--protocol", "adaptive", "--seeds", "2"]
+        other = {"--alpha": ["--adversary", unfair_file], "--adversary": []}[flag]
+        assert main(argv + other + [flag, ""]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: cannot read : ")
+
     def test_json_output_is_one_document(self, unfair_file, capsys):
         argv = ["simulate", "--protocol", "adaptive", "--adversary", unfair_file, "--seeds", "3", "--budget", "72"]
         assert main(argv + ["--format", "json"]) == 0
@@ -369,6 +379,16 @@ class TestEnumerate:
 
     def test_bound_exceeded_exits_2(self):
         assert main(["enumerate", "--n", "3", "--steps", "5"]) == 2
+
+    @pytest.mark.parametrize("flag", ["--alpha", "--adversary"])
+    @pytest.mark.parametrize("protocol", [None, "adaptive"])
+    def test_empty_model_file_exits_2(self, capsys, flag, protocol):
+        # an empty path names no file; it is not read as an absent flag
+        argv = ["enumerate", "--n", "2", "--steps", "2"] + (["--protocol", protocol] if protocol else [])
+        assert main(argv + [flag, ""]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: cannot read : ")
 
     @pytest.mark.parametrize("flag, value", [("--inputs", "garbage"), ("--inputs", "1,2"), ("--out", "OUT")])
     def test_count_only_rejects_inputs_and_out(self, tmp_path, capsys, flag, value):
@@ -1029,6 +1049,14 @@ class TestBgg:
         history = json.loads((out_dir / "bgg-history.json").read_text())
         assert history["gate_mode"] == "adaptive"
         assert history["halt_pattern"] == {"2": 30}
+
+    def test_history_file_over_a_directory_exits_2(self, fair_file, tmp_path, capsys):
+        taken = tmp_path / "h" / "bgg-history.json"
+        taken.mkdir(parents=True)
+        assert main(["bgg", "--adversary", fair_file, "--gate", "adaptive", "--out", str(tmp_path / "h")]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: cannot write {taken}: ") and captured.err.count("\n") == 1
 
     def test_per_simulator_counts_match_the_records(self, fair_file, tmp_path, capsys):
         out_dir = tmp_path / "p"
