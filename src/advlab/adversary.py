@@ -271,24 +271,17 @@ def replay_witness(adversary: Adversary, witness: SetconWitness) -> int:
     return len(witness.chain)
 
 
-def csize(adversary: Adversary) -> int:
+def csize(adversary: Adversary) -> Optional[int]:
     """Minimum hitting-set size of a superset-closed adversary.
 
     H misses a live set S exactly when S lies inside the complement of H,
     which is then live too, so H meets every live set exactly when its
     complement is not live: csize = n - max{|C| : C not in F}.  The empty
     adversary has no hitting set, and the formula needs superset-closure;
-    both raise ValueError.
+    for either the result is None.
     """
-    if not adversary.live_sets:
-        raise ValueError("the empty adversary has no hitting set")
-    if not is_superset_closed(adversary):
-        raise ValueError("csize needs a superset-closed adversary")
-    return _closed_csize(adversary)
-
-
-def _closed_csize(adversary: Adversary) -> int:
-    """csize's formula, for a caller that already knows the non-empty family is superset-closed."""
+    if not adversary.live_sets or not is_superset_closed(adversary):
+        return None
     dead = bytearray(b"\x01") * (1 << adversary.n)
     for s in adversary.live_sets:
         dead[s.bits] = 0
@@ -378,13 +371,13 @@ def is_fair(adversary: Adversary) -> bool:
     return fairness_counterexample(adversary) is None
 
 
-def symmetric_setcon(adversary: Adversary) -> int:
-    """Distinct live-set cardinality count; valid only for symmetric adversaries.
+def symmetric_setcon(adversary: Adversary) -> Optional[int]:
+    """Distinct live-set cardinality count of a symmetric adversary; None for any other.
 
     Serves as an independent oracle against the setcon recursion.
     """
     if not is_symmetric(adversary):
-        raise ValueError("the distinct-size formula applies only to symmetric adversaries")
+        return None
     return len(set(map(int.bit_count, map(attrgetter("bits"), adversary.live_sets))))
 
 

@@ -8,7 +8,10 @@ checks here.  Any other exception, a library ValueError on input that
 passed them included, is a fault of the program and ends in a traceback.  All
 randomness flows from an explicit seed, which is printed.  Each subcommand
 declares only the flags it reads: `--out` belongs to the five that write
-files (alpha, simulate, enumerate, check, bgg).
+files (alpha, simulate, enumerate, check, bgg).  `enumerate` and `check`
+take `--alpha` exactly where their protocol's policy reads an agreement
+function (`_policy_alpha`); `simulate` draws its schedules from
+`--adversary` or `--alpha`, so it takes either or both.
 
 `run_campaign` is the one campaign engine: `simulate`, `enumerate` and the
 test suite all check protocol runs through it.  A run's verdicts come from
@@ -179,12 +182,14 @@ def cmd_setcon(args) -> int:
     lines = [f"setcon={value}"]
     for s, a in witness.chain:
         lines.append(f"witness: pick {_set_text(s)} drop {a}")
-    if adversary.live_sets and adv_mod.is_superset_closed(adversary):
-        obj["csize"] = adv_mod._closed_csize(adversary)
-        lines.append(f"csize={obj['csize']}")
-    if adv_mod.is_symmetric(adversary) and adversary.live_sets:
-        obj["distinct_sizes"] = adv_mod.symmetric_setcon(adversary)
-        lines.append(f"distinct_sizes={obj['distinct_sizes']}")
+    hitting = adv_mod.csize(adversary)
+    if hitting is not None:
+        obj["csize"] = hitting
+        lines.append(f"csize={hitting}")
+    sizes = adv_mod.symmetric_setcon(adversary)
+    if sizes:  # None for a family that is not symmetric, 0 for the empty one
+        obj["distinct_sizes"] = sizes
+        lines.append(f"distinct_sizes={sizes}")
     _emit(args, obj, lines)
     return 0
 
@@ -469,12 +474,18 @@ def _check_tail(args) -> None:
         raise InputError(f"--tail must not be negative, got {args.tail}")
 
 
-def _protocol_factory(args, policy: Policy, fn, n: int, inputs: dict[int, int]) -> Callable[[], Protocol]:
+def _policy_alpha(args, policy: Policy) -> Optional[AgreementFunction]:
+    """The agreement function of --alpha, which is given exactly where the policy reads one."""
+    given = args.alpha is not None
+    if given != policy.needs_fn:
+        raise InputError(f"{args.protocol} {'does not read' if given else 'needs'} --alpha")
+    return _load_alpha(args.alpha) if given else None
+
+
+def _protocol_factory(policy: Policy, fn, n: int, inputs: dict[int, int]) -> Callable[[], Protocol]:
     """The campaign's fresh-protocol factory.  One protocol is built here, so
     that a constructor's input error is raised before anything is printed or
     forked."""
-    if policy.needs_fn and fn is None:
-        raise InputError(f"{args.protocol} needs --alpha or --adversary")
     _checked(policy.make, n, inputs, fn)
     return lambda: policy.make(n, inputs, fn)
 
@@ -504,41 +515,27 @@ def _campaign(args, make, fn, runs: int, shard_stream, trace_dir: Optional[Path]
     return _report(args, obj, lines, result.failures)
 
 
-def _load_model(args, n: Optional[int] = None):
-    """(adversary, agreement function) from --adversary and --alpha, either possibly None.
-
-    Each given file is loaded and validated.  Both, and the universe size n
-    when given, must agree.  Without --alpha the function is derived from
-    the adversary.
-    """
-    adversary = None if args.adversary is None else _load_adversary(args.adversary)
-    fn = None if args.alpha is None else _load_alpha(args.alpha)
-    sizes = {"--n": n} if n is not None else {}
-    sizes.update((flag, model.n) for flag, model in (("--adversary", adversary), ("--alpha", fn)) if model is not None)
-    if len(set(sizes.values())) > 1:
-        raise InputError("universe mismatch: " + ", ".join(f"{flag} has n={v}" for flag, v in sizes.items()))
-    if fn is None and adversary is not None:
-        fn = adv_mod.agreement_function(adversary)
-    return adversary, fn
-
-
 def cmd_simulate(args) -> int:
     policy = _policy(args.protocol)
     _check_tail(args)
     if args.seeds < 1:
         raise InputError(f"--seeds must be at least 1, got {args.seeds}")
-    adversary, fn = _load_model(args)
-    if fn is None:
-        raise InputError("simulate needs --adversary or --alpha")
+    adversary = None if args.adversary is None else _load_adversary(args.adversary)
+    fn = None if args.alpha is None else _load_alpha(args.alpha)
     budget = args.budget
     if adversary is not None:
+        if fn is not None and fn.n != adversary.n:
+            raise InputError(f"universe mismatch: --adversary has n={adversary.n}, --alpha has n={fn.n}")
         n, generate, model = adversary.n, generate_schedule, adversary
-    else:
+        fn = adv_mod.agreement_function(adversary) if fn is None else fn
+    elif fn is not None:
         n, generate, model = fn.n, generate_admissible_schedule, fn
+    else:
+        raise InputError("simulate needs --adversary or --alpha")
     # every input error is raised before the header, so stdout stays empty
     inputs = _parse_inputs(args, n)
     _checked(check_schedulable, model, budget)
-    make = _protocol_factory(args, policy, fn, n, inputs)
+    make = _protocol_factory(policy, fn, n, inputs)
     trace_dir = _out_dir(args) if args.out else None
     base = args.seed
     if args.format == "text":
@@ -554,16 +551,19 @@ def cmd_simulate(args) -> int:
 
 def cmd_enumerate(args) -> int:
     _check_tail(args)
-    policy = None if args.protocol is None else _policy(args.protocol)
-    if policy is None and (args.inputs is not None or args.out is not None):
-        flag = "--inputs" if args.inputs is not None else "--out"
-        raise InputError(f"{flag} needs --protocol: enumerate without one only counts schedules")
-    _, fn = _load_model(args, args.n)
-    count = _checked(count_schedules, args.n, args.steps, args.halts)
-    if policy is None:
+    if args.protocol is None:
+        for flag, value in (("--alpha", args.alpha), ("--inputs", args.inputs), ("--out", args.out)):
+            if value is not None:
+                raise InputError(f"{flag} needs --protocol: enumerate without one only counts schedules")
+        count = _checked(count_schedules, args.n, args.steps, args.halts)
         _emit(args, {"schedules": count}, [f"schedules={count}"])
         return 0
-    make = _protocol_factory(args, policy, fn, args.n, _parse_inputs(args, args.n))
+    policy = _policy(args.protocol)
+    fn = _policy_alpha(args, policy)
+    if fn is not None and fn.n != args.n:
+        raise InputError(f"universe mismatch: --n has n={args.n}, --alpha has n={fn.n}")
+    count = _checked(count_schedules, args.n, args.steps, args.halts)
+    make = _protocol_factory(policy, fn, args.n, _parse_inputs(args, args.n))
     from itertools import islice
 
     def shard_stream(k: int, shards: int):
@@ -576,11 +576,7 @@ def cmd_enumerate(args) -> int:
 def cmd_check(args) -> int:
     """Re-check trace files under the policy of --protocol: the verdicts its campaign gives each run."""
     policy = _policy(args.protocol)
-    if policy.needs_fn and args.alpha is None:
-        raise InputError(f"{args.protocol} needs --alpha")
-    if not policy.needs_fn and args.alpha is not None:
-        raise InputError(f"{args.protocol} does not read --alpha")
-    fn = None if args.alpha is None else _load_alpha(args.alpha)
+    fn = _policy_alpha(args, policy)
     failures: list[dict] = []
     all_lines: list[str] = []
     reports = []
@@ -712,7 +708,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--steps", type=int, required=True)
     p.add_argument("--halts", type=int, default=0)
     p.add_argument("--protocol")
-    p.add_argument("--adversary")
     p.add_argument("--alpha")
     p.add_argument("--inputs")
     p.add_argument("--tail", type=int, default=120)

@@ -18,7 +18,14 @@ from hypothesis import strategies as st
 from advlab import Adversary, AgreementFunction, ProcessSet, adversary_to_json_obj, agreement_function, cli
 from advlab.cli import main
 from advlab.protocols import default_inputs
-from advlab.sim import ProtocolFault, Schedule, enumerate_schedules, run_to_quiescence, trace_to_json_obj
+from advlab.sim import (
+    ProtocolFault,
+    Schedule,
+    enumerate_schedules,
+    generate_schedule,
+    run_to_quiescence,
+    trace_to_json_obj,
+)
 
 from oracles import EchoProtocol
 
@@ -51,6 +58,14 @@ def resilient_file(tmp_path):
     path = tmp_path / "resilient.json"
     path.write_text(json.dumps({"n": 3, "live_sets": [[1, 2], [1, 2, 3], [1, 3], [2, 3]]}))
     return str(path)
+
+
+def assert_unrecognized(argv, flag, capsys):
+    """argparse refuses flag in argv: exit 2 before any subcommand runs."""
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
 
 
 class TestSetcon:
@@ -383,12 +398,19 @@ class TestEnumerate:
     @pytest.mark.parametrize("flag", ["--alpha", "--adversary"])
     @pytest.mark.parametrize("protocol", [None, "adaptive"])
     def test_empty_model_file_exits_2(self, capsys, flag, protocol):
-        # an empty path names no file; it is not read as an absent flag
+        # an empty path names no file; it is not read as an absent flag.
+        # enumerate takes no --adversary, and without a protocol no --alpha.
         argv = ["enumerate", "--n", "2", "--steps", "2"] + (["--protocol", protocol] if protocol else [])
+        if flag == "--adversary":
+            assert_unrecognized(argv + [flag, ""], flag, capsys)
+            return
         assert main(argv + [flag, ""]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err.startswith("error: cannot read : ")
+        if protocol is None:
+            assert captured.err == "error: --alpha needs --protocol: enumerate without one only counts schedules\n"
+        else:
+            assert captured.err.startswith("error: cannot read : ")
 
     @pytest.mark.parametrize("flag, value", [("--inputs", "garbage"), ("--inputs", "1,2"), ("--out", "OUT")])
     def test_count_only_rejects_inputs_and_out(self, tmp_path, capsys, flag, value):
@@ -476,7 +498,8 @@ class TestEnumerate:
 
 
 class TestModelLoading:
-    """simulate and enumerate load --adversary and --alpha through one helper."""
+    """simulate draws its schedules from --adversary or --alpha; enumerate and
+    check take --alpha exactly where their protocol's policy reads it."""
 
     @pytest.fixture
     def wf2_file(self, tmp_path):
@@ -484,10 +507,9 @@ class TestModelLoading:
         path.write_text(json.dumps({"n": 2, "table": [0, 1, 1, 2]}))
         return str(path)
 
-    def test_enumerate_loads_adversary_beside_alpha(self, wf2_file, tmp_path, capsys):
+    def test_enumerate_rejects_adversary_beside_alpha(self, wf2_file, tmp_path, capsys):
         argv = ["enumerate", "--n", "2", "--steps", "2", "--protocol", "adaptive", "--alpha", wf2_file]
-        assert main(argv + ["--adversary", str(tmp_path / "nonexistent.json")]) == 2
-        assert capsys.readouterr().err.startswith("error: cannot read")
+        assert_unrecognized(argv + ["--adversary", str(tmp_path / "nonexistent.json")], "--adversary", capsys)
         assert main(argv) == 0
 
     @pytest.mark.parametrize("protocol", ["safe-agreement", "cons23", "alpha-setcons", "adaptive"])
@@ -496,24 +518,72 @@ class TestModelLoading:
         assert main(argv + ["--seeds", "3"]) == 2
         assert capsys.readouterr().err == "error: universe mismatch: --adversary has n=3, --alpha has n=2\n"
 
-    def test_enumerate_count_only_reads_adversary(self, resilient_file, tmp_path, capsys):
+    def test_enumerate_count_only_rejects_adversary(self, resilient_file, tmp_path, capsys):
         argv = ["enumerate", "--n", "3", "--steps", "2"]
-        assert main(argv + ["--adversary", str(tmp_path / "nonexistent.json")]) == 2
-        assert capsys.readouterr().err.startswith("error: cannot read")
-        assert main(argv + ["--adversary", resilient_file]) == 0
+        assert_unrecognized(argv + ["--adversary", str(tmp_path / "nonexistent.json")], "--adversary", capsys)
+        assert_unrecognized(argv + ["--adversary", resilient_file], "--adversary", capsys)
+        assert main(argv) == 0
         assert capsys.readouterr().out == "schedules=90\n"
 
-    def test_enumerate_count_only_universe_mismatch_exits_2(self, wf2_file, resilient_file, capsys):
+    def test_enumerate_count_only_rejects_model_files(self, wf2_file, resilient_file, capsys):
         argv = ["enumerate", "--n", "2", "--steps", "2"]
-        assert main(argv + ["--adversary", resilient_file]) == 2
-        assert capsys.readouterr().err == "error: universe mismatch: --n has n=2, --adversary has n=3\n"
-        assert main(argv + ["--alpha", wf2_file]) == 0
-        assert capsys.readouterr().out == "schedules=6\n"
+        assert_unrecognized(argv + ["--adversary", resilient_file], "--adversary", capsys)
+        assert main(argv + ["--alpha", wf2_file]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: --alpha needs --protocol: enumerate without one only counts schedules\n"
 
-    def test_enumerate_universe_mismatch_exits_2(self, resilient_file, capsys):
-        argv = ["enumerate", "--n", "2", "--steps", "2", "--protocol", "safe-agreement", "--adversary", resilient_file]
-        assert main(argv) == 2
-        assert capsys.readouterr().err == "error: universe mismatch: --n has n=2, --adversary has n=3\n"
+    def test_enumerate_universe_mismatch_exits_2(self, wf3_file, capsys):
+        for protocol in ("alpha-setcons", "adaptive"):
+            argv = ["enumerate", "--n", "2", "--steps", "2", "--protocol", protocol, "--alpha", wf3_file]
+            assert main(argv) == 2
+            assert capsys.readouterr().err == "error: universe mismatch: --n has n=2, --alpha has n=3\n"
+
+    @pytest.mark.parametrize("given", [False, True], ids=["no-alpha", "alpha"])
+    @pytest.mark.parametrize("command", ["enumerate", "check"])
+    @pytest.mark.parametrize("protocol", sorted(cli.POLICIES))
+    def test_alpha_is_given_exactly_where_the_policy_reads_it(self, wf3_file, tmp_path, capsys, protocol, command, given):
+        policy = cli.POLICIES[protocol]
+        if command == "enumerate":
+            argv = ["enumerate", "--n", "3", "--steps", "1", "--protocol", protocol]
+        else:
+            # the protocol's own run on a wait-free 3-process schedule passes all its checks
+            make = policy.make(3, default_inputs(3), AgreementFunction.wait_free(3))
+            trace = run_to_quiescence(make, Schedule(3, (1, 2, 3) * 3), max_tail=120)
+            path = tmp_path / "trace.json"
+            path.write_text(json.dumps(trace_to_json_obj(trace)))
+            argv = ["check", "--trace", str(path), "--protocol", protocol]
+        code = main(argv + (["--alpha", wf3_file] if given else []))
+        captured = capsys.readouterr()
+        if given == policy.needs_fn:
+            assert code == 0, captured
+            return
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == f"error: {protocol} {'does not read' if given else 'needs'} --alpha\n"
+
+    def test_simulate_draws_from_adversary_and_checks_under_alpha(self, resilient_file, wf3_file, tmp_path, capsys):
+        # --adversary A --alpha F: A's schedules, F's protocol and checks.  At
+        # the default budget every run decides inside its schedule, so the
+        # counts are the same under F and alpha_A; the traces tell them apart.
+        argv = ["simulate", "--protocol", "adaptive", "--adversary", resilient_file, "--alpha", wf3_file]
+        assert main(argv + ["--seeds", "50", "--format", "json", "--out", str(tmp_path / "cli")]) == 0
+        obj = json.loads(capsys.readouterr().out)
+        adversary = Adversary.of(3, [[1, 2], [1, 2, 3], [1, 3], [2, 3]])
+        schedules = [(seed, generate_schedule(adversary, seed, cli.DEFAULT_SIM_BUDGET)) for seed in range(1, 51)]
+
+        def campaign(fn, name):
+            trace_dir = tmp_path / name
+            trace_dir.mkdir()
+            make = lambda: cli.POLICIES["adaptive"].make(3, default_inputs(3), fn)
+            result = cli.run_campaign(make, schedules, fn, 400, trace_dir)
+            traces = {path.name: path.read_text() for path in trace_dir.iterdir()}
+            return (result.runs, result.violations, result.checked, result.activations, result.tail_activations), traces
+
+        counts, traces = campaign(AgreementFunction.wait_free(3), "wait-free")
+        assert (obj["runs"], obj["violations"], obj["checked"], obj["activations"], obj["tail_activations"]) == counts
+        assert {path.name: path.read_text() for path in (tmp_path / "cli").iterdir()} == traces
+        assert campaign(agreement_function(adversary), "alpha-a")[1] != traces
 
 
 class TestCheckCommand:
@@ -1387,7 +1457,7 @@ class TestFuzz:
     @settings(max_examples=100, deadline=None)
     @given(
         protocol=st.none() | PROTOCOLS,
-        which=st.sampled_from(["none", "adversary", "alpha"]),
+        which=st.sampled_from(["none", "alpha"]),
         family=FAMILIES,
         random_files=st.none() | st.tuples(ADVERSARIES, ALPHAS),
         n=st.none() | st.integers(-1, 3),
