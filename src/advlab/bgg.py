@@ -224,55 +224,45 @@ def simulator_round(
     view: tuple[int, int, int, bytes],
     step: Step,
     adversary: Adversary,
-    gate_mode: str = GATE_VERBATIM,
-    round_no: int = 0,
+    gate_mode: str,
+    round_no: int,
 ) -> dict:
     """One full loop iteration of a simulator; returns the round record.
 
-    `view` is the `status_view` of `shared.pmem`.  The window and trail are
-    those of `compute_window`, recomputed only when the view or the
-    registration count differs from the simulator's last computation.
+    `view` is the `status_view` of `shared.pmem`.  A round the gate holds
+    back keeps the simulator's selection and records no window, step or
+    result.  A gated round reads the window and trail of `compute_window`,
+    recomputed only when the view or the registration count differs from
+    the simulator's last computation.
     """
     part, active, threshold, table = view
     sid = local.sid
-    if not (sid >= threshold if gate_mode == GATE_VERBATIM else sid <= threshold):
-        return {
-            "round": round_no,
-            "simulator": sid,
-            "P": part,
-            "A": active,
-            "gated": False,
-            "W": None,
-            "trail": (),
-            "s_cur": local.s_cur,
-            "p_cur": local.p_cur,
-            "reselected": False,
-            "fallback": False,
-            "stepped": None,
-            "result": None,
-        }
-    seen_view, seen_registrations, window, trail = local.memo
-    if seen_view is not view or seen_registrations != shared.registrations:
-        window, trail = compute_window(sid, shared, part, table)
-        local.memo = (view, shared.registrations, window, trail)
-    s_cur = local.s_cur
+    gated = sid >= threshold if gate_mode == GATE_VERBATIM else sid <= threshold
+    window = stepped = result = None
+    trail = ()
     reselected = fallback = False
-    if powered(table, s_cur, window, sid):
-        stepped = local.p_cur
-    else:
-        s_cur, fallback = select_live_set(adversary, table, window, part, sid)
-        stepped = local.p_cur = _lowest(s_cur)
-        local.s_cur = s_cur
-        shared.register(sid, stepped, s_cur)
-        reselected = True
-    result = step(sid, stepped, round_no)
-    p_cur = local.p_cur = _next_in_cycle(s_cur, stepped) if result == SUCCESS else stepped
+    s_cur, p_cur = local.s_cur, local.p_cur
+    if gated:
+        seen_view, seen_registrations, window, trail = local.memo
+        if seen_view is not view or seen_registrations != shared.registrations:
+            window, trail = compute_window(sid, shared, part, table)
+            local.memo = (view, shared.registrations, window, trail)
+        if powered(table, s_cur, window, sid):
+            stepped = p_cur
+        else:
+            s_cur, fallback = select_live_set(adversary, table, window, part, sid)
+            stepped = local.p_cur = _lowest(s_cur)
+            local.s_cur = s_cur
+            shared.register(sid, stepped, s_cur)
+            reselected = True
+        result = step(sid, stepped, round_no)
+        p_cur = local.p_cur = _next_in_cycle(s_cur, stepped) if result == SUCCESS else stepped
     return {
         "round": round_no,
         "simulator": sid,
         "P": part,
         "A": active,
-        "gated": True,
+        "gated": gated,
         "W": window,
         "trail": trail,
         "s_cur": s_cur,
@@ -293,8 +283,8 @@ class SelectionHistory:
     sim_count: int
     budget: int
     pattern: dict[int, int]
+    final_pmem: list
     records: list[dict] = field(default_factory=list)
-    final_pmem: list = field(default_factory=list)
 
     def per_simulator(self) -> dict[int, dict[str, int]]:
         """Rounds, gated rounds, re-selections, fallbacks and BLOCKED steps per simulator id."""
@@ -357,10 +347,10 @@ def run_bgg_selection(
     full = (1 << adversary.n) - 1
     sim_count = adversary.region_table(full)[full]
     pattern = dict(pattern or {})
-    history = SelectionHistory(adversary, gate_mode, sim_count, budget, pattern)
+    shared = BGShared.fresh(adversary.n, sim_count, initial_pmem)
+    history = SelectionHistory(adversary, gate_mode, sim_count, budget, pattern, final_pmem=list(shared.pmem))
     if sim_count == 0:
         return history
-    shared = BGShared.fresh(adversary.n, sim_count, initial_pmem)
     locals_ = {sid: SimulatorLocal(sid) for sid in range(1, sim_count + 1)}
     taken = {sid: 0 for sid in locals_}
 
@@ -380,7 +370,6 @@ def run_bgg_selection(
         # through the module global, once per record: the benchmark's tracer wraps it
         append(simulator_round(locals_[sid], shared, view, step, adversary, gate_mode, round_no))
         taken[sid] += 1
-    history.final_pmem = list(shared.pmem)
     return history
 
 
@@ -450,20 +439,22 @@ def _selection_feasibility(adversary: Adversary, quarter: list[dict], live: list
     return Verdict("selection-feasibility", True)
 
 
-def _liveset_coverage(history: SelectionHistory, quarter: list[dict], live: list[int], top: Optional[int]) -> Verdict:
+def _liveset_coverage(
+    adversary: Adversary, quarter: list[dict], live: list[int], top: Optional[int], active_bits: int
+) -> Verdict:
     """The processes stepped successfully late in the run form a live set touching the unfinished ones.
 
+    `active_bits` holds the unfinished processes of the final status array.
     The exception: the top live simulator is pinned on one process and
     every lower live simulator stays away from it.
     """
     if top is None:
         return Verdict("liveset-coverage", True, {"note": "no live eligible simulator"})
-    _, active_bits = participation(history.final_pmem)
     stepped_ok = 0
     for r in quarter:
         if r["result"] == SUCCESS:
             stepped_ok |= 1 << (r["stepped"] - 1)
-    family = {s.bits for s in history.adversary.live_sets}
+    family = {s.bits for s in adversary.live_sets}
     if stepped_ok in family and stepped_ok & active_bits:
         return Verdict("liveset-coverage", True)
     top_steps = {r["stepped"] for r in quarter if r["simulator"] == top and r["stepped"] is not None}
@@ -493,12 +484,13 @@ def selection_report(history: SelectionHistory) -> list[Verdict]:
     passed to each check.
     """
     quarter = history.quarter_records()
-    bound = gate_threshold(history.adversary, *participation(history.final_pmem))
+    part, active = participation(history.final_pmem)
+    bound = gate_threshold(history.adversary, part, active)
     live = [s for s in range(1, history.sim_count + 1) if s not in history.pattern and s <= bound]
     top = max(live) if live else None
     return [
         _participation_stability(quarter),
         _window_stability(quarter, live, top),
         _selection_feasibility(history.adversary, quarter, live, top),
-        _liveset_coverage(history, quarter, live, top),
+        _liveset_coverage(history.adversary, quarter, live, top, active),
     ]

@@ -207,8 +207,10 @@ def cmd_classify(args) -> int:
     ]
     if pair is not None:
         region, targets = pair
-        got = adversary.region_table(targets.bits)[region.bits]
-        bound = min(len(targets), adversary.region_table((1 << adversary.n) - 1)[region.bits])
+        # By the fairness criterion (`fairness_counterexample`), the reported
+        # Q has |Q| = s(P), and α(Q, P) = |Q| - 1 at the first violating P.
+        bound = len(targets)
+        got = bound - 1
         obj["counterexample"] = {
             "P": list(region.members()),
             "Q": list(targets.members()),

@@ -243,6 +243,8 @@ class AdaptiveSetConsensus(Protocol):
 
     def __init__(self, n: int, inputs: dict[int, object], subroutine):
         super().__init__(n, inputs)
+        if subroutine.fn.n != n:
+            raise ValueError(f"agreement function universe {subroutine.fn.n} does not match arity {n}")
         self.subroutine = subroutine
 
     def program(self, pid: int):

@@ -291,6 +291,14 @@ class TestBoundedProperties:
         assert history.records == []
         assert history.sim_count == 0
 
+    @pytest.mark.parametrize("gate", [GATE_ADAPTIVE, GATE_VERBATIM])
+    def test_empty_adversary_keeps_its_status_array(self, gate):
+        # a run with no simulators still records the status array it was
+        # handed, as every other run does
+        for pmem in GOLDEN_PMEMS:
+            history = run_bgg_selection(Adversary(3, ()), budget=10, gate_mode=gate, initial_pmem=pmem)
+            assert history.final_pmem == (pmem if pmem is not None else [PM_ACTIVE] * 3)
+
     def test_power_drop_bound_exhaustive_n3(self):
         # removing one process from a live set costs at most one power level,
         # for every family and every active-set restriction
@@ -394,7 +402,7 @@ class TestVerbatimGateDeviation:
 
 GOLDEN_BUDGET = 240
 GOLDEN_PMEMS = (None, [PM_ACTIVE, PM_DONE, None], [PM_DONE, PM_ACTIVE, PM_ACTIVE])
-GOLDEN_DIGEST = "cc2c87149f34a94fbd9a409a07228088ed40834468755378dff9f874d9651004"
+GOLDEN_DIGEST = "6f1c6ab189e30da4eabbaf277894192406f48cb8cb42ba4928a0a8b465e6e81b"
 RECORD_KEYS = (
     "round", "simulator", "P", "A", "gated", "W", "trail",
     "s_cur", "p_cur", "reselected", "fallback", "stepped", "result",

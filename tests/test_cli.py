@@ -27,7 +27,7 @@ from advlab.sim import (
     trace_to_json_obj,
 )
 
-from oracles import EchoProtocol
+from oracles import EchoProtocol, all_families
 
 
 @pytest.fixture
@@ -117,6 +117,25 @@ class TestClassify:
         obj = json.loads(capsys.readouterr().out)
         assert obj == {"superset_closed": True, "symmetric": True, "fair": True}
 
+    def test_counterexample_numbers_match_the_region_tables(self, tmp_path, capsys):
+        # the reported numbers, read off the fairness criterion, against the
+        # two table lookups they replace, on every 3-process family
+        path = tmp_path / "family.json"
+        unfair = 0
+        for masks in all_families(3):
+            adv = Adversary(3, tuple(ProcessSet(3, m) for m in sorted(masks)))
+            path.write_text(json.dumps(adversary_to_json_obj(adv)))
+            assert main(["classify", "--adversary", str(path), "--format", "json"]) == 0
+            obj = json.loads(capsys.readouterr().out)
+            if obj["fair"]:
+                continue
+            unfair += 1
+            pair = obj["counterexample"]
+            region = ProcessSet.of(3, pair["P"]).bits
+            targets = ProcessSet.of(3, pair["Q"])
+            assert pair["setcon_PQ"] == adv.region_table(targets.bits)[region]
+            assert pair["bound"] == min(len(targets), adv.region_table(7)[region])
+        assert unfair > 0
 
     @pytest.mark.parametrize(
         "obj",

@@ -171,6 +171,12 @@ class TestIdealObjects:
 
 
 class TestAdaptiveSetConsensus:
+    @pytest.mark.parametrize("subroutine", [EmbeddedAgreement, OracleAgreement])
+    def test_rejects_agreement_function_over_another_universe(self, subroutine):
+        # at construction, with RoundRobinSetConsensus's message, not mid-run
+        with pytest.raises(ValueError, match="^agreement function universe 2 does not match arity 3$"):
+            AdaptiveSetConsensus(3, default_inputs(3), subroutine(AgreementFunction.wait_free(2)))
+
     def test_solo_decides_own_input(self):
         fn = AgreementFunction.wait_free(3)
         proto = AdaptiveSetConsensus(3, {1: 7}, EmbeddedAgreement(fn))
