@@ -12,14 +12,19 @@ question is one lookup in a region table of the adversary: a live set s
 is powered for simulator sid when it lies inside the window and
 `adversary.region_table(active)[s] >= sid` (`powered`), and the level
 α(P) of a participating set P is `adversary.region_table(full)[P]`, the
-table the adversary's agreement function wraps.  P, A, the gate threshold
-min(|A|, α(P)) and the table of A depend on the status array alone, and
-nothing writes that array during a run, so `run_bgg_selection` reads them
-once (`status_view`) and hands the same view to every round.  A
-simulator's window depends only on that view and on the selections above
-it, so each simulator keeps its last window and trail and recomputes them
-only when it is handed another view or `BGShared.registrations`, the
-count of `BGShared.register` calls, has changed.
+table the adversary's agreement function wraps.  `powered` stays the
+named rule that the window, the selection and the report use; a round
+makes that test on its own current set, and the advance to the next
+process of that set, inline, because it does both on every gated round.
+P, A, the gate threshold min(|A|, α(P)) and the table of A depend on the
+status array alone, and nothing writes that array during a run, so
+`run_bgg_selection` reads them once (`status_view`) and hands the same
+view to every round.  A simulator's window depends only on that view and
+on the selections above it, so each simulator keeps its last window and
+trail and recomputes them only when it is handed another view or
+`BGShared.registrations`, the count of `BGShared.register` calls, has
+changed.  `run_bgg_selection` keeps the simulators in a list in id order
+beside one count of rounds left per simulator, which `is_live` reads too.
 `SelectionHistory.per_simulator` sums the records per simulator, and
 `selection_report`, the only entry point to the four bounded-run
 properties, reads the final quarter and the eligible live simulators once
@@ -192,15 +197,6 @@ def select_live_set(adversary: Adversary, table: bytes, window: int, part: int, 
     raise SelectionImpossible(f"no live set fits the participating region {ProcessSet(adversary.n, part)}")
 
 
-def _lowest(s: int) -> int:
-    return (s & -s).bit_length()
-
-
-def _next_in_cycle(s: int, pid: int) -> int:
-    higher = s >> pid  # members above pid
-    return pid + _lowest(higher) if higher else _lowest(s)
-
-
 Step = Callable[[int, int, int], str]  # (sid, pid, round_no) -> SUCCESS or BLOCKED
 
 
@@ -247,16 +243,22 @@ def simulator_round(
         if seen_view is not view or seen_registrations != shared.registrations:
             window, trail = compute_window(sid, shared, part, table)
             local.memo = (view, shared.registrations, window, trail)
-        if powered(table, s_cur, window, sid):
+        if s_cur & ~window == 0 and table[s_cur] >= sid:  # powered(table, s_cur, window, sid)
             stepped = p_cur
         else:
             s_cur, fallback = select_live_set(adversary, table, window, part, sid)
-            stepped = local.p_cur = _lowest(s_cur)
+            stepped = local.p_cur = (s_cur & -s_cur).bit_length()  # the lowest member
             local.s_cur = s_cur
             shared.register(sid, stepped, s_cur)
             reselected = True
         result = step(sid, stepped, round_no)
-        p_cur = local.p_cur = _next_in_cycle(s_cur, stepped) if result == SUCCESS else stepped
+        if result == SUCCESS:
+            # on to the next member of s_cur above the stepped one, cycling round to the lowest
+            higher = s_cur >> stepped
+            p_cur = stepped + (higher & -higher).bit_length() if higher else (s_cur & -s_cur).bit_length()
+        else:
+            p_cur = stepped
+        local.p_cur = p_cur
     return {
         "round": round_no,
         "simulator": sid,
@@ -328,11 +330,15 @@ def run_bgg_selection(
     """Replay all simulators round-robin for `budget` global rounds.
 
     The pattern maps a simulator id to the number of rounds it takes before
-    halting; absent ids run for the whole budget.  The simulator count is
-    the agreement level of the full universe.  `oracle` is a factory called
-    with (is_live, locals) that returns the step function, so it can
-    observe the simulators' current targets.  `initial_pmem`, when given,
-    holds one status per process: PM_UNSET, PM_ACTIVE or PM_DONE.
+    halting; absent ids run for the whole budget.  The loop keeps one count
+    of rounds left per simulator (None: it never halts) and lowers it after
+    the simulator's round, so `is_live` reads a simulator live through its
+    last round, while it steps too, and not live from then on.  The
+    simulator count is the agreement level of the full universe.  `oracle`
+    is a factory called with (is_live, locals) that returns the step
+    function, so it can observe the simulators' current targets.
+    `initial_pmem`, when given, holds one status per process: PM_UNSET,
+    PM_ACTIVE or PM_DONE.
     """
     if gate_mode not in (GATE_VERBATIM, GATE_ADAPTIVE):
         raise ValueError(f"unknown gate mode {gate_mode!r}")
@@ -351,25 +357,25 @@ def run_bgg_selection(
     history = SelectionHistory(adversary, gate_mode, sim_count, budget, pattern, final_pmem=list(shared.pmem))
     if sim_count == 0:
         return history
-    locals_ = {sid: SimulatorLocal(sid) for sid in range(1, sim_count + 1)}
-    taken = {sid: 0 for sid in locals_}
+    # index sid - 1 holds simulator sid
+    sims = [SimulatorLocal(sid) for sid in range(1, sim_count + 1)]
+    left = [pattern.get(sid) for sid in range(1, sim_count + 1)]  # rounds left; None: never halts
 
     def is_live(sid: int) -> bool:
-        limit = pattern.get(sid)
-        return limit is None or taken[sid] < limit
+        rest = left[sid - 1]
+        return rest is None or rest > 0
 
-    step = oracle(is_live, locals_)
+    step = oracle(is_live, {local.sid: local for local in sims})
     view = status_view(adversary, shared.pmem)
-    limit_of = pattern.get
     append = history.records.append
     for round_no in range(budget):
-        sid = round_no % sim_count + 1
-        limit = limit_of(sid)
-        if limit is not None and taken[sid] >= limit:
-            continue
-        # through the module global, once per record: the benchmark's tracer wraps it
-        append(simulator_round(locals_[sid], shared, view, step, adversary, gate_mode, round_no))
-        taken[sid] += 1
+        i = round_no % sim_count
+        rest = left[i]
+        if rest is None or rest > 0:
+            # through the module global, once per record: the benchmark's tracer wraps it
+            append(simulator_round(sims[i], shared, view, step, adversary, gate_mode, round_no))
+            if rest is not None:
+                left[i] = rest - 1  # after the round: the simulator reads live while it steps
     return history
 
 
@@ -395,12 +401,13 @@ def _window_stability(quarter: list[dict], live: list[int], top: Optional[int]) 
     if top is None:
         return Verdict("window-stability", True, {"note": "no live eligible simulator"})
     windows: dict[int, set] = {sid: set() for sid in live}
-    prefixes = set()
+    trails = set()  # a simulator's records share its memoised trail, so few are distinct
     for r in quarter:
         seen = windows.get(r["simulator"])
         if seen is not None and r["gated"]:
             seen.add(r["W"])
-            prefixes.add(tuple(step for step in r["trail"] if step[0] > top))
+            trails.add(r["trail"])
+    prefixes = {tuple(step for step in trail if step[0] > top) for trail in trails}
     for sid in live:
         if len(windows[sid]) > 1:
             return Verdict("window-stability", False, {"simulator": sid, "windows": sorted(windows[sid])})

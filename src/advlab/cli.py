@@ -614,6 +614,8 @@ def cmd_bgg(args) -> int:
             sid, rounds = (int(x) for x in item.split(":"))
         except ValueError as exc:
             raise InputError(f"bad --halt value {item!r}, expected SIM:ROUNDS") from exc
+        if sim_count == 0:
+            raise InputError(f"--halt {item}: this adversary has no simulators (no live sets)")
         if not 1 <= sid <= sim_count:
             raise InputError(f"--halt {item}: simulator ids run 1..{sim_count} for this adversary")
         if rounds < 0:

@@ -6,7 +6,17 @@ import random
 
 import pytest
 
-from advlab import Adversary, ProcessSet, agreement_function, all_nonempty, bgg, is_fair, setcon
+from advlab import (
+    Adversary,
+    ProcessSet,
+    agreement_function,
+    all_nonempty,
+    bgg,
+    is_fair,
+    setcon,
+    sizes_adversary,
+    t_resilient_adversary,
+)
 from advlab.bgg import (
     BGShared,
     BLOCKED,
@@ -18,6 +28,7 @@ from advlab.bgg import (
     SimulatorLocal,
     SUCCESS,
     compute_window,
+    contention_oracle,
     participation,
     power_within,
     powered,
@@ -352,6 +363,75 @@ class TestBoundedProperties:
         assert verdict.witness == {"round": late[-1]["round"], "simulator": 1, "window": 0}
 
 
+class TestHaltEdges:
+    """Halt limits at their edges, and what `is_live` reads around a halt.
+
+    The contention oracle only asks about higher-id simulators, never the
+    one stepping, so these pin `is_live` through an oracle that asks about
+    every simulator on every step.
+    """
+
+    BUDGET = warm_up_budget(3)
+
+    def run(self, gate, pattern, oracle=contention_oracle):
+        return run_bgg_selection(fair_example(), pattern=pattern, budget=self.BUDGET, gate_mode=gate, oracle=oracle)
+
+    @pytest.mark.parametrize("gate", [GATE_ADAPTIVE, GATE_VERBATIM])
+    @pytest.mark.parametrize("sid", [1, 2])
+    def test_limits_zero_k_and_past_the_share(self, gate, sid):
+        unhalted = self.run(gate, None).records
+        share = self.BUDGET // 2  # rounds a simulator takes in a run without halts
+        never = self.run(gate, {sid: 0}).records
+        assert all(r["simulator"] != sid for r in never) and len(never) == share
+        for limit in (share, self.BUDGET, self.BUDGET + 7):
+            assert self.run(gate, {sid: limit}).records == unhalted, limit
+        for k in (1, 37):
+            records = self.run(gate, {sid: k}).records
+            own = [r["round"] for r in records if r["simulator"] == sid]
+            assert own == [r["round"] for r in unhalted if r["simulator"] == sid][:k]
+            # a halted simulator's slots are skipped, not handed to another one
+            assert sum(r["simulator"] != sid for r in records) == share
+
+    @pytest.mark.parametrize("gate", [GATE_ADAPTIVE, GATE_VERBATIM])
+    @pytest.mark.parametrize("pattern", [{1: 5}, {2: 5}, {1: 0}, {2: 37}, {1: 0, 2: 9}, {1: 40, 2: 41}])
+    def test_is_live_until_after_the_last_round(self, gate, pattern):
+        log = []  # (round, stepping simulator, {simulator: is_live})
+
+        def logging_oracle(is_live, locals_):
+            step = contention_oracle(is_live, locals_)
+
+            def logged(sid, pid, round_no):
+                assert locals_[sid].p_cur == pid  # an oracle sees the stepping simulator's target
+                log.append((round_no, sid, {x: is_live(x) for x in locals_}))
+                return step(sid, pid, round_no)
+
+            return logged
+
+        history = self.run(gate, pattern, logging_oracle)
+        assert history.records == self.run(gate, pattern).records
+        assert log, "the oracle was never asked"
+        record_rounds = {}  # simulator -> the rounds of its records
+        for r in history.records:
+            record_rounds.setdefault(r["simulator"], []).append(r["round"])
+        for round_no, stepping, live in log:
+            assert live[stepping], (round_no, stepping)  # live while it steps, its last round included
+            for x, got in live.items():
+                taken = sum(1 for q in record_rounds.get(x, []) if q < round_no)
+                limit = pattern.get(x)
+                assert got == (limit is None or taken < limit), (round_no, x)
+        for sid, limit in pattern.items():
+            rounds = record_rounds.get(sid, [])
+            assert len(rounds) == limit
+            last = rounds[-1] if rounds else -1
+            after = [live[sid] for round_no, _, live in log if round_no > last]
+            assert not any(after), sid  # not live after its last round
+            if len(pattern) == 1 and (gate == GATE_ADAPTIVE or sid == 1):
+                assert after, "the other simulator steps after the halt"
+            if gate == GATE_ADAPTIVE and rounds:
+                # it stepped in its own last round and read itself live there
+                assert [live[sid] for round_no, _, live in log if round_no == last] == [True]
+
+
 class TestSelectionPropertySweep:
     def test_every_fair_family_every_halt_pattern(self):
         # compressed version of the acceptance sweep: shorter budget, n=3
@@ -482,3 +562,36 @@ class TestGolden:
         monkeypatch.setattr(bgg, "simulator_round", checked_round)
         runs = sum(1 for _ in golden_runs())
         assert runs == 2322 and gated > 100_000
+
+
+LARGER_DIGEST = "69f1ef65324c835061f4f3a690df41f0de64e8741428f40f1baebd37aa01203d"
+
+
+def larger_families():
+    """The bgg benchmark's family shapes at n = 4 and 5: the 2-resilient
+    family, two symmetric families of two sizes and two upward closures."""
+    for n in (4, 5):
+        yield t_resilient_adversary(n, 2)
+        yield sizes_adversary(n, (1, n))
+        yield sizes_adversary(n, (2, n - 1))
+        for generators in ((0b0011, 0b1100), (0b0011, 0b0110, 0b1100)):
+            masks = [m for m in range(1, 1 << n) if any(m & g == g for g in generators)]
+            yield Adversary(n, tuple(ProcessSet(n, m) for m in masks))
+
+
+class TestGoldenLarger:
+    """Pins 4- and 5-process histories and reports byte for byte, every
+    halt pattern of the criterion-09 rule under both gates."""
+
+    def test_history_and_report_digest(self):
+        lines = []
+        for adv in larger_families():
+            sims, budget = setcon(adv), warm_up_budget(adv.n)
+            for gate in (GATE_ADAPTIVE, GATE_VERBATIM):
+                for rsize in range(sims + 1):
+                    for halted in itertools.combinations(range(1, sims + 1), rsize):
+                        pattern = {s: budget // 6 + 3 * s for s in halted}
+                        history = run_bgg_selection(adv, pattern=pattern, budget=budget, gate_mode=gate)
+                        lines.append(golden_line(history))
+        assert len(lines) == 96
+        assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == LARGER_DIGEST

@@ -1172,13 +1172,18 @@ class TestBgg:
             assert f"simulator={sid} " + " ".join(f"{k}={v}" for k, v in counts.items()) in lines
 
     def test_per_simulator_counts_pinned(self, tmp_path, capsys):
+        # pinned in the CI workflow's console-script step too
         path = tmp_path / "singletons.json"
         path.write_text(json.dumps({"n": 3, "live_sets": [[1], [1, 2, 3], [2], [3]]}))
-        assert main(["bgg", "--adversary", str(path), "--gate", "adaptive", "--format", "json"]) == 0
-        assert json.loads(capsys.readouterr().out)["per_simulator"] == {
-            "1": {"rounds": 600, "gated": 600, "reselections": 2, "fallbacks": 0, "blocked": 200},
-            "2": {"rounds": 600, "gated": 600, "reselections": 1, "fallbacks": 0, "blocked": 0},
-        }
+        argv = ["bgg", "--adversary", str(path), "--gate", "adaptive", "--format", "json"]
+        for halt, blocked_1, rounds_2 in (([], 200, 600), (["--halt", "2:100"], 33, 100)):
+            assert main(argv + halt) == 0
+            obj = json.loads(capsys.readouterr().out)
+            assert all(v["pass"] for v in obj["properties"]), halt
+            assert obj["per_simulator"] == {
+                "1": {"rounds": 600, "gated": 600, "reselections": 2, "fallbacks": 0, "blocked": blocked_1},
+                "2": {"rounds": rounds_2, "gated": rounds_2, "reselections": 1, "fallbacks": 0, "blocked": 0},
+            }, halt
 
     @pytest.mark.parametrize("halt", ["9:10", "2:10", "0:10", "1:-1", "1:2:3"])
     def test_bad_halt_exits_2(self, tmp_path, capsys, halt):
@@ -1187,6 +1192,14 @@ class TestBgg:
         assert main(["bgg", "--adversary", str(path), "--halt", halt]) == 2
         assert capsys.readouterr().err.startswith("error:")
         assert main(["bgg", "--adversary", str(path), "--halt", "1:10"]) == 0
+
+    def test_halt_on_adversary_without_live_sets_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "empty.json"
+        path.write_text(json.dumps({"n": 3, "live_sets": []}))
+        assert main(["bgg", "--adversary", str(path), "--halt", "1:30"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: --halt 1:30: this adversary has no simulators (no live sets)\n"
 
     def test_repeated_halt_id_exits_2(self, fair_file, capsys):
         argv = ["bgg", "--adversary", fair_file, "--halt", "2:5", "--halt", "2:900"]
