@@ -8,7 +8,9 @@ chain), minimum hitting sets of superset-closed families, the
 superset-closed / symmetric / fair classification, and derivation of an
 adversary's agreement function.
 
-Set-consensus power is computed by region tables.  Restricting twice
+Every question about a family reads a table its Adversary owns: the
+membership table (one byte per mask, 1 at each live set) or a region
+table of set-consensus power.  Restricting twice
 equals restricting to the intersection, so every family the recursion
 visits is the live sets inside some region R.  For a touching mask T, one
 pass over the subset lattice gives the power of {S in F : S meets T}
@@ -39,7 +41,6 @@ most 16 processes.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass, field
 from itertools import compress
@@ -56,25 +57,27 @@ class Adversary:
     """A family of non-empty live sets over the universe {1..n}.
 
     live_sets is kept canonically sorted by bit mask; duplicates and empty
-    sets are rejected.
+    sets are rejected.  membership[m] is 1 exactly when mask m is live.
     """
 
     n: int
     live_sets: tuple[ProcessSet, ...]
+    membership: bytes = field(init=False, repr=False, compare=False)
     _tables: dict[int, bytes] = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not 1 <= self.n <= MAX_UNIVERSE:
             raise ValueError(f"universe size must be in 1..{MAX_UNIVERSE}, got {self.n}")
-        seen = set()
+        membership = bytearray(1 << self.n)
         for s in self.live_sets:
             if s.n != self.n:
                 raise ValueError(f"live set universe {s.n} does not match adversary universe {self.n}")
             if not s:
                 raise ValueError("live sets must be non-empty")
-            if s.bits in seen:
+            if membership[s.bits]:
                 raise ValueError(f"duplicate live set {s}")
-            seen.add(s.bits)
+            membership[s.bits] = 1
+        object.__setattr__(self, "membership", bytes(membership))
         object.__setattr__(self, "live_sets", tuple(sorted(self.live_sets, key=lambda s: s.bits)))
 
     @classmethod
@@ -225,7 +228,8 @@ def setcon_witness(adversary: Adversary) -> SetconWitness:
     each live S with s(S) + 1), and its process is the first p in S with
     s(S - p) = s(S) - 1.
     """
-    full = (1 << adversary.n) - 1
+    n = adversary.n
+    full = (1 << n) - 1
     power = adversary.region_table(full)
     level = bytearray(full + 1)  # s(S) + 1 at each live S, else 0
     for s in adversary.live_sets:
@@ -245,8 +249,7 @@ def setcon_witness(adversary: Adversary) -> SetconWitness:
         low = rest & -rest
         if not low:
             raise AssertionError(f"no process of live set {m:#x} lowers its power")
-        s = adversary.live_sets[bisect_left(adversary.live_sets, m, key=attrgetter("bits"))]
-        chain.append((s, low.bit_length()))
+        chain.append((ProcessSet(n, m), low.bit_length()))
         region = m ^ low
     return SetconWitness(len(chain), tuple(chain))
 
@@ -271,6 +274,9 @@ def replay_witness(adversary: Adversary, witness: SetconWitness) -> int:
     return len(witness.chain)
 
 
+_NOT = bytes.maketrans(b"\x00\x01", b"\x01\x00")  # swaps the membership bytes 0 and 1
+
+
 def csize(adversary: Adversary) -> Optional[int]:
     """Minimum hitting-set size of a superset-closed adversary.
 
@@ -282,9 +288,7 @@ def csize(adversary: Adversary) -> Optional[int]:
     """
     if not adversary.live_sets or not is_superset_closed(adversary):
         return None
-    dead = bytearray(b"\x01") * (1 << adversary.n)
-    for s in adversary.live_sets:
-        dead[s.bits] = 0
+    dead = adversary.membership.translate(_NOT)
     return adversary.n - max(map(int.bit_count, compress(range(1 << adversary.n), dead)))
 
 
@@ -294,9 +298,9 @@ def is_superset_closed(adversary: Adversary) -> bool:
     Every superset is reached from the live set by adding one process at a
     time, so checking each single-process extension of each live set suffices.
     """
-    family = {s.bits for s in adversary.live_sets}
+    live = adversary.membership
     singles = [1 << i for i in range(adversary.n)]
-    return all(bits | one in family for bits in family for one in singles)
+    return all(live[bits | one] for bits in compress(range(len(live)), live) for one in singles)
 
 
 def is_symmetric(adversary: Adversary) -> bool:
@@ -341,9 +345,7 @@ def fairness_counterexample(adversary: Adversary) -> Optional[tuple[ProcessSet, 
     """
     n = adversary.n
     power = adversary.region_table((1 << n) - 1)
-    live = bytearray(1 << n)
-    for s in adversary.live_sets:
-        live[s.bits] = 1
+    live = adversary.membership
     for region in range(1, 1 << n):
         cap = power[region]
         if not cap or live[region]:

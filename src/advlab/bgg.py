@@ -13,9 +13,9 @@ is powered for simulator sid when it lies inside the window and
 `adversary.region_table(active)[s] >= sid` (`powered`), and the level
 α(P) of a participating set P is `adversary.region_table(full)[P]`, the
 table the adversary's agreement function wraps.  `powered` stays the
-named rule that the window, the selection and the report use; a round
-makes that test on its own current set, and the advance to the next
-process of that set, inline, because it does both on every gated round.
+named rule that the window and the selection use; a round makes that
+test on its own current set, and the advance to the next process of that
+set, inline, because it does both on every gated round.
 P, A, the gate threshold min(|A|, α(P)) and the table of A depend on the
 status array alone, and nothing writes that array during a run, so
 `run_bgg_selection` reads them once (`status_view`) and hands the same
@@ -28,7 +28,13 @@ beside one count of rounds left per simulator, which `is_live` reads too.
 `SelectionHistory.per_simulator` sums the records per simulator, and
 `selection_report`, the only entry point to the four bounded-run
 properties, reads the final quarter and the eligible live simulators once
-and hands them to each check.
+and hands them to each check.  Live-set coverage reads
+`Adversary.membership`.  Feasibility lemma: with table = region_table(A),
+some live s inside the window W has table[s] >= sid exactly when
+table[W] >= sid.  Monotonicity gives one direction; for the other, the
+recursion's maximum at W is reached by a live S inside W with table[S] =
+table[W] (the witness lemma's argument in `advlab.adversary`).  So
+selection feasibility is one lookup.
 
 The step machinery underneath is a step function
 `step(sid, pid, round_no) -> SUCCESS | BLOCKED`, built by an oracle
@@ -46,7 +52,7 @@ Activation gate: the loop body verbatim runs when the simulator id is at
 least min(|unfinished|, level(participating)).  That direction leaves the
 low-id simulators idle, which contradicts how the selection properties are
 stated, so the harness also offers the "adaptive" polarity (id at most the
-minimum); the history records which one was used.
+minimum).  Neither is a default; the history records which one was used.
 """
 
 from __future__ import annotations
@@ -323,18 +329,19 @@ def run_bgg_selection(
     *,
     budget: int,
     pattern: Optional[dict[int, int]] = None,
-    gate_mode: str = GATE_VERBATIM,
+    gate_mode: str,
     initial_pmem: Optional[list] = None,
     oracle: Callable[[Callable[[int], bool], dict[int, SimulatorLocal]], Step] = contention_oracle,
 ) -> SelectionHistory:
     """Replay all simulators round-robin for `budget` global rounds.
 
-    The pattern maps a simulator id to the number of rounds it takes before
-    halting; absent ids run for the whole budget.  The loop keeps one count
-    of rounds left per simulator (None: it never halts) and lowers it after
-    the simulator's round, so `is_live` reads a simulator live through its
-    last round, while it steps too, and not live from then on.  The
-    simulator count is the agreement level of the full universe.  `oracle`
+    `gate_mode` has no default.  The simulator count is the agreement level
+    of the full universe.  The pattern maps a simulator id in 1..sim_count
+    to the number of rounds (at least 0) it takes before halting; absent ids
+    run for the whole budget.  The loop keeps one count of rounds left per
+    simulator (None: it never halts) and lowers it after the simulator's
+    round, so `is_live` reads a simulator live through its last round, while
+    it steps too, and not live from then on.  `oracle`
     is a factory called with (is_live, locals) that returns the step
     function, so it can observe the simulators' current targets.
     `initial_pmem`, when given, holds one status per process: PM_UNSET,
@@ -353,6 +360,11 @@ def run_bgg_selection(
     full = (1 << adversary.n) - 1
     sim_count = adversary.region_table(full)[full]
     pattern = dict(pattern or {})
+    for sid, rounds in sorted(pattern.items()):
+        if not 1 <= sid <= sim_count:
+            raise ValueError(f"halt pattern names simulator {sid}; this adversary has {sim_count} simulators")
+        if rounds < 0:
+            raise ValueError(f"halt pattern gives simulator {sid} the negative round count {rounds}")
     shared = BGShared.fresh(adversary.n, sim_count, initial_pmem)
     history = SelectionHistory(adversary, gate_mode, sim_count, budget, pattern, final_pmem=list(shared.pmem))
     if sim_count == 0:
@@ -393,13 +405,11 @@ def _participation_stability(quarter: list[dict]) -> Verdict:
     return Verdict("participation-stability", True)
 
 
-def _window_stability(quarter: list[dict], live: list[int], top: Optional[int]) -> Verdict:
+def _window_stability(quarter: list[dict], live: list[int], top: int) -> Verdict:
     """Each eligible live simulator computes one constant window in the final quarter.
 
     All of them also agree on the narrowing prefix above the top one.
     """
-    if top is None:
-        return Verdict("window-stability", True, {"note": "no live eligible simulator"})
     windows: dict[int, set] = {sid: set() for sid in live}
     trails = set()  # a simulator's records share its memoised trail, so few are distinct
     for r in quarter:
@@ -416,69 +426,45 @@ def _window_stability(quarter: list[dict], live: list[int], top: Optional[int]) 
     return Verdict("window-stability", True)
 
 
-def _selection_feasibility(adversary: Adversary, quarter: list[dict], live: list[int], top: Optional[int]) -> Verdict:
+def _selection_feasibility(adversary: Adversary, quarter: list[dict], live: list[int]) -> Verdict:
     """Eligible live simulators can always take the powered branch late in the run.
 
     In every final-quarter round of such a simulator some live set inside
-    its window carries power at least its id, and any late re-selection
-    actually used that branch.  Meaningful for fair adversaries.
+    its window carries power at least its id (the feasibility lemma), and
+    any late re-selection actually used that branch.  Meaningful for fair
+    adversaries.
     """
-    if top is None:
-        return Verdict("selection-feasibility", True, {"note": "no live eligible simulator"})
-    feasible: dict[tuple[int, int, int], bool] = {}  # (A, W, sid) -> some powered live set
     for r in quarter:
         sid = r["simulator"]
         if sid not in live or not r["gated"]:
             continue
-        key = (r["A"], r["W"], sid)
-        ok = feasible.get(key)
-        if ok is None:
-            table = adversary.region_table(r["A"])
-            ok = feasible[key] = any(powered(table, s.bits, r["W"], sid) for s in adversary.live_sets)
-        if not ok:
-            return Verdict(
-                "selection-feasibility", False, {"round": r["round"], "simulator": sid, "window": r["W"]}
-            )
+        if adversary.region_table(r["A"])[r["W"]] < sid:
+            return Verdict("selection-feasibility", False, {"round": r["round"], "simulator": sid, "window": r["W"]})
         if r["reselected"] and r["fallback"]:
-            return Verdict(
-                "selection-feasibility", False, {"round": r["round"], "simulator": sid, "fallback": True}
-            )
+            return Verdict("selection-feasibility", False, {"round": r["round"], "simulator": sid, "fallback": True})
     return Verdict("selection-feasibility", True)
 
 
-def _liveset_coverage(
-    adversary: Adversary, quarter: list[dict], live: list[int], top: Optional[int], active_bits: int
-) -> Verdict:
+def _liveset_coverage(adversary: Adversary, quarter: list[dict], live: list[int], top: int, active: int) -> Verdict:
     """The processes stepped successfully late in the run form a live set touching the unfinished ones.
 
-    `active_bits` holds the unfinished processes of the final status array.
+    `active` holds the unfinished processes of the final status array.
     The exception: the top live simulator is pinned on one process and
     every lower live simulator stays away from it.
     """
-    if top is None:
-        return Verdict("liveset-coverage", True, {"note": "no live eligible simulator"})
     stepped_ok = 0
     for r in quarter:
         if r["result"] == SUCCESS:
             stepped_ok |= 1 << (r["stepped"] - 1)
-    family = {s.bits for s in adversary.live_sets}
-    if stepped_ok in family and stepped_ok & active_bits:
+    if adversary.membership[stepped_ok] and stepped_ok & active:
         return Verdict("liveset-coverage", True)
     top_steps = {r["stepped"] for r in quarter if r["simulator"] == top and r["stepped"] is not None}
     if len(top_steps) == 1:
         pinned = next(iter(top_steps))
-        lower = {
-            r["stepped"]
-            for r in quarter
-            if r["simulator"] < top and r["simulator"] in live and r["stepped"] is not None
-        }
+        lower = {r["stepped"] for r in quarter if r["simulator"] < top and r["simulator"] in live}
         if pinned not in lower:
             return Verdict("liveset-coverage", True, {"pinned": pinned})
-    return Verdict(
-        "liveset-coverage",
-        False,
-        {"stepped": stepped_ok, "top": top, "top_steps": sorted(x for x in top_steps if x is not None)},
-    )
+    return Verdict("liveset-coverage", False, {"stepped": stepped_ok, "top": top, "top_steps": sorted(top_steps)})
 
 
 def selection_report(history: SelectionHistory) -> list[Verdict]:
@@ -488,16 +474,21 @@ def selection_report(history: SelectionHistory) -> list[Verdict]:
     stability, selection feasibility and live-set coverage.  The final
     quarter and the eligible live simulators (no halt in the pattern, id at
     most the gate threshold of the final status array) are read once and
-    passed to each check.
+    passed to each check.  Without one, the last three hold with a note.
     """
     quarter = history.quarter_records()
     part, active = participation(history.final_pmem)
     bound = gate_threshold(history.adversary, part, active)
     live = [s for s in range(1, history.sim_count + 1) if s not in history.pattern and s <= bound]
-    top = max(live) if live else None
+    if not live:
+        vacuous = ("window-stability", "selection-feasibility", "liveset-coverage")
+        return [_participation_stability(quarter)] + [
+            Verdict(prop, True, {"note": "no live eligible simulator"}) for prop in vacuous
+        ]
+    top = max(live)
     return [
         _participation_stability(quarter),
         _window_stability(quarter, live, top),
-        _selection_feasibility(history.adversary, quarter, live, top),
+        _selection_feasibility(history.adversary, quarter, live),
         _liveset_coverage(history.adversary, quarter, live, top, active),
     ]

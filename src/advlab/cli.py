@@ -727,7 +727,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bgg", help="live-set selection run with bounded property checks")
     p.add_argument("--adversary", required=True)
-    p.add_argument("--gate", choices=(bgg_mod.GATE_VERBATIM, bgg_mod.GATE_ADAPTIVE), default=bgg_mod.GATE_VERBATIM)
+    # no default: the verbatim polarity fails live-set coverage on fair inputs, so the run names its polarity
+    p.add_argument("--gate", choices=(bgg_mod.GATE_VERBATIM, bgg_mod.GATE_ADAPTIVE), required=True)
     p.add_argument("--halt", action="append", metavar="SIM:ROUNDS")
     p.add_argument("--budget", type=int, default=None, help="rounds (default: the warm-up budget, 400*n)")
     common(p, cmd_bgg)

@@ -7,7 +7,8 @@ on the package's region tables as the reference for the local fairness
 criterion; `slow_region_powers` and `slow_setcon_witness`: the region-table
 recursion with the full max/min scan over every R - i and the witness scan
 over every live set, the references for the package's early-stopping
-versions; and the `slow_check_*` checkers and `slow_admits_trace`: the
+versions; `slow_selection_feasible`: the scan over every live set that the
+selection report's one region-table lookup replaces; and the `slow_check_*` checkers and `slow_admits_trace`: the
 validity and agreement checkers compare values by one `canonical_json` text
 each, the reference for the hash-keyed checkers, and the termination checker
 and the admission test ask `has_decided` (a pass over every decision) per
@@ -172,6 +173,16 @@ def slow_setcon_witness(n: int, masks) -> list[tuple[int, int]]:
         chain.append((s, a))
         region = s & ~(1 << (a - 1))
     return chain
+
+
+def slow_selection_feasible(adversary: Adversary, active: int, window: int, sid: int) -> bool:
+    """Some live set inside the window carries power at least sid in region_table(active).
+
+    The scan `advlab.bgg`'s selection-feasibility check made before it read
+    region_table(active)[window] >= sid; the reference for that lemma.
+    """
+    table = adversary.region_table(active)
+    return any(s.bits & ~window == 0 and table[s.bits] >= sid for s in adversary.live_sets)
 
 
 def brute_alpha_table(masks: frozenset[int], n: int) -> tuple[int, ...]:

@@ -3,6 +3,7 @@
 import itertools
 import json
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -134,6 +135,21 @@ class TestAdversaryType:
         assert twin.region_table(0b110) == table and twin.region_table(0b110) is not table
         with pytest.raises(ValueError):
             unfair_triple.region_table(0b1000)
+
+    def test_membership_table(self):
+        rng = random.Random("membership")
+        cases = [(3, masks) for masks in all_families(3)]
+        cases += [(n, frozenset(rng.sample(range(1, 1 << n), rng.randint(0, 20)))) for n in (5, 8, 12) for _ in range(3)]
+        for n, masks in cases:
+            adv = family(n, sorted(masks, reverse=True))
+            assert adv.membership == bytes(m in masks for m in range(1 << n)), (n, sorted(masks))
+
+    def test_membership_is_derived_state(self, unfair_triple):
+        # not a constructor argument, and not part of equality, hashing or the repr
+        with pytest.raises(TypeError):
+            Adversary(3, (), membership=b"")
+        assert "membership" not in repr(unfair_triple)
+        assert family(3, [0b111, 0b110, 0b001]) == unfair_triple
 
     def test_file_roundtrip(self, unfair_triple):
         obj = adversary_to_json_obj(unfair_triple)
@@ -308,6 +324,24 @@ class TestSetcon:
         w = setcon_witness(unfair_triple)
         broken = type(w)(w.value, w.chain[:-1])
         with pytest.raises(ValueError):
+            replay_witness(unfair_triple, broken)
+
+    @pytest.mark.parametrize(
+        "value, second, message",
+        [
+            # {1} is live, but not inside {2,3}, the region the first link leaves
+            (2, ([1], 1), "witness live set ProcessSet(3, {1}) is not in the restricted family"),
+            (2, ([2, 3], 1), "witness process 1 is not in live set ProcessSet(3, {2,3})"),
+            (3, ([2, 3], 2), "witness value does not match its chain length"),
+        ],
+        ids=["set-outside-region", "process-outside-set", "value-mismatch"],
+    )
+    def test_each_bad_link_is_named(self, unfair_triple, value, second, message):
+        w = setcon_witness(unfair_triple)
+        assert [(s.members(), a) for s, a in w.chain] == [((1, 2, 3), 1), ((2, 3), 2)]
+        members, a = second
+        broken = type(w)(value, (w.chain[0], (ProcessSet.of(3, members), a)))
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             replay_witness(unfair_triple, broken)
 
 

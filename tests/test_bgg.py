@@ -41,7 +41,7 @@ from advlab.bgg import (
 )
 from advlab.sim import canonical_json
 
-from oracles import all_families, brute_restrict_touching, brute_setcon
+from oracles import all_families, brute_restrict_touching, brute_setcon, slow_selection_feasible
 
 
 def fair_example():
@@ -225,7 +225,27 @@ class TestSelection:
     def test_initial_status_array_is_checked(self, pmem, message):
         adv = Adversary.of(3, [[1], [2], [3], [1, 2, 3]])
         with pytest.raises(ValueError, match=f"^{message}$"):
-            run_bgg_selection(adv, budget=8, initial_pmem=pmem)
+            run_bgg_selection(adv, budget=8, gate_mode=GATE_VERBATIM, initial_pmem=pmem)
+
+    @pytest.mark.parametrize(
+        "sets, pattern, message",
+        [
+            ([[1], [2], [3], [1, 2, 3]], {9: 5}, "halt pattern names simulator 9; this adversary has 2 simulators"),
+            ([[1], [2], [3], [1, 2, 3]], {0: 5}, "halt pattern names simulator 0; this adversary has 2 simulators"),
+            ([[1], [2], [3], [1, 2, 3]], {1: -3}, "halt pattern gives simulator 1 the negative round count -3"),
+            ([[1], [2], [3], [1, 2, 3]], {9: 5, 1: -3}, "halt pattern gives simulator 1 the negative round count -3"),
+            ([], {1: 0}, "halt pattern names simulator 1; this adversary has 0 simulators"),
+        ],
+        ids=["id-above", "id-zero", "negative-count", "both", "no-simulators"],
+    )
+    def test_halt_pattern_is_checked(self, sets, pattern, message):
+        # a pattern that cannot apply is refused, not written into the history
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            run_bgg_selection(Adversary.of(3, sets), budget=8, pattern=pattern, gate_mode=GATE_ADAPTIVE)
+
+    def test_gate_mode_has_no_default(self):
+        with pytest.raises(TypeError, match="gate_mode"):
+            run_bgg_selection(fair_example(), budget=8)
 
 
 class TestSimulatorRound:
@@ -295,10 +315,10 @@ class TestBoundedProperties:
     @pytest.mark.parametrize("budget", [0, -7])
     def test_budget_below_one_rejected(self, budget):
         with pytest.raises(ValueError, match="at least 1 round"):
-            run_bgg_selection(fair_example(), budget=budget)
+            run_bgg_selection(fair_example(), budget=budget, gate_mode=GATE_VERBATIM)
 
     def test_empty_adversary_trivial_history(self):
-        history = run_bgg_selection(Adversary(3, ()), budget=100)
+        history = run_bgg_selection(Adversary(3, ()), budget=100, gate_mode=GATE_VERBATIM)
         assert history.records == []
         assert history.sim_count == 0
 
@@ -334,6 +354,25 @@ class TestBoundedProperties:
                     got = power_within(adv, ProcessSet(n, region), ProcessSet(n, active))
                     assert got == brute_setcon(brute_restrict_touching(masks, region, region & active))
 
+    def test_feasibility_lookup_matches_the_live_set_scan(self):
+        # some live s inside W has region_table(A)[s] >= sid exactly when
+        # region_table(A)[W] >= sid: the lemma selection feasibility reads
+        rng = random.Random("feasibility-lemma")
+        families = [Adversary(3, tuple(ProcessSet(3, m) for m in masks)) for masks in all_families(3)]
+        for n, count in ((4, 12), (5, 6), (6, 3)):
+            for _ in range(count):
+                density = rng.uniform(0.1, 0.7)
+                families.append(Adversary(n, tuple(ProcessSet(n, m) for m in range(1, 1 << n) if rng.random() < density)))
+        for adv in families:
+            size = 1 << adv.n
+            for active in range(size):
+                table = adv.region_table(active)
+                for window in range(size):
+                    for sid in range(1, adv.n + 1):
+                        assert slow_selection_feasible(adv, active, window, sid) == (table[window] >= sid), (
+                            adv, active, window, sid
+                        )
+
     def test_power_within_rejects_universe_mismatch(self):
         adv = all_nonempty(3)
         with pytest.raises(ValueError):
@@ -361,6 +400,39 @@ class TestBoundedProperties:
         verdict = report_by_prop(history)["selection-feasibility"]
         assert not verdict.passed
         assert verdict.witness == {"round": late[-1]["round"], "simulator": 1, "window": 0}
+
+    def test_selection_feasibility_checker_catches_a_late_fallback(self):
+        history = run_bgg_selection(fair_example(), budget=400, gate_mode=GATE_ADAPTIVE)
+        # the window still holds a powered live set, but the record says the
+        # late re-selection took the unpowered branch
+        late = [r for r in history.quarter_records() if r["gated"] and r["simulator"] == 1]
+        late[-1]["reselected"] = late[-1]["fallback"] = True
+        verdict = report_by_prop(history)["selection-feasibility"]
+        assert not verdict.passed
+        assert verdict.witness == {"round": late[-1]["round"], "simulator": 1, "fallback": True}
+
+    def test_window_stability_checker_catches_a_prefix_disagreement(self):
+        # simulator 3 halts, so the live simulators 1 and 2 must agree on the
+        # narrowing by simulator 3; one late record of simulator 1 disagrees
+        # while its own window stays constant
+        history = run_bgg_selection(all_nonempty(3), pattern={3: 10}, budget=400, gate_mode=GATE_ADAPTIVE)
+        assert report_by_prop(history)["window-stability"].passed
+        late = [r for r in history.quarter_records() if r["gated"] and r["simulator"] == 1]
+        assert {r["trail"] for r in late} == {((3, 0b110), (2, 0b100))}
+        late[-1]["trail"] = ((3, 0b101), (2, 0b100))
+        verdict = report_by_prop(history)["window-stability"]
+        assert not verdict.passed
+        assert verdict.witness == {"prefixes": [((3, 0b101),), ((3, 0b110),)]}
+
+    def test_participation_stability_checker_catches_a_changed_array(self):
+        # no run of run_bgg_selection writes the status array, so only a
+        # crafted record can make this property fail
+        history = run_bgg_selection(fair_example(), budget=400, gate_mode=GATE_ADAPTIVE)
+        assert report_by_prop(history)["participation-stability"].passed
+        history.quarter_records()[-1]["A"] = 0b011
+        verdict = report_by_prop(history)["participation-stability"]
+        assert not verdict.passed
+        assert verdict.witness == {"observed": [(0b111, 0b011), (0b111, 0b111)]}
 
 
 class TestHaltEdges:

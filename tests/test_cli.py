@@ -224,6 +224,24 @@ class TestSimulate:
         assert capsys.readouterr().err == "error: bad --inputs value '1,x'\n"
         assert not out_dir.exists()
 
+    def test_inputs_are_what_the_runs_decide_from(self, unfair_file, tmp_path, capsys):
+        out_dir = tmp_path / "runs"
+        argv = ["simulate", "--protocol", "adaptive", "--adversary", unfair_file, "--inputs", "5,7,9"]
+        assert main(argv + ["--seeds", "5", "--out", str(out_dir)]) == 0
+        capsys.readouterr()
+        decided = set()
+        for seed in range(1, 6):
+            trace = json.loads((out_dir / f"trace-{seed}.json").read_text())
+            assert trace["inputs"] == {"1": 5, "2": 7, "3": 9}
+            decided |= {d["value"] for d in trace["decisions"]}
+        assert decided and decided <= {5, 7, 9}
+
+    def test_no_model_exits_2(self, capsys):
+        assert main(["simulate", "--protocol", "adaptive", "--seeds", "2"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: simulate needs --adversary or --alpha\n"
+
     @pytest.mark.parametrize("command", ["simulate", "enumerate"])
     def test_empty_inputs_exits_2(self, unfair_file, capsys, command):
         argv = {
@@ -1104,7 +1122,7 @@ class TestBgg:
     def test_no_live_sets_not_applicable(self, tmp_path, capsys):
         path = tmp_path / "empty.json"
         path.write_text(json.dumps({"n": 3, "live_sets": []}))
-        argv = ["bgg", "--adversary", str(path)]
+        argv = ["bgg", "--adversary", str(path), "--gate", "verbatim"]
         assert main(argv) == 0
         assert "properties=not-applicable (adversary has no live sets)" in capsys.readouterr().out.splitlines()
         assert main(argv + ["--format", "json"]) == 0
@@ -1189,35 +1207,40 @@ class TestBgg:
     def test_bad_halt_exits_2(self, tmp_path, capsys, halt):
         path = tmp_path / "one-sim.json"
         path.write_text(json.dumps({"n": 3, "live_sets": [[1, 2, 3]]}))
-        assert main(["bgg", "--adversary", str(path), "--halt", halt]) == 2
+        argv = ["bgg", "--adversary", str(path), "--gate", "verbatim"]
+        assert main(argv + ["--halt", halt]) == 2
         assert capsys.readouterr().err.startswith("error:")
-        assert main(["bgg", "--adversary", str(path), "--halt", "1:10"]) == 0
+        assert main(argv + ["--halt", "1:10"]) == 0
 
     def test_halt_on_adversary_without_live_sets_exits_2(self, tmp_path, capsys):
         path = tmp_path / "empty.json"
         path.write_text(json.dumps({"n": 3, "live_sets": []}))
-        assert main(["bgg", "--adversary", str(path), "--halt", "1:30"]) == 2
+        assert main(["bgg", "--adversary", str(path), "--gate", "verbatim", "--halt", "1:30"]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == "error: --halt 1:30: this adversary has no simulators (no live sets)\n"
 
     def test_repeated_halt_id_exits_2(self, fair_file, capsys):
-        argv = ["bgg", "--adversary", fair_file, "--halt", "2:5", "--halt", "2:900"]
+        argv = ["bgg", "--adversary", fair_file, "--gate", "verbatim", "--halt", "2:5", "--halt", "2:900"]
         assert main(argv) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == "error: --halt 2:900: simulator 2 is already given --halt 2:5\n"
 
-    def test_default_gate_is_verbatim(self, fair_file, capsys):
-        code = main(["bgg", "--adversary", fair_file])
-        out = capsys.readouterr().out
-        assert code == 0
-        assert "gate_mode=verbatim" in out
+    def test_gate_is_required(self, fair_file, capsys):
+        # ROADMAP item 8: the two polarities give different runs, so neither is a default
+        with pytest.raises(SystemExit) as exc:
+            main(["bgg", "--adversary", fair_file])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "the following arguments are required: --gate" in captured.err
 
     @pytest.mark.parametrize("budget", ["0", "-7"])
     def test_budget_below_one_exits_2(self, fair_file, tmp_path, capsys, budget):
         out_dir = tmp_path / "h"
-        assert main(["bgg", "--adversary", fair_file, "--budget", budget, "--out", str(out_dir)]) == 2
+        argv = ["bgg", "--adversary", fair_file, "--gate", "verbatim", "--budget", budget, "--out", str(out_dir)]
+        assert main(argv) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"error: the bgg budget must be at least 1 round, got {budget}\n"
@@ -1229,8 +1252,8 @@ class TestBgg:
         path = tmp_path / "singletons.json"
         path.write_text(json.dumps({"n": 3, "live_sets": [[1], [1, 2, 3], [2], [3]]}))
         out_dir = tmp_path / "w"
-        argv = ["bgg", "--adversary", str(path), "--halt", "2:206", "--format", "json", "--out", str(out_dir)]
-        assert main(argv) == 1
+        argv = ["bgg", "--adversary", str(path), "--halt", "2:206", "--format", "json"]
+        assert main(argv + ["--gate", "verbatim", "--out", str(out_dir)]) == 1
         obj = json.loads(capsys.readouterr().out)
         assert (obj["gate_mode"], obj["budget"]) == ("verbatim", 1200)
         assert [v["pass"] for v in obj["properties"]] == [True, True, True, False]
@@ -1241,7 +1264,7 @@ class TestBgg:
         assert json.loads((out_dir / "witnesses.json").read_text()) == [
             {"property": "liveset-coverage", "witness": witness}
         ]
-        assert main(argv[:-2] + ["--gate", "adaptive"]) == 0
+        assert main(argv + ["--gate", "adaptive"]) == 0
         obj = json.loads(capsys.readouterr().out)
         assert [v["pass"] for v in obj["properties"]] == [True, True, True, True]
 
