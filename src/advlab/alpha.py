@@ -149,14 +149,16 @@ def admits_trace(alpha: AgreementFunction, trace: "RunTrace") -> bool:
     part = trace.participating
     if part.n != alpha.n:
         raise ValueError(f"universe mismatch: trace n={part.n}, alpha n={alpha.n}")
-    if len(part) == 0:
-        return False
-    level = alpha.value_of(part)
+    bits = part.bits
+    level = alpha.table[bits]  # 0 for the empty set
     if level < 1:
         return False
+    halted_at = trace.schedule.halted_at
+    if not halted_at:
+        return True
     decided = {d.pid for d in trace.decisions}
     faulty = 0
-    for pid in trace.schedule.halted_at:
-        if part.bits >> (pid - 1) & 1 and pid not in decided:
+    for pid in halted_at:
+        if bits >> (pid - 1) & 1 and pid not in decided:
             faulty += 1
     return faulty <= level - 1

@@ -14,15 +14,13 @@ for a `json.dumps`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Iterable, NamedTuple, Optional
 
 from .alpha import AgreementFunction
 from .sim import RunTrace, canonical_json
 
 
-@dataclass(frozen=True)
-class Verdict:
+class Verdict(NamedTuple):
     prop: str
     passed: bool
     witness: Optional[dict] = None
@@ -74,7 +72,7 @@ def check_alpha_agreement(trace: RunTrace, fn: AgreementFunction) -> Verdict:
         for pid, at in first.items():
             if at <= d.step:
                 bits |= 1 << (pid - 1)
-        level = fn.of_bits(bits)
+        level = fn.table[bits]
         if len(distinct) > level:
             return Verdict(
                 "alpha-agreement",

@@ -522,6 +522,8 @@ def cmd_simulate(args) -> int:
     _check_tail(args)
     if args.seeds < 1:
         raise InputError(f"--seeds must be at least 1, got {args.seeds}")
+    if args.seed < 0:  # Random(-s) seeds as Random(s) does: the runs would repeat
+        raise InputError(f"--seed must not be negative, got {args.seed}")
     adversary = None if args.adversary is None else _load_adversary(args.adversary)
     fn = None if args.alpha is None else _load_alpha(args.alpha)
     budget = args.budget

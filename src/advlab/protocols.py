@@ -69,9 +69,11 @@ def safe_agreement_unsafe_halt(schedule: Schedule) -> bool:
 def _participants(view: tuple) -> int:
     """Bit mask of the processes with a written cell (bit q-1 for process q)."""
     bits = 0
-    for i, cell in enumerate(view):
+    bit = 1
+    for cell in view:
         if cell is not None:
-            bits |= 1 << i
+            bits |= bit
+        bit <<= 1
     return bits
 
 
@@ -96,6 +98,7 @@ def _round_robin_agreement(
     With an escape predicate, a true observation ends the cycle and hands
     the proposal back unchanged.
     """
+    statuses = proto.statuses
     j = 1
     closed_gates = 0
     while True:
@@ -112,7 +115,7 @@ def _round_robin_agreement(
                         break
             entries[key] = [proposal, level]
             closed_gates = 0
-            proto.statuses[pid] = "running"
+            statuses[pid] = "running"
         view = yield payload()
         committed = None  # the first committed entry in cell order
         for c in view:
@@ -124,14 +127,14 @@ def _round_robin_agreement(
                     if e[1] == 2 and committed is None:
                         committed = e
         else:  # no entered process is still at level 1: the instance resolved
-            proto.statuses[pid] = "running"
+            statuses[pid] = "running"
             return committed[0]
         if escape is not None and escape(view):
-            proto.statuses[pid] = "running"
+            statuses[pid] = "running"
             return proposal
         closed_gates += 1
         if closed_gates >= instances:
-            proto.statuses[pid] = "blocked"
+            statuses[pid] = "blocked"
         j = j % instances + 1
 
 
@@ -251,8 +254,8 @@ class AdaptiveSetConsensus(Protocol):
         v = self._input(pid)
         rec: dict = {"reg": [v, 0], "agr": {}}
 
-        def payload():
-            return {"reg": list(rec["reg"]), "agr": {k: dict(s) for k, s in rec["agr"].items()}}
+        def payload():  # rec["reg"] is only ever replaced, so every write may share it
+            return {"reg": rec["reg"], "agr": {k: dict(s) for k, s in rec["agr"].items()}}
 
         r = yield payload()
         part = _participants(r)

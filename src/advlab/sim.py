@@ -10,7 +10,12 @@ schedule and then its completion tail in one loop.  Faulty processes are
 modeled as halting after a chosen step index; "takes infinitely many steps"
 has no other finite encoding.  Schedules come from a seeded generator
 constrained by an adversary, from a direct admissibility-driven generator,
-or from exhaustive enumeration at small sizes.
+or from exhaustive enumeration at small sizes.  A seeded schedule depends
+only on `getrandbits`, the Mersenne Twister output, and on `random()`: the
+generators draw exactly as `Random._randbelow` draws today, but Python
+documents only seeding and `random()` as stable across versions, not
+`choice`, `randint`, `sample` or `shuffle`, so the pinned schedules do not
+depend on those algorithms.
 """
 
 from __future__ import annotations
@@ -147,7 +152,8 @@ def run_to_quiescence(
     decisions: list[Decision] = []
     record = events.append
     new = tuple.__new__  # a record without the namedtuple constructor's frame
-    tail_order = schedule.correct.members()
+    correct = schedule.correct.bits
+    tail_order = [pid for pid in range(1, n + 1) if correct >> (pid - 1) & 1]
     waiting = set(tail_order if required is None else required)
     given = len(schedule.steps)
     steps = list(schedule.steps)
@@ -183,10 +189,13 @@ def run_to_quiescence(
             waiting.discard(pid)
     extended = Schedule(n, tuple(steps), dict(schedule.halted_at), schedule.correct)
     # A participating process is "decided", else has its protocol status, else is "running".
-    participants = ProcessSet(n, participating)
-    decided = {d.pid for d in decisions}
-    final = {pid: "decided" if pid in decided else protocol.statuses.get(pid, "running") for pid in participants}
-    return RunTrace(extended, dict(protocol.inputs), events, decisions, participants, final)
+    statuses = protocol.statuses
+    final = {
+        pid: "decided" if programs[pid] is False else statuses.get(pid, "running")
+        for pid in range(1, n + 1)
+        if participating >> (pid - 1) & 1
+    }
+    return RunTrace(extended, dict(protocol.inputs), events, decisions, ProcessSet(n, participating), final)
 
 
 def check_schedulable(model, budget: int) -> None:
@@ -211,13 +220,17 @@ def generate_schedule(adversary, seed: int, budget: int) -> Schedule:
     Participation is the chosen live set plus a random batch of extra,
     faulty processes; every correct process gets at least
     budget // (2 * |live set|) activations, faulty ones a short random
-    prefix, and the whole multiset is shuffled uniformly.
+    prefix, and the whole multiset is shuffled uniformly.  The live set and
+    every later draw come from `_draws`; the coin per extra process is
+    `random()`.  A seed and its negation give the same schedule, since
+    `random.Random` seeds with the seed's absolute value.
     """
     check_schedulable(adversary, budget)
     rng = random.Random(seed)
-    live = rng.choice(adversary.live_sets)
-    extras = [p for p in range(1, adversary.n + 1) if p not in live and rng.random() < 0.5]
-    return _fill_slots(rng, adversary.n, budget, live, extras)
+    below = _draws(rng)
+    live = adversary.live_sets[below(len(adversary.live_sets))]
+    extras = [p for p in range(1, adversary.n + 1) if not live.bits >> (p - 1) & 1 and rng.random() < 0.5]
+    return _fill_slots(below, adversary.n, budget, live, extras)
 
 
 def generate_admissible_schedule(alpha: alpha_mod.AgreementFunction, seed: int, budget: int) -> Schedule:
@@ -226,34 +239,63 @@ def generate_admissible_schedule(alpha: alpha_mod.AgreementFunction, seed: int, 
     Picks a participating set P with alpha(P) >= 1, at most alpha(P) - 1
     faulty participants, and fair quotas for the correct ones.  Processes
     outside P never step and are not marked correct, so completion tails
-    keep the participation at P.
+    keep the participation at P.  Every draw comes from `_draws`.  A seed
+    and its negation give the same schedule, since `random.Random` seeds
+    with the seed's absolute value.
     """
     check_schedulable(alpha, budget)
-    rng = random.Random(seed)
-    part = rng.choice(alpha.admissible_masks)
-    level = alpha.of_bits(part)
+    below = _draws(random.Random(seed))
+    masks = alpha.admissible_masks
+    part = masks[below(len(masks))]
+    level = alpha.table[part]
     ids = [p for p in range(1, alpha.n + 1) if part >> (p - 1) & 1]
-    faulty_count = rng.randint(0, min(level - 1, len(ids) - 1))
-    faulty = rng.sample(ids, faulty_count)
+    faulty = []
+    for i in range(below(min(level, len(ids)))):  # a partial Fisher-Yates draw, as rng.sample
+        j = below(len(ids) - i)
+        faulty.append(ids[j])
+        ids[j] = ids[-1 - i]
     for p in faulty:
         part &= ~(1 << (p - 1))
-    return _fill_slots(rng, alpha.n, budget, ProcessSet(alpha.n, part), faulty)
+    return _fill_slots(below, alpha.n, budget, ProcessSet(alpha.n, part), faulty)
 
 
-def _fill_slots(rng: random.Random, n: int, budget: int, correct: ProcessSet, faulty: list[int]) -> Schedule:
+def _draws(rng: random.Random):
+    """below(m): a uniform draw from range(m), m >= 1, from rng.getrandbits alone.
+
+    It draws as `Random._randbelow` does, redrawing m.bit_length() bits
+    while they are not below m: `rng.choice(seq)` is seq[below(len(seq))],
+    `rng.randint(a, b)` is a + below(b - a + 1), and `rng.sample` and
+    `rng.shuffle` are the Fisher-Yates loops over below written out here.
+    """
+    getrandbits = rng.getrandbits
+
+    def below(m: int) -> int:
+        k = m.bit_length()
+        r = getrandbits(k)
+        while r >= m:
+            r = getrandbits(k)
+        return r
+
+    return below
+
+
+def _fill_slots(below, n: int, budget: int, correct: ProcessSet, faulty: list[int]) -> Schedule:
     """Fair quotas for the correct processes, a short random prefix for each
     faulty one, random correct activations up to the budget, all shuffled;
     each faulty process halts at its last slot."""
-    correct_ids = list(correct.members())
-    quota = budget // (2 * len(correct_ids))
-    slots: list[int] = []
-    for p in correct_ids:
-        slots.extend([p] * quota)
+    bits = correct.bits
+    correct_ids = [p for p in range(1, n + 1) if bits >> (p - 1) & 1]
+    count = len(correct_ids)
+    quota = budget // (2 * count)
+    slots = [p for p in correct_ids for _ in range(quota)]
+    prefix = max(1, budget // (4 * n))
     for p in faulty:
-        slots.extend([p] * rng.randint(1, max(1, budget // (4 * n))))
-    while len(slots) < budget:
-        slots.append(rng.choice(correct_ids))
-    rng.shuffle(slots)
+        slots.extend([p] * (1 + below(prefix)))
+    for _ in range(budget - len(slots)):
+        slots.append(correct_ids[below(count)])
+    for i in range(len(slots) - 1, 0, -1):  # Fisher-Yates, as rng.shuffle
+        j = below(i + 1)
+        slots[i], slots[j] = slots[j], slots[i]
     halted_at = {p: _last_index(slots, p) for p in faulty}
     return Schedule(n, tuple(slots), halted_at, correct)
 

@@ -12,7 +12,10 @@ selection report's one region-table lookup replaces; and the `slow_check_*` chec
 validity and agreement checkers compare values by one `canonical_json` text
 each, the reference for the hash-keyed checkers, and the termination checker
 and the admission test ask `has_decided` (a pass over every decision) per
-process, the reference for the one-pass versions.
+process, the reference for the one-pass versions.  The `slow_generate_*`
+schedule generators draw through `random.Random`'s `choice`, `randint`,
+`sample` and `shuffle`: the reference for the package's generators, which
+draw from `getrandbits` alone.
 
 It also holds `truncate_trace`, the prefix of a recorded trace up to a
 step, which the checker tests use to re-check a trace cut at a witness and
@@ -26,13 +29,14 @@ golden protocol passes to `AdaptiveSetConsensus`.
 from __future__ import annotations
 
 import itertools
+import random
 from typing import Iterable, Optional
 
 from advlab import Adversary, ProcessSet
 from advlab.alpha import AgreementFunction
 from advlab.checkers import Verdict
 from advlab.protocols import Protocol
-from advlab.sim import RunTrace, Schedule, canonical_json
+from advlab.sim import RunTrace, Schedule, _last_index, canonical_json, check_schedulable
 
 
 def brute_setcon(masks: frozenset[int]) -> int:
@@ -341,6 +345,59 @@ def slow_admits_trace(alpha: AgreementFunction, trace: RunTrace) -> bool:
         return False
     halted_undecided = [p for p in part if p in trace.schedule.halted_at and not has_decided(trace, p)]
     return len(halted_undecided) <= level - 1
+
+
+def slow_generate_schedule(adversary, seed: int, budget: int) -> Schedule:
+    """Seeded adversary-compliant schedule: the correct set is a live set.
+
+    Participation is the chosen live set plus a random batch of extra,
+    faulty processes; every correct process gets at least
+    budget // (2 * |live set|) activations, faulty ones a short random
+    prefix, and the whole multiset is shuffled uniformly.
+    """
+    check_schedulable(adversary, budget)
+    rng = random.Random(seed)
+    live = rng.choice(adversary.live_sets)
+    extras = [p for p in range(1, adversary.n + 1) if p not in live and rng.random() < 0.5]
+    return slow_fill_slots(rng, adversary.n, budget, live, extras)
+
+
+def slow_generate_admissible_schedule(alpha: AgreementFunction, seed: int, budget: int) -> Schedule:
+    """Seeded schedule admitted by the agreement function.
+
+    Picks a participating set P with alpha(P) >= 1, at most alpha(P) - 1
+    faulty participants, and fair quotas for the correct ones.  Processes
+    outside P never step and are not marked correct, so completion tails
+    keep the participation at P.
+    """
+    check_schedulable(alpha, budget)
+    rng = random.Random(seed)
+    part = rng.choice(alpha.admissible_masks)
+    level = alpha.of_bits(part)
+    ids = [p for p in range(1, alpha.n + 1) if part >> (p - 1) & 1]
+    faulty_count = rng.randint(0, min(level - 1, len(ids) - 1))
+    faulty = rng.sample(ids, faulty_count)
+    for p in faulty:
+        part &= ~(1 << (p - 1))
+    return slow_fill_slots(rng, alpha.n, budget, ProcessSet(alpha.n, part), faulty)
+
+
+def slow_fill_slots(rng: random.Random, n: int, budget: int, correct: ProcessSet, faulty: list[int]) -> Schedule:
+    """Fair quotas for the correct processes, a short random prefix for each
+    faulty one, random correct activations up to the budget, all shuffled;
+    each faulty process halts at its last slot."""
+    correct_ids = list(correct.members())
+    quota = budget // (2 * len(correct_ids))
+    slots: list[int] = []
+    for p in correct_ids:
+        slots.extend([p] * quota)
+    for p in faulty:
+        slots.extend([p] * rng.randint(1, max(1, budget // (4 * n))))
+    while len(slots) < budget:
+        slots.append(rng.choice(correct_ids))
+    rng.shuffle(slots)
+    halted_at = {p: _last_index(slots, p) for p in faulty}
+    return Schedule(n, tuple(slots), halted_at, correct)
 
 
 def truncate_trace(trace: RunTrace, step: int) -> RunTrace:

@@ -321,6 +321,22 @@ class TestSimulate:
         assert captured.out == ""
         assert captured.err == f"error: --seeds must be at least 1, got {seeds}\n"
 
+    @pytest.mark.parametrize("seed", ["-1", "-3"])
+    def test_negative_seed_exits_2(self, resilient_file, capsys, seed):
+        # Random(-s) seeds as Random(s) does, so --seed -3 --seeds 7 would run seeds 3..1 twice
+        argv = ["simulate", "--protocol", "adaptive", "--adversary", resilient_file, "--seed", seed, "--seeds", "7"]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: --seed must not be negative, got {seed}\n"
+
+    def test_seeded_counts_pinned(self, wf3_file, capsys):
+        # Pinned in the CI's console-script step too, so every Python of the matrix checks the draws
+        argv = ["simulate", "--protocol", "adaptive", "--alpha", wf3_file, "--seeds", "200", "--budget", "16"]
+        assert main(argv + ["--format", "json"]) == 0
+        obj = json.loads(capsys.readouterr().out)
+        assert (obj["runs"], obj["activations"], obj["tail_activations"]) == (200, 3819, 619)
+
     def test_negative_tail_exits_2(self, resilient_file, capsys):
         argv = ["simulate", "--protocol", "adaptive", "--adversary", resilient_file, "--tail", "-5"]
         assert main(argv) == 2

@@ -7,7 +7,7 @@ from math import factorial
 
 import pytest
 
-from advlab import Adversary, AgreementFunction, ProcessSet, admits_trace
+from advlab import Adversary, AgreementFunction, ProcessSet, admits_trace, t_resilient_adversary
 from advlab.protocols import Cons23, Protocol, SafeAgreement, default_inputs
 from advlab.sim import (
     ProtocolFault,
@@ -23,7 +23,7 @@ from advlab.sim import (
     _interleavings,
 )
 
-from oracles import EchoProtocol, truncate_trace
+from oracles import EchoProtocol, slow_generate_admissible_schedule, slow_generate_schedule, truncate_trace
 
 
 class CountingProtocol(Protocol):
@@ -262,6 +262,30 @@ class TestGenerate:
             level = fn.value_of(part)
             assert level >= 1
             assert len(sched.halted_at) <= level - 1
+
+
+# One agreement table per universe size n = 1..16, the three kinds in turn, and two adversaries.
+REFERENCE_MODELS = (
+    [AgreementFunction.wait_free(n) for n in range(1, 17, 3)]
+    + [AgreementFunction.t_resilient(n, (n - 1) // 2) for n in range(2, 17, 3)]
+    + [AgreementFunction.k_concurrent(n, (n + 1) // 2) for n in range(3, 17, 3)]
+    + [Adversary.of(3, [[1], [2, 3], [1, 2, 3]]), t_resilient_adversary(16, 8)]
+)
+
+
+@pytest.mark.parametrize("model", REFERENCE_MODELS, ids=lambda m: f"{type(m).__name__}-n{m.n}")
+def test_generators_draw_as_the_stdlib_reference(model):
+    """The getrandbits draws give the schedules of the choice/randint/sample/shuffle reference."""
+    if isinstance(model, AgreementFunction):
+        fast, slow = generate_admissible_schedule, slow_generate_admissible_schedule
+    else:
+        fast, slow = generate_schedule, slow_generate_schedule
+    for budget in sorted({2 * model.n, 16, 96, 400}):
+        if budget < 2 * model.n:
+            continue
+        for seed in range(200):
+            got, want = fast(model, seed, budget), slow(model, seed, budget)
+            assert (got.steps, got.halted_at, got.correct) == (want.steps, want.halted_at, want.correct), (seed, budget)
 
 
 class TestTraceFiles:
