@@ -305,8 +305,7 @@ def is_superset_closed(adversary: Adversary) -> bool:
 
 def is_symmetric(adversary: Adversary) -> bool:
     """True iff membership depends only on cardinality."""
-    counts = Counter(map(int.bit_count, map(attrgetter("bits"), adversary.live_sets)))
-    return all(counts[k] == comb(adversary.n, k) for k in counts)
+    return symmetric_setcon(adversary) is not None
 
 
 def fairness_counterexample(adversary: Adversary) -> Optional[tuple[ProcessSet, ProcessSet]]:
@@ -378,14 +377,16 @@ def symmetric_setcon(adversary: Adversary) -> Optional[int]:
 
     Serves as an independent oracle against the setcon recursion.
     """
-    if not is_symmetric(adversary):
+    counts = Counter(map(int.bit_count, map(attrgetter("bits"), adversary.live_sets)))
+    if any(count != comb(adversary.n, k) for k, count in counts.items()):
         return None
-    return len(set(map(int.bit_count, map(attrgetter("bits"), adversary.live_sets))))
+    return len(counts)
 
 
 def agreement_function(adversary: Adversary) -> AgreementFunction:
-    """The adversary's agreement function: each subset maps to the power of its restriction."""
-    return AgreementFunction(adversary.n, tuple(adversary.region_table((1 << adversary.n) - 1)))
+    """The adversary's agreement function: each subset maps to the power of its restriction,
+    read from the full region table, which the function wraps without a copy."""
+    return AgreementFunction(adversary.n, adversary.region_table((1 << adversary.n) - 1))
 
 
 def adversary_to_json_obj(adversary: Adversary) -> dict:

@@ -14,7 +14,7 @@ from enum import Enum
 from functools import cached_property
 from typing import TYPE_CHECKING
 
-from .processes import MAX_UNIVERSE, ProcessSet
+from .processes import MAX_UNIVERSE
 
 if TYPE_CHECKING:  # pragma: no cover
     from .sim import RunTrace
@@ -33,31 +33,32 @@ class Comparison(Enum):
 class AgreementFunction:
     """Total map from subsets of {1..n} to levels in 0..n.
 
-    Stored as a dense table of 2**n entries indexed by the subset's bit
-    mask (bit i-1 for process i).  The empty set always maps to 0.
-    Monotonicity and the |P| bound are checkable via is_monotonic, not
-    enforced at construction, so defective tables can be represented and
-    rejected by callers.
+    Stored as `bytes`, one level per subset, indexed by the subset's bit
+    mask (bit i-1 for process i): the format of `Adversary.membership` and
+    `Adversary.region_table`, so alpha(P) is `table[P's mask]`.  The empty
+    set always maps to 0.  Monotonicity and the |P| bound are checkable via
+    is_monotonic, not enforced at construction, so defective tables can be
+    represented and rejected by callers.
     """
 
     n: int
-    table: tuple[int, ...]
+    table: bytes
 
     def __post_init__(self) -> None:
         if not 1 <= self.n <= MAX_UNIVERSE:
             raise ValueError(f"universe size must be in 1..{MAX_UNIVERSE}, got {self.n}")
         if len(self.table) != 1 << self.n:
             raise ValueError(f"table must have {1 << self.n} entries, got {len(self.table)}")
-        for bits, v in enumerate(self.table):
-            if type(v) is not int:  # a bool is not a level
-                raise ValueError(f"level {v!r} at mask {bits} is not an integer")
-            if not 0 <= v <= self.n:
-                raise ValueError(f"level {v!r} at mask {bits} outside 0..{self.n}")
+        # bytes with every entry in 0..n need no check: translate deletes those entries in C
+        if type(self.table) is not bytes or self.table.translate(None, bytes(range(self.n + 1))):
+            for bits, v in enumerate(self.table):
+                if type(v) is not int:  # a bool is not a level
+                    raise ValueError(f"level {v!r} at mask {bits} is not an integer")
+                if not 0 <= v <= self.n:
+                    raise ValueError(f"level {v!r} at mask {bits} outside 0..{self.n}")
+            object.__setattr__(self, "table", bytes(self.table))
         if self.table[0] != 0:
             raise ValueError("the empty set must map to level 0")
-
-    def of_bits(self, bits: int) -> int:
-        return self.table[bits]
 
     @cached_property
     def admissible_masks(self) -> tuple[int, ...]:
@@ -68,29 +69,24 @@ class AgreementFunction:
         """
         return tuple(bits for bits, v in enumerate(self.table) if v >= 1)
 
-    def value_of(self, subset: ProcessSet) -> int:
-        if subset.n != self.n:
-            raise ValueError(f"universe mismatch: {subset.n} vs {self.n}")
-        return self.table[subset.bits]
-
     @classmethod
     def wait_free(cls, n: int) -> "AgreementFunction":
         """Level |P| for every subset P."""
-        return cls(n, tuple(bits.bit_count() for bits in range(1 << n)))
+        return cls(n, bytes(bits.bit_count() for bits in range(1 << n)))
 
     @classmethod
     def t_resilient(cls, n: int, t: int) -> "AgreementFunction":
         """Level max(0, |P| - n + t + 1): at most t processes may fail or stay out."""
         if not 0 <= t < n:
             raise ValueError(f"resilience must satisfy 0 <= t < n, got t={t}, n={n}")
-        return cls(n, tuple(max(0, bits.bit_count() - n + t + 1) for bits in range(1 << n)))
+        return cls(n, bytes(max(0, bits.bit_count() - n + t + 1) for bits in range(1 << n)))
 
     @classmethod
     def k_concurrent(cls, n: int, k: int) -> "AgreementFunction":
         """Level min(|P|, k): at most k processes are ever concurrently active."""
         if not 1 <= k <= n:
             raise ValueError(f"concurrency must satisfy 1 <= k <= n, got k={k}, n={n}")
-        return cls(n, tuple(min(bits.bit_count(), k) for bits in range(1 << n)))
+        return cls(n, bytes(min(bits.bit_count(), k) for bits in range(1 << n)))
 
     def is_monotonic(self) -> bool:
         """True iff P subseteq P' implies alpha(P) <= alpha(P') <= |P'|.
@@ -117,7 +113,7 @@ class AgreementFunction:
         n, table = obj["n"], obj["table"]
         if type(n) is not int or not isinstance(table, list):
             raise ValueError('"n" must be an integer and "table" an array')
-        fn = cls(n, tuple(table))
+        fn = cls(n, table)
         if strict and not fn.is_monotonic():
             raise ValueError("agreement function table violates monotonicity or the |P| bound")
         return fn

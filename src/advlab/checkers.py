@@ -4,7 +4,8 @@ Checkers are pure functions of a trace and their parameters; they never
 care how the trace was produced.  A failing verdict carries a witness
 pinned to the first violating event, and re-checking the trace truncated
 at the witness still fails (the tests cut traces with `truncate_trace`,
-which lives in `tests/oracles.py`).
+which lives in `tests/oracles.py`).  Time is the step index, whatever order
+a trace file lists its events and decisions in.
 
 Values compare by their canonical JSON text (`sim.canonical_json`) through
 a hashable key, `value_key`: a plain int or str keys as itself, any other
@@ -14,10 +15,13 @@ for a `json.dumps`.
 
 from __future__ import annotations
 
+from operator import attrgetter
 from typing import Iterable, NamedTuple, Optional
 
 from .alpha import AgreementFunction
 from .sim import RunTrace, canonical_json
+
+_STEP = attrgetter("step")
 
 
 class Verdict(NamedTuple):
@@ -58,20 +62,25 @@ def check_validity(trace: RunTrace) -> Verdict:
 def check_alpha_agreement(trace: RunTrace, fn: AgreementFunction) -> Verdict:
     """At each decision, the distinct decisions so far fit the current participation.
 
-    Time is the trace's step index; the participating set at a decision is
-    everyone with an event at or before it.  Raises ValueError when the
-    trace and the function have different universe sizes.
+    The participating set at a decision is everyone with an event at or
+    before its step: one cursor over the processes, by earliest step,
+    follows the decisions in step order.  Raises ValueError when the trace
+    and the function have different universe sizes.
     """
     if trace.n != fn.n:
         raise ValueError(f"universe mismatch: trace n={trace.n}, alpha n={fn.n}")
-    first = trace.first_steps()
+    first: dict[int, int] = {}  # each process's earliest step
+    for ev in trace.events:
+        if first.setdefault(ev.pid, ev.step) > ev.step:
+            first[ev.pid] = ev.step
+    joins = sorted(zip(first.values(), first))  # (earliest step, pid), ascending
+    joined = bits = 0
     distinct: set[object] = set()
-    for d in trace.decisions:
+    for d in sorted(trace.decisions, key=_STEP):
+        while joined < len(joins) and joins[joined][0] <= d.step:
+            bits |= 1 << (joins[joined][1] - 1)
+            joined += 1
         distinct.add(value_key(d.value))
-        bits = 0
-        for pid, at in first.items():
-            if at <= d.step:
-                bits |= 1 << (pid - 1)
         level = fn.table[bits]
         if len(distinct) > level:
             return Verdict(
@@ -108,9 +117,9 @@ def check_termination(trace: RunTrace, among: Optional[Iterable[int]] = None) ->
 
 
 def check_k_agreement(trace: RunTrace, k: int) -> Verdict:
-    """At most k distinct decisions overall; whether they are valid is `check_validity`'s question."""
+    """At most k distinct decisions overall, counted in step order; validity is `check_validity`'s question."""
     distinct: set[object] = set()
-    for d in trace.decisions:
+    for d in sorted(trace.decisions, key=_STEP):
         distinct.add(value_key(d.value))
         if len(distinct) > k:
             return Verdict(

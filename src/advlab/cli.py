@@ -230,7 +230,7 @@ def cmd_alpha(args) -> int:
     obj = fn.to_json_obj()
     lines = []
     for bits in range(1 << fn.n):
-        lines.append(f"alpha({_set_text(ProcessSet(fn.n, bits))})={fn.of_bits(bits)}")
+        lines.append(f"alpha({_set_text(ProcessSet(fn.n, bits))})={fn.table[bits]}")
     if args.out:
         path = _out_dir(args) / (Path(args.adversary).stem + ".alpha.json")
         _write(path, json.dumps(obj, sort_keys=True))
@@ -277,7 +277,7 @@ POLICIES = {
     ),
     "alpha-setcons": Policy(
         lambda n, inputs, fn: RoundRobinSetConsensus(n, inputs, fn),
-        lambda trace, fn: check_k_agreement(trace, fn.value_of(ProcessSet.of(trace.n, trace.inputs))),
+        lambda trace, fn: check_k_agreement(trace, fn.table[sum(1 << (pid - 1) for pid in trace.inputs)]),
         lambda trace, fn: admits_trace(fn, trace),
     ),
     "adaptive": Policy(

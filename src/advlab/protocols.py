@@ -24,7 +24,7 @@ from __future__ import annotations
 from typing import Callable, Optional
 
 from .alpha import AgreementFunction
-from .processes import MAX_UNIVERSE, ProcessSet
+from .processes import MAX_UNIVERSE
 from .sim import Schedule
 
 
@@ -154,8 +154,7 @@ class RoundRobinSetConsensus(Protocol):
         super().__init__(n, inputs)
         if fn.n != n:
             raise ValueError(f"agreement function universe {fn.n} does not match arity {n}")
-        designated = ProcessSet.of(n, inputs)
-        self.instances = fn.value_of(designated)
+        self.instances = fn.table[sum(1 << (pid - 1) for pid in inputs)]
         if self.instances < 1:
             raise ValueError("the designated participant set admits no runs (level 0)")
 
@@ -267,7 +266,7 @@ class AdaptiveSetConsensus(Protocol):
                     reg = c["reg"]
                     if reg[1] > top:
                         v, top = reg
-            level = self.subroutine.fn.of_bits(parts)
+            level = self.subroutine.fn.table[parts]
             if level < 1:
                 yield from _wait_for_growth(self, pid, parts, payload)
             else:

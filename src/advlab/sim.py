@@ -107,12 +107,6 @@ class RunTrace:
     def n(self) -> int:
         return self.schedule.n
 
-    def first_steps(self) -> dict[int, int]:
-        seen: dict[int, int] = {}
-        for ev in self.events:
-            seen.setdefault(ev.pid, ev.step)
-        return seen
-
 
 def run_to_quiescence(
     protocol: "Protocol",

@@ -10,7 +10,10 @@ over every live set, the references for the package's early-stopping
 versions; `slow_selection_feasible`: the scan over every live set that the
 selection report's one region-table lookup replaces; and the `slow_check_*` checkers and `slow_admits_trace`: the
 validity and agreement checkers compare values by one `canonical_json` text
-each, the reference for the hash-keyed checkers, and the termination checker
+each, the reference for the hash-keyed checkers; the agreement checkers
+rebuild, at each decision, the values decided and the processes stepped by
+then, from step indices alone, the reference for the one pass over decisions
+sorted by step; and the termination checker
 and the admission test ask `has_decided` (a pass over every decision) per
 process, the reference for the one-pass versions.  The `slow_generate_*`
 schedule generators draw through `random.Random`'s `choice`, `randint`,
@@ -36,7 +39,7 @@ from advlab import Adversary, ProcessSet
 from advlab.alpha import AgreementFunction
 from advlab.checkers import Verdict
 from advlab.protocols import Protocol
-from advlab.sim import RunTrace, Schedule, _last_index, canonical_json, check_schedulable
+from advlab.sim import Decision, RunTrace, Schedule, _last_index, canonical_json, check_schedulable
 
 
 def brute_setcon(masks: frozenset[int]) -> int:
@@ -260,24 +263,34 @@ def slow_check_validity(trace: RunTrace) -> Verdict:
     return Verdict("validity", True)
 
 
+def _decisions_by_time(trace: RunTrace) -> list[tuple[Decision, set[str]]]:
+    """Each decision with the distinct values decided by then, earliest first.
+
+    Time is the step index.  Decisions at one step are taken in the order
+    the trace lists them, so "by then" is every decision at an earlier
+    step, or at the same step and listed no later.  Built from that
+    definition alone, one decision at a time, whatever order the list has.
+    """
+    listed = list(enumerate(trace.decisions))
+    return [
+        (d, {canonical_json(e.value) for j, e in listed if (e.step, j) <= (d.step, i)})
+        for i, d in sorted(listed, key=lambda item: (item[1].step, item[0]))
+    ]
+
+
 def slow_check_alpha_agreement(trace: RunTrace, fn: AgreementFunction) -> Verdict:
     """At each decision, the distinct decisions so far fit the current participation.
 
     Time is the trace's step index; the participating set at a decision is
-    everyone with an event at or before it.  Raises ValueError when the
-    trace and the function have different universe sizes.
+    everyone with an event at or before it, whatever order the events are
+    listed in.  The witness is the earliest failing decision.  Raises
+    ValueError when the trace and the function have different universe sizes.
     """
     if trace.n != fn.n:
         raise ValueError(f"universe mismatch: trace n={trace.n}, alpha n={fn.n}")
-    first = trace.first_steps()
-    distinct: set[str] = set()
-    for d in trace.decisions:
-        distinct.add(canonical_json(d.value))
-        bits = 0
-        for pid, at in first.items():
-            if at <= d.step:
-                bits |= 1 << (pid - 1)
-        level = fn.of_bits(bits)
+    for d, distinct in _decisions_by_time(trace):
+        part = ProcessSet.of(trace.n, {ev.pid for ev in trace.events if ev.step <= d.step})
+        level = fn.table[part.bits]
         if len(distinct) > level:
             return Verdict(
                 "alpha-agreement",
@@ -287,17 +300,16 @@ def slow_check_alpha_agreement(trace: RunTrace, fn: AgreementFunction) -> Verdic
                     "process": d.pid,
                     "distinct": len(distinct),
                     "level": level,
-                    "participating": [p + 1 for p in range(trace.n) if bits >> p & 1],
+                    "participating": list(part.members()),
                 },
             )
     return Verdict("alpha-agreement", True)
 
 
 def slow_check_k_agreement(trace: RunTrace, k: int) -> Verdict:
-    """At most k distinct decisions overall, valid or not."""
-    distinct: set[str] = set()
-    for d in trace.decisions:
-        distinct.add(canonical_json(d.value))
+    """At most k distinct decisions overall, valid or not; the witness is the
+    earliest decision by which more than k distinct values were decided."""
+    for d, distinct in _decisions_by_time(trace):
         if len(distinct) > k:
             return Verdict(
                 "k-agreement",
@@ -340,7 +352,7 @@ def slow_admits_trace(alpha: AgreementFunction, trace: RunTrace) -> bool:
         raise ValueError(f"universe mismatch: trace n={part.n}, alpha n={alpha.n}")
     if len(part) == 0:
         return False
-    level = alpha.value_of(part)
+    level = alpha.table[part.bits]
     if level < 1:
         return False
     halted_undecided = [p for p in part if p in trace.schedule.halted_at and not has_decided(trace, p)]
@@ -373,7 +385,7 @@ def slow_generate_admissible_schedule(alpha: AgreementFunction, seed: int, budge
     check_schedulable(alpha, budget)
     rng = random.Random(seed)
     part = rng.choice(alpha.admissible_masks)
-    level = alpha.of_bits(part)
+    level = alpha.table[part]
     ids = [p for p in range(1, alpha.n + 1) if part >> (p - 1) & 1]
     faulty_count = rng.randint(0, min(level - 1, len(ids) - 1))
     faulty = rng.sample(ids, faulty_count)

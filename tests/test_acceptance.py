@@ -218,7 +218,7 @@ def test_criterion_07_adaptive_campaign():
 def test_criterion_08_round_robin_construction():
     with criterion(8, "round-robin-construction", 600.0):
         fn = AgreementFunction.k_concurrent(3, 2)
-        assert fn.value_of(ProcessSet.full(3)) == 2
+        assert fn.table[ProcessSet.full(3).bits] == 2
 
         def round_robin():
             return RoundRobinSetConsensus(3, default_inputs(3), fn)
@@ -240,7 +240,7 @@ def test_criterion_09_selection_property_suite():
             if not is_fair(adv):
                 continue
             fn = agreement_function(adv)
-            sims = fn.of_bits(7)
+            sims = fn.table[7]
             if sims == 0:
                 continue
             for rsize in range(sims + 1):

@@ -415,6 +415,7 @@ class TestClassification:
         assert symmetric_setcon(all_nonempty(4)) == 4
         assert symmetric_setcon(sizes_adversary(3, [3])) == 1
         assert symmetric_setcon(Adversary.of(3, [[1]])) is None
+        assert symmetric_setcon(family(3, [])) == 0 and is_symmetric(family(3, []))
 
     def test_symmetric_formula_matches_oracle(self):
         for n in (3, 4):
@@ -522,12 +523,8 @@ class TestFairness:
 class TestAgreementFunctionDerivation:
     def test_pinned_table(self, unfair_triple):
         fn = agreement_function(unfair_triple)
-        values = {tuple(ProcessSet(3, b).members()): fn.of_bits(b) for b in range(8)}
-        assert values[(2,)] == 0 and values[(3,)] == 0
-        assert values[(1, 2, 3)] == 2
-        for key in [(1,), (1, 2), (1, 3), (2, 3)]:
-            assert values[key] == 1
-        assert values[()] == 0
+        # masks 0..7: {}, {1}, {2}, {1,2}, {3}, {1,3}, {2,3}, {1,2,3}
+        assert fn.table == bytes([0, 1, 0, 1, 0, 1, 1, 2])
 
     def test_empty_adversary_all_zero(self):
         fn = agreement_function(family(3, []))
@@ -535,7 +532,7 @@ class TestAgreementFunctionDerivation:
 
     def test_wait_free_adversary_gives_cardinality(self):
         fn = agreement_function(all_nonempty(3))
-        assert fn.table == tuple(b.bit_count() for b in range(8))
+        assert fn.table == bytes(b.bit_count() for b in range(8))
 
     def test_t_resilient_adversary_matches_formula(self):
         from advlab import AgreementFunction

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from advlab import AgreementFunction, Comparison, ProcessSet, admits_trace, agreement_function, compare_pointwise
+from advlab import Adversary, AgreementFunction, Comparison, ProcessSet, admits_trace, agreement_function, compare_pointwise
 from advlab.sim import Decision, Event, RunTrace, Schedule
 
 from oracles import all_families, brute_alpha_table
@@ -36,15 +36,15 @@ def make_trace(n, participants, halted, decided, correct=None):
 class TestConstructors:
     def test_wait_free(self):
         fn = AgreementFunction.wait_free(3)
-        assert fn.value_of(ProcessSet.of(3, [1, 3])) == 2
-        assert fn.of_bits(0) == 0
-        assert fn.value_of(ProcessSet.full(3)) == 3
+        assert fn.table[ProcessSet.of(3, [1, 3]).bits] == 2
+        assert fn.table[0] == 0
+        assert fn.table[ProcessSet.full(3).bits] == 3
 
     def test_t_resilient(self):
         fn = AgreementFunction.t_resilient(3, 1)
-        assert fn.value_of(ProcessSet.full(3)) == 2
-        assert fn.value_of(ProcessSet.of(3, [2])) == 0
-        assert AgreementFunction.t_resilient(3, 2).value_of(ProcessSet.of(3, [2])) == 1
+        assert fn.table[ProcessSet.full(3).bits] == 2
+        assert fn.table[ProcessSet.of(3, [2]).bits] == 0
+        assert AgreementFunction.t_resilient(3, 2).table[ProcessSet.of(3, [2]).bits] == 1
         with pytest.raises(ValueError):
             AgreementFunction.t_resilient(3, 3)
         with pytest.raises(ValueError):
@@ -52,8 +52,8 @@ class TestConstructors:
 
     def test_k_concurrent(self):
         fn = AgreementFunction.k_concurrent(4, 2)
-        assert fn.value_of(ProcessSet.of(4, [1, 2, 3])) == 2
-        assert fn.value_of(ProcessSet.of(4, [3])) == 1
+        assert fn.table[ProcessSet.of(4, [1, 2, 3]).bits] == 2
+        assert fn.table[ProcessSet.of(4, [3]).bits] == 1
         assert AgreementFunction.k_concurrent(3, 3).table == AgreementFunction.wait_free(3).table
         with pytest.raises(ValueError):
             AgreementFunction.k_concurrent(3, 0)
@@ -78,11 +78,24 @@ class TestConstructors:
             ((0, 3, 1, "2"), "level 3 at mask 1 outside 0..2"),  # the first bad entry is named
             ((0, 1, 1, None), "level None at mask 3 is not an integer"),
             ((1, 1, 1, 2), "the empty set must map to level 0"),
+            (b"\x00\x01\x01\x03", "level 3 at mask 3 outside 0..2"),
+            (b"\x00\x03\x01\x02", "level 3 at mask 1 outside 0..2"),
+            (b"\x01\x01\x01\x02", "the empty set must map to level 0"),
         ],
     )
     def test_level_errors_name_the_first_bad_entry(self, table, message):
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             AgreementFunction(2, table)
+
+    def test_every_input_form_gives_a_bytes_table(self):
+        fns = [AgreementFunction(2, table) for table in ((0, 1, 1, 2), [0, 1, 1, 2], b"\x00\x01\x01\x02")]
+        assert fns[0] == fns[1] == fns[2] == AgreementFunction.wait_free(2)
+        assert all(type(fn.table) is bytes for fn in fns)
+
+    def test_derived_function_wraps_the_region_table(self):
+        for masks in ([], [1, 6, 7], range(1, 8)):
+            adv = Adversary(3, tuple(ProcessSet(3, m) for m in masks))
+            assert agreement_function(adv).table is adv.region_table(7)
 
     def test_json_roundtrip_and_strict_loading(self):
         fn = AgreementFunction.t_resilient(3, 1)
@@ -97,7 +110,7 @@ class TestConstructors:
     def test_admissible_masks_are_the_levels_of_at_least_one(self):
         for fn in (AgreementFunction.t_resilient(4, 1), AgreementFunction(2, (0, 0, 2, 1))):
             masks = fn.admissible_masks
-            assert masks == tuple(b for b in range(1, 1 << fn.n) if fn.of_bits(b) >= 1)
+            assert masks == tuple(b for b in range(1, 1 << fn.n) if fn.table[b] >= 1)
             assert fn.admissible_masks is masks  # kept on the instance
             assert fn == AgreementFunction(fn.n, fn.table) and "admissible" not in repr(fn)
 
@@ -137,7 +150,7 @@ class TestComparePointwise:
         fn = agreement_function(unfair_triple)
         lo = AgreementFunction.t_resilient(3, 1)
         assert compare_pointwise(fn, lo) is Comparison.GE
-        assert fn.value_of(ProcessSet.of(3, [1])) == 1 > lo.value_of(ProcessSet.of(3, [1])) == 0
+        assert fn.table[ProcessSet.of(3, [1]).bits] == 1 > lo.table[ProcessSet.of(3, [1]).bits] == 0
 
     def test_incomparable(self):
         a = AgreementFunction(2, (0, 1, 0, 1))
@@ -180,7 +193,7 @@ class TestAdmitsTrace:
     def test_zero_level_is_rejected(self, unfair_triple):
         fn = agreement_function(unfair_triple)
         trace = make_trace(3, [2], halted=[], decided=[])
-        assert fn.value_of(ProcessSet.of(3, [2])) == 0
+        assert fn.table[ProcessSet.of(3, [2]).bits] == 0
         assert not admits_trace(fn, trace)
 
     def test_too_many_undecided_halts(self):

@@ -83,7 +83,7 @@ class TestStatusView:
         ]
         for adv in (fair_example(), Adversary.of(3, [[1, 2, 3]]), all_nonempty(3)):
             for pmem, part, active in cases:
-                threshold = min(active.bit_count(), agreement_function(adv).of_bits(part))
+                threshold = min(active.bit_count(), agreement_function(adv).table[part])
                 assert status_view(adv, pmem) == (part, active, threshold, adv.region_table(active))
 
     def test_a_round_reads_the_view_it_is_handed(self):
@@ -135,7 +135,7 @@ class TestComputeWindow:
 
     def test_window_only_shrinks_along_the_trail(self):
         adv = all_nonempty(3)
-        sim_count = agreement_function(adv).of_bits(7)
+        sim_count = agreement_function(adv).table[7]
         shared = BGShared.fresh(3, sim_count)
         shared.selections[3] = (2, 0b111)
         shared.selections[2] = (3, 0b101)
@@ -512,7 +512,7 @@ class TestSelectionPropertySweep:
             if not is_fair(adv):
                 continue
             fn = agreement_function(adv)
-            sims = fn.of_bits(7)
+            sims = fn.table[7]
             if sims == 0:
                 continue
             budget = 240

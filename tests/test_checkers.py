@@ -2,6 +2,7 @@
 
 import json
 import random
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -112,6 +113,22 @@ class TestAlphaAgreement:
         cut = truncate_trace(trace, verdict.witness["step"])
         assert not check_alpha_agreement(cut, fn).passed
 
+    def test_decisions_are_judged_in_step_order(self):
+        # process 2's decision at step 3 is listed before process 1's at step 1
+        trace = hand_trace(2, [1, 1, 2, 2], [(3, 2, 102), (1, 1, 101)], {1: 101, 2: 102})
+        assert check_alpha_agreement(trace, AgreementFunction.wait_free(2)).passed
+        # under level 1 everywhere the second value in time, at step 3, is the witness
+        fn = AgreementFunction.k_concurrent(2, 1)
+        verdict = check_alpha_agreement(trace, fn)
+        assert verdict.witness == {"step": 3, "process": 2, "distinct": 2, "level": 1, "participating": [1, 2]}
+        assert not check_alpha_agreement(truncate_trace(trace, 3), fn).passed
+
+    def test_participation_counts_each_process_from_its_earliest_step(self):
+        # process 1's step-4 event is listed before its steps 0 and 1
+        trace = hand_trace(2, [1, 1, 2, 2, 1], [(1, 1, 101)], {1: 101, 2: 102})
+        trace = replace(trace, events=[trace.events[4], *trace.events[:4]])
+        assert check_alpha_agreement(trace, AgreementFunction(2, b"\x00\x01\x00\x01")).passed
+
 
 class TestTermination:
     def test_completed_solo_run(self):
@@ -144,6 +161,13 @@ class TestKAgreement:
         trace = hand_trace(2, [1, 2], [(0, 1, 5), (1, 2, 7)], {1: 5, 2: 7})
         assert not check_k_agreement(trace, 1).passed
         assert check_k_agreement(trace, 2).passed
+
+    def test_witness_is_the_first_excess_in_step_order(self):
+        # listed first, process 3's value is the second one decided in time
+        trace = hand_trace(3, [1, 1, 2, 2, 3, 3], [(5, 3, 103), (1, 1, 101), (3, 2, 101)], {1: 101, 2: 102, 3: 103})
+        verdict = check_k_agreement(trace, 1)
+        assert verdict.witness == {"step": 5, "process": 3, "distinct": 2, "k": 1}
+        assert not check_k_agreement(truncate_trace(trace, 5), 1).passed
 
     def test_invalid_value_fails_regardless(self):
         # an invalid value fails validity whatever k is; k-agreement counts
@@ -185,6 +209,13 @@ def assert_same_verdicts(trace, fns, ks):
     return pairs
 
 
+def assert_fails_when_cut(check, trace, *args):
+    """A failing verdict still fails on the trace cut at its witness's step."""
+    verdict = check(trace, *args)
+    if not verdict.passed:
+        assert not check(truncate_trace(trace, verdict.witness["step"]), *args).passed
+
+
 def assert_same_termination_and_admission(trace, fns, amongs):
     """The one-pass termination check and admission test agree with the per-process oracles."""
     outcomes = set()
@@ -200,9 +231,10 @@ def assert_same_termination_and_admission(trace, fns, amongs):
 
 
 def file_shaped_trace(rng, n):
-    """A random trace as `advlab check` reads one from a file: events in any
-    order, halted processes that may never have stepped, and decisions by
-    any process, correct, halted, neither or not participating."""
+    """A random trace as `advlab check` reads one from a file: events and
+    decisions in any order, halted processes that may never have stepped,
+    and decisions by any process, correct, halted, neither or not
+    participating."""
     steps = [rng.randint(1, n) for _ in range(rng.randint(0, 8))]
     last = {p: i for i, p in enumerate(steps)}
     halted = {p: last.get(p, -1) for p in range(1, n + 1) if rng.random() < 0.4}
@@ -212,6 +244,8 @@ def file_shaped_trace(rng, n):
         rng.shuffle(events)
     deciders = [p for p in range(1, n + 1) if rng.random() < 0.5]
     decisions = [{"step": rng.randint(0, max(len(steps) - 1, 0)), "process": p, "value": 100 + p} for p in deciders]
+    if rng.random() < 0.5:
+        rng.shuffle(decisions)
     obj = {
         "n": n,
         "schedule": {"steps": steps, "halted_at": {str(p): at for p, at in halted.items()}, "correct_set": correct},
@@ -278,6 +312,27 @@ class TestAgainstSlowOracles:
             shapes.add(("among names a non-participant", any(p not in trace.participating for p in amongs[1])))
         assert len(outcomes) == 4
         assert len(shapes) == 8  # each shape both present and absent
+
+    def test_file_shaped_traces_agree_as_the_oracles_say(self):
+        rng = random.Random(17)
+        outcomes, shapes = set(), set()
+        for _ in range(1500):
+            n = rng.randint(1, 4)
+            trace = file_shaped_trace(rng, n)
+            fns = [AgreementFunction.wait_free(n), AgreementFunction.k_concurrent(n, 1)]
+            fns.append(AgreementFunction(n, (0,) + tuple(rng.randint(0, b.bit_count()) for b in range(1, 1 << n))))
+            pairs = assert_same_verdicts(trace, fns, (1, 2))
+            outcomes.update((fast.prop, fast.passed) for fast, _ in pairs)
+            for fn in fns:
+                assert_fails_when_cut(check_alpha_agreement, trace, fn)
+            for k in (1, 2):
+                assert_fails_when_cut(check_k_agreement, trace, k)
+            decided = [d.step for d in trace.decisions]
+            stepped = [e.step for e in trace.events]
+            shapes.add(("decisions out of step order", decided != sorted(decided)))
+            shapes.add(("events out of step order", stepped != sorted(stepped)))
+        assert len(outcomes) == 6  # each property both passed and failed
+        assert len(shapes) == 4  # each shape both present and absent
 
     @pytest.mark.parametrize(
         "a, b, same",

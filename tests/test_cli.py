@@ -665,6 +665,24 @@ class TestCheckCommand:
         assert code == 1
         assert (out_dir / "witnesses.json").exists()
 
+    def test_decisions_listed_out_of_step_order_pass(self, tmp_path, capsys):
+        # process 2's decision at step 3 is listed before process 1's at step 1: in
+        # time, each value is decided while the participation's level allows it
+        kinds = [(1, "update"), (1, "snapshot"), (2, "update"), (2, "snapshot")]
+        obj = {
+            "n": 2,
+            "schedule": {"steps": [1, 1, 2, 2], "halted_at": {}, "correct_set": [1, 2]},
+            "inputs": {"1": 101, "2": 102},
+            "events": [{"step": i, "process": p, "kind": k, "payload": None} for i, (p, k) in enumerate(kinds)],
+            "decisions": [{"step": 3, "process": 2, "value": 102}, {"step": 1, "process": 1, "value": 101}],
+            "statuses": {"1": "decided", "2": "decided"},
+        }
+        path, wf2 = tmp_path / "trace.json", tmp_path / "wf2.alpha.json"
+        path.write_text(json.dumps(obj))
+        wf2.write_text(json.dumps({"n": 2, "table": [0, 1, 1, 2]}))
+        assert main(["check", "--trace", str(path), "--protocol", "adaptive", "--alpha", str(wf2)]) == 0
+        assert f"{path}: alpha-agreement=pass" in capsys.readouterr().out
+
     def test_witness_file_over_a_directory_exits_2(self, failing_trace, tmp_path, capsys):
         taken = tmp_path / "w" / "witnesses.json"
         taken.mkdir(parents=True)
