@@ -12,21 +12,27 @@ Every question about a family reads a table its Adversary owns: the
 membership table (one byte per mask, 1 at each live set) or a region
 table of set-consensus power.  Restricting twice
 equals restricting to the intersection, so every family the recursion
-visits is the live sets inside some region R.  For a touching mask T, one
-pass over the subset lattice gives the power of {S in F : S meets T}
-restricted to every region R.  setcon, the witness chain, the agreement
-function and the fairness verdict read the T = full table; the selection
-layer's power queries read the tables of other touching masks.  Each
-Adversary keeps its own tables, keyed by T, so nothing is cached at module
-level.
+visits is the live sets inside some region R.  For a touching mask T, the
+region table gives the power of {S in F : S meets T} restricted to every
+region R.  setcon, the witness chain, the agreement function and the
+fairness verdict read the T = full table; the selection layer's power
+queries read the tables of other touching masks.  Each Adversary keeps its
+own tables, keyed by T, so nothing is cached at module level.
+
+The tables come from bit planes (`_plane_table`).  An Adversary also holds
+its family as one 2**n-bit integer F (bit m set iff mask m is live) with
+the n patterns Z_i of the masks that lack process i, built on first use.
+Each level set G_j = {R : s(R) >= j} is one such integer, and a region's
+power is the number of planes that hold it.  Up(X), the superset closure
+of a set of masks, is n shift-and-OR steps, so superset-closure is the
+test Up(F) == F.
 
 Two lemmas about a region table s let the kernel read it instead of
 rescanning it:
 
 - Neighbour lemma: s(R - i) is s(R) - 1 or s(R) for every i in R (proof
-  sketch in `fairness_counterexample`).  `_region_powers` uses it to stop
-  at the first neighbour of R that differs from the first one, and
-  `fairness_counterexample` rests its criterion on it.
+  sketch in `fairness_counterexample`).  `fairness_counterexample` rests
+  its criterion on it.
 - Witness lemma: a live S inside R has 1 + min_p s(S - p) <= s(S) <= s(R),
   by the recursion and monotonicity.  So only the live sets with
   s(S) = s(R) can realize s(R), and `setcon_witness` searches only those.
@@ -41,11 +47,10 @@ most 16 processes.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import compress
 from math import comb
-from operator import attrgetter
 from typing import Iterable, Optional
 
 from .alpha import AgreementFunction
@@ -95,9 +100,27 @@ class Adversary:
         if table is None:
             if not 0 <= touching < 1 << self.n:
                 raise ValueError(f"touching mask {touching:#x} outside a universe of size {self.n}")
-            masks = [s.bits for s in self.live_sets if s.bits & touching]
-            table = self._tables[touching] = _region_powers(self.n, masks)
+            table = self._tables[touching] = _plane_table(self.n, *self._lattice, touching)
         return table
+
+    @cached_property
+    def _lattice(self) -> tuple[int, tuple[tuple[int, int], ...]]:
+        """(F, steps), built on first use and kept out of equality and the repr.
+
+        F has bit m set iff mask m is live.  steps[i] is (Z_i, 2**i), where
+        Z_i has bit m set iff m lacks process i: blocks of 2**i ones and
+        2**i zeros.  Z_{n-1} is the lower half of the masks, and
+        Z_{i-1} = Z_i ^ (Z_i << 2**(i-1)) splits each block in two.
+        """
+        size = 1 << self.n
+        family = int(self.membership[::-1].translate(_DIGITS), 2)  # base 2: no digit limit
+        lacks = (1 << (size >> 1)) - 1
+        steps = []
+        for i in range(self.n - 1, -1, -1):
+            steps.append((lacks, 1 << i))
+            lacks ^= lacks << (1 << i >> 1)
+        steps.reverse()
+        return family, tuple(steps)
 
     def __repr__(self) -> str:
         body = ",".join("{" + ",".join(map(str, s.members())) + "}" for s in self.live_sets)
@@ -151,48 +174,51 @@ def restrict_intersecting(adversary: Adversary, region: ProcessSet, targets: Pro
     )
 
 
-def _region_powers(n: int, masks: list[int]) -> bytes:
-    """Set-consensus power of the family `masks` restricted to every region.
+_DIGITS = bytes.maketrans(b"\x00\x01", b"01")  # membership bytes as binary digits
 
-    Restricting twice equals restricting to the intersection, so the
-    recursion only ever meets restrictions to some region R, and
-    alpha(R) = max(max_i alpha(R - i), [R in F] * (1 + min_i alpha(R - i)))
-    with alpha(empty) = 0.  Every R - i precedes R in increasing mask order,
-    so one pass over the subset lattice fills the table in O(n * 2**n).
-    Every live set lies inside their union U, so alpha(R) = alpha(R & U):
-    a region reaching outside U copies a smaller entry, which keeps sparse
-    families over large universes cheap.  Entries are at most n, so a byte
-    each.
 
-    The neighbour lemma (see `fairness_counterexample`) puts every
-    alpha(R - i) in {alpha(R) - 1, alpha(R)}.  So the scan stops at the
-    first neighbour that differs from the first one: the larger of the two
-    is alpha(R).  When all neighbours equal v, alpha(R) = v + [R in F].
+def _up(masks: int, steps: tuple[tuple[int, int], ...]) -> int:
+    """Up(X): every superset within the universe of a mask in X, by one step per process."""
+    for lacks, shift in steps:
+        masks |= (masks & lacks) << shift
+    return masks
+
+
+def _plane_table(n: int, family: int, steps: tuple[tuple[int, int], ...], touching: int) -> bytes:
+    """Power of the live sets meeting `touching`, restricted to every region, by bit planes.
+
+    Written over live S inside R, the recursion is s(R) = max of
+    1 + min_{i in S} s(S - i), with s(R) = 0 when no live set lies inside R.
+    So s(R) >= j iff some live S inside R has every s(S - i) >= j - 1: with
+    G_j = {R : s(R) >= j} and D_j = {S : S - i in G_j for every i in S},
+    G_0 holds every region and G_j = Up(F & D_{j-1}).  D is the AND over i
+    of Z_i | ((G & Z_i) << 2**i), and s(R) is the number of non-empty
+    planes G_j, j >= 1, that hold R (Yates's OR-zeta transform over the
+    subset lattice, one plane at a time).  A live set misses `touching`
+    exactly when it lies inside the complement, and the masks there are the
+    AND of Z_i over i in `touching`, so one AND clears those live sets.
+
+    Each plane unpacks to one byte per mask through its binary digits (the
+    digit characters' bytes, less ord("0") each), and the table is their
+    sum; entries are at most n, so a byte each.
     """
     size = 1 << n
-    live = bytearray(size)
-    union = 0
-    for m in masks:
-        live[m] = 1
-        union |= m
-    outside = ~union
-    table = bytearray(size)
-    for region in range(1, size):
-        if region & outside:
-            table[region] = table[region & union]
-            continue
-        rest = region & (region - 1)  # R minus its lowest process: the first neighbour
-        first = table[rest]
-        while rest:
-            low = rest & -rest
-            v = table[region ^ low]
-            if v != first:
-                table[region] = v if v > first else first
-                break
-            rest ^= low
-        else:
-            table[region] = first + live[region]
-    return bytes(table)
+    missing = -1  # the masks inside the complement of touching
+    for i, (lacks, _) in enumerate(steps):
+        if touching >> i & 1:
+            missing &= lacks
+    live = family & ~missing
+    digits = f"0{size}b"
+    planes = total = 0
+    below = live  # F & D_{j-1}: D_0 holds every mask
+    while below:
+        plane = _up(below, steps)
+        planes += 1
+        total += int.from_bytes(format(plane, digits).encode(), "big")
+        below = live
+        for lacks, shift in steps:
+            below &= lacks | (plane & lacks) << shift
+    return (total - planes * int.from_bytes(b"0" * size, "big")).to_bytes(size, "little")
 
 
 def setcon(adversary: Adversary) -> int:
@@ -293,14 +319,9 @@ def csize(adversary: Adversary) -> Optional[int]:
 
 
 def is_superset_closed(adversary: Adversary) -> bool:
-    """True iff every superset (within the universe) of a live set is a live set.
-
-    Every superset is reached from the live set by adding one process at a
-    time, so checking each single-process extension of each live set suffices.
-    """
-    live = adversary.membership
-    singles = [1 << i for i in range(adversary.n)]
-    return all(live[bits | one] for bits in compress(range(len(live)), live) for one in singles)
+    """True iff every superset (within the universe) of a live set is a live set: Up(F) == F."""
+    family, steps = adversary._lattice
+    return _up(family, steps) == family
 
 
 def is_symmetric(adversary: Adversary) -> bool:
@@ -322,7 +343,8 @@ def fairness_counterexample(adversary: Adversary) -> Optional[tuple[ProcessSet, 
 
     - s is monotone and drops by at most one per removed process,
       s(R - i) in {s(R) - 1, s(R)}; both follow by induction on the
-      `_region_powers` recursion.
+      recursion s(R) = max(max_i s(R - i), [R in F] * (1 + min_i s(R - i)))
+      over i in R, which the planes of `_plane_table` compute.
     - alpha(Q, R), the power of the live sets inside R that meet Q, obeys
       alpha(Q, R) = max(max_i a_i, [R in F] * (1 + min_i a_i)) over i in R,
       with a_i = alpha(Q - i, R - i) and alpha(empty, R) = 0.  It is
@@ -377,10 +399,13 @@ def symmetric_setcon(adversary: Adversary) -> Optional[int]:
 
     Serves as an independent oracle against the setcon recursion.
     """
-    counts = Counter(map(int.bit_count, map(attrgetter("bits"), adversary.live_sets)))
-    if any(count != comb(adversary.n, k) for k, count in counts.items()):
+    n = adversary.n
+    counts = [0] * (n + 1)  # live sets per size
+    for s in adversary.live_sets:
+        counts[s.bits.bit_count()] += 1
+    if any(count and count != comb(n, k) for k, count in enumerate(counts)):
         return None
-    return len(counts)
+    return n + 1 - counts.count(0)
 
 
 def agreement_function(adversary: Adversary) -> AgreementFunction:

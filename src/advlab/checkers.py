@@ -48,11 +48,17 @@ def value_key(value: object) -> object:
 
 
 def check_validity(trace: RunTrace) -> Verdict:
-    """Every decided value must be some participant's input."""
+    """Every decided value must be some participant's input.
+
+    The witness is the invalid decision with the smallest step, the first
+    listed among those at that step.  It is looked for only once some
+    decision is invalid, so a passing trace is read once.
+    """
     bits = trace.participating.bits
     allowed = {value_key(v) for p, v in trace.inputs.items() if bits >> (p - 1) & 1}
     for d in trace.decisions:
         if value_key(d.value) not in allowed:
+            d = min((e for e in trace.decisions if value_key(e.value) not in allowed), key=_STEP)
             return Verdict(
                 "validity", False, {"step": d.step, "process": d.pid, "value": d.value}
             )

@@ -4,16 +4,21 @@ Everything here works on plain integers (bit masks) and deliberately
 avoids the package's own recursion, memoization, and search strategies,
 except `slow_fairness_counterexample`: the direct per-Q fairness scan, kept
 on the package's region tables as the reference for the local fairness
-criterion; `slow_region_powers` and `slow_setcon_witness`: the region-table
-recursion with the full max/min scan over every R - i and the witness scan
-over every live set, the references for the package's early-stopping
-versions; `slow_selection_feasible`: the scan over every live set that the
+criterion; `slow_region_powers`: the region-table recursion with the full
+max/min scan over every R - i, one region at a time, the reference for the
+package's bit planes; `slow_setcon_witness`: the witness scan over every
+live set, the reference for the package's search of the sets at the
+region's power; `slow_is_superset_closed`: the one-process extension of
+every live set, the reference for the package's Up(F) == F;
+`slow_selection_feasible`: the scan over every live set that the
 selection report's one region-table lookup replaces; and the `slow_check_*` checkers and `slow_admits_trace`: the
 validity and agreement checkers compare values by one `canonical_json` text
-each, the reference for the hash-keyed checkers; the agreement checkers
-rebuild, at each decision, the values decided and the processes stepped by
-then, from step indices alone, the reference for the one pass over decisions
-sorted by step; and the termination checker
+each, the reference for the hash-keyed checkers; validity takes the least
+invalid decision by (step, list position) among all of them, the reference
+for the checker that looks for it only after a first failure; the agreement
+checkers rebuild, at each decision, the values decided and the processes
+stepped by then, from step indices alone, the reference for the one pass
+over decisions sorted by step; and the termination checker
 and the admission test ask `has_decided` (a pass over every decision) per
 process, the reference for the one-pass versions.  The `slow_generate_*`
 schedule generators draw through `random.Random`'s `choice`, `randint`,
@@ -145,8 +150,10 @@ def slow_fairness_counterexample(adversary: Adversary):
 def slow_region_powers(n: int, masks) -> bytes:
     """The region table by the full recursion: the max and min over every R - i.
 
-    The reference for `advlab.adversary._region_powers`, which stops at the
-    first neighbour that differs from the first one.
+    One region at a time in increasing mask order, with
+    alpha(R) = max(max_i alpha(R - i), [R in F] * (1 + min_i alpha(R - i))).
+    The reference for `Adversary.region_table`, which builds the level sets
+    G_j = {R : alpha(R) >= j} as 2**n-bit integers (`_plane_table`).
     """
     size = 1 << n
     live = bytearray(size)
@@ -233,6 +240,18 @@ def brute_superset_closed(masks: frozenset[int], n: int) -> bool:
     return True
 
 
+def slow_is_superset_closed(n: int, masks) -> bool:
+    """Every superset (within the universe) of every live set is live.
+
+    Every superset is reached from its live set by adding one process at a
+    time, so it suffices that each one-process extension of each live set
+    is live: |F| * n set lookups, the reference for the library's
+    Up(F) == F.
+    """
+    live = set(masks)
+    return all(m | 1 << i in live for m in live for i in range(n))
+
+
 def superset_closed_families(n: int):
     """All upward-closed families over {1..n}, deduplicated, empty included."""
     seen = {frozenset()}
@@ -253,14 +272,20 @@ def symmetric_families(n: int):
 
 
 def slow_check_validity(trace: RunTrace) -> Verdict:
-    """Every decided value must be some participant's input."""
+    """Every decided value must be some participant's input.
+
+    The witness is the earliest invalid decision in time: the smallest
+    step, and at one step the first listed.  Built from that definition:
+    every invalid decision with its (step, list position), then the least.
+    """
     allowed = {canonical_json(trace.inputs[p]) for p in trace.participating if p in trace.inputs}
-    for d in trace.decisions:
-        if canonical_json(d.value) not in allowed:
-            return Verdict(
-                "validity", False, {"step": d.step, "process": d.pid, "value": d.value}
-            )
-    return Verdict("validity", True)
+    invalid = [
+        ((d.step, i), d) for i, d in enumerate(trace.decisions) if canonical_json(d.value) not in allowed
+    ]
+    if not invalid:
+        return Verdict("validity", True)
+    _, d = min(invalid, key=lambda item: item[0])
+    return Verdict("validity", False, {"step": d.step, "process": d.pid, "value": d.value})
 
 
 def _decisions_by_time(trace: RunTrace) -> list[tuple[Decision, set[str]]]:

@@ -39,6 +39,7 @@ from oracles import (
     brute_witness,
     distinct_sizes,
     slow_fairness_counterexample,
+    slow_is_superset_closed,
     slow_region_powers,
     slow_setcon_witness,
     upward_closure,
@@ -150,6 +151,17 @@ class TestAdversaryType:
             Adversary(3, (), membership=b"")
         assert "membership" not in repr(unfair_triple)
         assert family(3, [0b111, 0b110, 0b001]) == unfair_triple
+
+    def test_bit_planes_are_derived_state(self):
+        # built on first use, and not part of equality, hashing or the repr
+        adv = family(3, [0b111, 0b110, 0b001])
+        twin = family(3, [0b001, 0b110, 0b111])
+        before = repr(adv), hash(adv)
+        assert "_lattice" not in vars(adv)
+        assert setcon(adv) == 2 and not is_superset_closed(adv)
+        assert adv._lattice == (0b11000010, ((0b01010101, 1), (0b00110011, 2), (0b00001111, 4)))
+        assert (repr(adv), hash(adv)) == before and adv == twin and hash(twin) == before[1]
+        assert "_lattice" not in repr(adv) and "_lattice" not in vars(twin)
 
     def test_file_roundtrip(self, unfair_triple):
         obj = adversary_to_json_obj(unfair_triple)
@@ -313,6 +325,17 @@ class TestSetcon:
         for adv in cases:
             assert_matches_slow_scans(adv, touching)
 
+    def test_tables_of_every_touching_mask_match_the_full_recursion(self):
+        # n = 1 and 2 have patterns shorter than a byte; every touching mask,
+        # the empty one included, on every family at n <= 3 and seeded ones at n = 4
+        rng = random.Random("touching-masks")
+        cases = [(n, masks) for n in (1, 2, 3) for masks in all_families(n)]
+        cases += [(4, frozenset(m for m in range(1, 16) if rng.random() < density)) for density in (0.2, 0.5, 0.8) for _ in range(30)]
+        for n, masks in cases:
+            adv = family(n, masks)
+            for t in range(1 << n):
+                assert adv.region_table(t) == slow_region_powers(n, [m for m in masks if m & t]), (n, sorted(masks), t)
+
     def test_witness_is_deterministic(self, unfair_triple):
         w1 = setcon_witness(unfair_triple)
         w2 = setcon_witness(unfair_triple)
@@ -404,6 +427,35 @@ class TestClassification:
                 assert got == brute_superset_closed(fam, n), (n, sorted(fam))
                 closed += got
         assert closed >= 200
+
+    def test_superset_closed_matches_the_extension_scan(self):
+        # all 3-process families, seeded random families for n = 1..9 with
+        # their upward closures and those closures less one set
+        for masks in all_families(3):
+            assert is_superset_closed(family(3, masks)) == slow_is_superset_closed(3, masks)
+        rng = random.Random("superset-closed-planes")
+        outcomes = set()
+        for n in range(1, 10):
+            for _ in range(12):
+                masks = frozenset(rng.sample(range(1, 1 << n), rng.randint(1, min(12, (1 << n) - 1))))
+                closed = upward_closure(masks, n)
+                for fam in (masks, closed, closed - {rng.choice(sorted(closed))}):
+                    got = is_superset_closed(family(n, fam))
+                    assert got == slow_is_superset_closed(n, fam), (n, sorted(fam))
+                    outcomes.add(got)
+        assert outcomes == {True, False}
+
+    def test_superset_closed_on_structured_families_at_n16(self):
+        cycle = cyclic_edge_closure(16)
+        cases = [all_nonempty(16), t_resilient_adversary(16, 8), cycle, sizes_adversary(16, [1, 16])]
+        cases += [Adversary.of(16, [[1], [2, 3]]), Adversary.of(16, [range(1, 17)])]
+        cases.append(family(16, [s.bits for s in cycle.live_sets if s.bits != (1 << 16) - 1]))
+        verdicts = []
+        for adv in cases:
+            got = is_superset_closed(adv)
+            assert got == slow_is_superset_closed(16, [s.bits for s in adv.live_sets]), adv.live_sets[:3]
+            verdicts.append(got)
+        assert verdicts == [True, True, True, False, False, True, False]
 
     def test_symmetric(self, unfair_triple, fair_nonstructured):
         assert is_symmetric(sizes_adversary(3, [1, 2]))

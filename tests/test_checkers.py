@@ -75,6 +75,13 @@ class TestValidity:
         trace = hand_trace(2, [1, 1], [(1, 1, 7)], {1: 5, 2: 7})
         assert not check_validity(trace).passed
 
+    def test_witness_is_the_first_invalid_decision_in_time(self):
+        # (step 5, process 2, 999) is listed before (step 1, process 1, 998); both are invalid
+        trace = hand_trace(2, [1, 1, 2, 2, 1, 2], [(5, 2, 999), (1, 1, 998)], {1: 5, 2: 7})
+        for verdict in (check_validity(trace), slow_check_validity(trace)):
+            assert verdict.witness == {"step": 1, "process": 1, "value": 998}
+        assert not check_validity(truncate_trace(trace, 1)).passed
+
 
 class TestAlphaAgreement:
     def test_single_decision_needs_level_one(self, unfair_triple):
