@@ -28,13 +28,15 @@ beside one count of rounds left per simulator, which `is_live` reads too.
 `SelectionHistory.per_simulator` sums the records per simulator, and
 `selection_report`, the only entry point to the four bounded-run
 properties, reads the final quarter and the eligible live simulators once
-and hands them to each check.  Live-set coverage reads
-`Adversary.membership`.  Feasibility lemma: with table = region_table(A),
-some live s inside the window W has table[s] >= sid exactly when
-table[W] >= sid.  Monotonicity gives one direction; for the other, the
-recursion's maximum at W is reached by a live S inside W with table[S] =
-table[W] (the witness lemma's argument in `advlab.adversary`).  So
-selection feasibility is one lookup.
+and hands them to each check.  The records are in round order, so the
+final quarter is a slice of them, found by bisection on the round, and
+selection feasibility reads one region table per status set in it.
+Live-set coverage reads `Adversary.membership`.  Feasibility lemma: with
+table = region_table(A), some live s inside the window W has table[s] >=
+sid exactly when table[W] >= sid.  Monotonicity gives one direction; for
+the other, the recursion's maximum at W is reached by a live S inside W
+with table[S] = table[W] (the witness lemma's argument in
+`advlab.adversary`).  So selection feasibility is one lookup per record.
 
 The step machinery underneath is a step function
 `step(sid, pid, round_no) -> SUCCESS | BLOCKED`, built by an oracle
@@ -57,7 +59,9 @@ minimum).  Neither is a default; the history records which one was used.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import Callable, Optional
 
 from .adversary import Adversary, adversary_to_json_obj
@@ -208,8 +212,10 @@ Step = Callable[[int, int, int], str]  # (sid, pid, round_no) -> SUCCESS or BLOC
 
 def contention_oracle(is_live: Callable[[int], bool], targets: dict[int, SimulatorLocal]) -> Step:
     """Default oracle factory: higher-id live simulators win process conflicts."""
-    # per sid, the (id, local) pairs of the simulators that can block it
-    higher = {sid: [(other, loc) for other, loc in targets.items() if other > sid] for sid in targets}
+    # index sid: the (id, local) pairs of the simulators that can block it
+    higher: list[list[tuple[int, SimulatorLocal]]] = [[] for _ in range(max(targets, default=0) + 1)]
+    for sid in targets:
+        higher[sid] = [(other, loc) for other, loc in targets.items() if other > sid]
 
     def step(sid: int, pid: int, round_no: int) -> str:
         for other, loc in higher[sid]:
@@ -231,46 +237,59 @@ def simulator_round(
 ) -> dict:
     """One full loop iteration of a simulator; returns the round record.
 
-    `view` is the `status_view` of `shared.pmem`.  A round the gate holds
-    back keeps the simulator's selection and records no window, step or
-    result.  A gated round reads the window and trail of `compute_window`,
-    recomputed only when the view or the registration count differs from
-    the simulator's last computation.
+    `view` is the `status_view` of `shared.pmem`.  The gate is tested
+    first: a round it holds back returns at once, keeps the simulator's
+    selection and records no window, step or result.  A gated round reads
+    the window and trail of `compute_window`, recomputed only when the view
+    or the registration count differs from the simulator's last
+    computation.
     """
     part, active, threshold, table = view
     sid = local.sid
-    gated = sid >= threshold if gate_mode == GATE_VERBATIM else sid <= threshold
-    window = stepped = result = None
-    trail = ()
-    reselected = fallback = False
-    s_cur, p_cur = local.s_cur, local.p_cur
-    if gated:
-        seen_view, seen_registrations, window, trail = local.memo
-        if seen_view is not view or seen_registrations != shared.registrations:
-            window, trail = compute_window(sid, shared, part, table)
-            local.memo = (view, shared.registrations, window, trail)
-        if s_cur & ~window == 0 and table[s_cur] >= sid:  # powered(table, s_cur, window, sid)
-            stepped = p_cur
-        else:
-            s_cur, fallback = select_live_set(adversary, table, window, part, sid)
-            stepped = local.p_cur = (s_cur & -s_cur).bit_length()  # the lowest member
-            local.s_cur = s_cur
-            shared.register(sid, stepped, s_cur)
-            reselected = True
-        result = step(sid, stepped, round_no)
-        if result == SUCCESS:
-            # on to the next member of s_cur above the stepped one, cycling round to the lowest
-            higher = s_cur >> stepped
-            p_cur = stepped + (higher & -higher).bit_length() if higher else (s_cur & -s_cur).bit_length()
-        else:
-            p_cur = stepped
-        local.p_cur = p_cur
+    if (sid < threshold) if gate_mode == GATE_VERBATIM else (sid > threshold):  # held back
+        return {
+            "round": round_no,
+            "simulator": sid,
+            "P": part,
+            "A": active,
+            "gated": False,
+            "W": None,
+            "trail": (),
+            "s_cur": local.s_cur,
+            "p_cur": local.p_cur,
+            "reselected": False,
+            "fallback": False,
+            "stepped": None,
+            "result": None,
+        }
+    seen_view, seen_registrations, window, trail = local.memo
+    if seen_view is not view or seen_registrations != shared.registrations:
+        window, trail = compute_window(sid, shared, part, table)
+        local.memo = (view, shared.registrations, window, trail)
+    s_cur = local.s_cur
+    if s_cur & ~window == 0 and table[s_cur] >= sid:  # powered(table, s_cur, window, sid)
+        stepped = local.p_cur
+        reselected = fallback = False
+    else:
+        s_cur, fallback = select_live_set(adversary, table, window, part, sid)
+        stepped = local.p_cur = (s_cur & -s_cur).bit_length()  # the lowest member
+        local.s_cur = s_cur
+        shared.register(sid, stepped, s_cur)
+        reselected = True
+    result = step(sid, stepped, round_no)
+    if result == SUCCESS:
+        # on to the next member of s_cur above the stepped one, cycling round to the lowest
+        higher = s_cur >> stepped
+        p_cur = stepped + (higher & -higher).bit_length() if higher else (s_cur & -s_cur).bit_length()
+    else:
+        p_cur = stepped
+    local.p_cur = p_cur
     return {
         "round": round_no,
         "simulator": sid,
         "P": part,
         "A": active,
-        "gated": gated,
+        "gated": True,
         "W": window,
         "trail": trail,
         "s_cur": s_cur,
@@ -284,7 +303,11 @@ def simulator_round(
 
 @dataclass
 class SelectionHistory:
-    """Round-by-round record of a selection run, plus the configuration header."""
+    """Round-by-round record of a selection run, plus the configuration header.
+
+    `records` holds one record per round taken, in round order: rounds
+    strictly increase along the list, which `quarter_records` relies on.
+    """
 
     adversary: Adversary
     gate_mode: str
@@ -310,8 +333,9 @@ class SelectionHistory:
         return counts
 
     def quarter_records(self) -> list[dict]:
-        cut = 3 * self.budget // 4
-        return [r for r in self.records if r["round"] >= cut]
+        """The records of rounds 3·budget // 4 on: a slice, since records are in round order."""
+        records = self.records
+        return records[bisect_left(records, 3 * self.budget // 4, key=itemgetter("round")):]
 
     def to_json_obj(self) -> dict:
         return {
@@ -432,13 +456,19 @@ def _selection_feasibility(adversary: Adversary, quarter: list[dict], live: list
     In every final-quarter round of such a simulator some live set inside
     its window carries power at least its id (the feasibility lemma), and
     any late re-selection actually used that branch.  Meaningful for fair
-    adversaries.
+    adversaries.  A run has one status set, so the region table is read
+    once per distinct A in the quarter.
     """
+    tables: dict[int, bytes] = {}
     for r in quarter:
         sid = r["simulator"]
         if sid not in live or not r["gated"]:
             continue
-        if adversary.region_table(r["A"])[r["W"]] < sid:
+        active = r["A"]
+        table = tables.get(active)
+        if table is None:
+            table = tables[active] = adversary.region_table(active)
+        if table[r["W"]] < sid:
             return Verdict("selection-feasibility", False, {"round": r["round"], "simulator": sid, "window": r["W"]})
         if r["reselected"] and r["fallback"]:
             return Verdict("selection-feasibility", False, {"round": r["round"], "simulator": sid, "fallback": True})
@@ -472,14 +502,18 @@ def selection_report(history: SelectionHistory) -> list[Verdict]:
 
     The one route to the four verdicts: participation stability, window
     stability, selection feasibility and live-set coverage.  The final
-    quarter and the eligible live simulators (no halt in the pattern, id at
-    most the gate threshold of the final status array) are read once and
-    passed to each check.  Without one, the last three hold with a note.
+    quarter and the eligible live simulators are read once and passed to
+    each check.  A simulator is eligible when its id is at most the gate
+    threshold of the final status array and the run did not halt it: a
+    halt count at or past the rounds the run gives it stops nothing.
+    Without an eligible simulator, the last three hold with a note.
     """
     quarter = history.quarter_records()
     part, active = participation(history.final_pmem)
     bound = gate_threshold(history.adversary, part, active)
-    live = [s for s in range(1, history.sim_count + 1) if s not in history.pattern and s <= bound]
+    pattern, budget, sims = history.pattern, history.budget, history.sim_count
+    # simulator s takes the rounds range(s - 1, budget, sims) unless its halt count cuts them short
+    live = [s for s in range(1, sims + 1) if s <= bound and pattern.get(s, budget) >= len(range(s - 1, budget, sims))]
     if not live:
         vacuous = ("window-stability", "selection-feasibility", "liveset-coverage")
         return [_participation_stability(quarter)] + [

@@ -11,7 +11,9 @@ live set, the reference for the package's search of the sets at the
 region's power; `slow_is_superset_closed`: the one-process extension of
 every live set, the reference for the package's Up(F) == F;
 `slow_selection_feasible`: the scan over every live set that the
-selection report's one region-table lookup replaces; and the `slow_check_*` checkers and `slow_admits_trace`: the
+selection report's one region-table lookup replaces; `slow_quarter_records`:
+the filter over every record that the report's slice of the round-ordered
+records replaces; and the `slow_check_*` checkers and `slow_admits_trace`: the
 validity and agreement checkers compare values by one `canonical_json` text
 each, the reference for the hash-keyed checkers; validity takes the least
 invalid decision by (step, list position) among all of them, the reference
@@ -197,6 +199,16 @@ def slow_selection_feasible(adversary: Adversary, active: int, window: int, sid:
     """
     table = adversary.region_table(active)
     return any(s.bits & ~window == 0 and table[s.bits] >= sid for s in adversary.live_sets)
+
+
+def slow_quarter_records(history) -> list[dict]:
+    """The records of a selection history from round 3·budget // 4 on.
+
+    The filter over every record that `advlab.bgg`'s `quarter_records` ran
+    before it sliced the round-ordered records; the reference for the slice.
+    """
+    cut = 3 * history.budget // 4
+    return [r for r in history.records if r["round"] >= cut]
 
 
 def brute_alpha_table(masks: frozenset[int], n: int) -> tuple[int, ...]:

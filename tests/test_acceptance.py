@@ -247,6 +247,9 @@ def test_criterion_09_selection_property_suite():
                 for halted in itertools.combinations(range(1, sims + 1), rsize):
                     pattern = {s: budget // 6 + 3 * s for s in halted}
                     history = run_bgg_selection(adv, pattern=pattern, budget=budget, gate_mode=GATE_ADAPTIVE)
+                    # the report reads its final quarter as a slice of the round-ordered records
+                    rounds = [r["round"] for r in history.records]
+                    assert all(a < b for a, b in zip(rounds, rounds[1:])), (masks, pattern)
                     for verdict in selection_report(history):
                         assert verdict.passed, (masks, pattern, verdict)
 

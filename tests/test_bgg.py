@@ -41,7 +41,13 @@ from advlab.bgg import (
 )
 from advlab.sim import canonical_json
 
-from oracles import all_families, brute_restrict_touching, brute_setcon, slow_selection_feasible
+from oracles import (
+    all_families,
+    brute_restrict_touching,
+    brute_setcon,
+    slow_quarter_records,
+    slow_selection_feasible,
+)
 
 
 def fair_example():
@@ -51,6 +57,12 @@ def fair_example():
 def report_by_prop(history):
     """The verdicts of `selection_report`, keyed by property name."""
     return {v.prop: v for v in selection_report(history)}
+
+
+def assert_round_order(history):
+    """Rounds strictly increase along the records: the order `quarter_records` slices."""
+    rounds = [r["round"] for r in history.records]
+    assert all(a < b for a, b in zip(rounds, rounds[1:])), rounds
 
 
 def succeed(sid, pid, round_no):
@@ -411,6 +423,21 @@ class TestBoundedProperties:
         assert not verdict.passed
         assert verdict.witness == {"round": late[-1]["round"], "simulator": 1, "fallback": True}
 
+    def test_selection_feasibility_reads_each_records_own_table(self):
+        # the check reads one region table per status set it meets: a late
+        # record whose A is edited to 0, a set no live set meets, is judged
+        # by the table of its own A, where its window has power 0
+        history = run_bgg_selection(fair_example(), budget=400, gate_mode=GATE_ADAPTIVE)
+        assert report_by_prop(history)["selection-feasibility"].passed
+        late = [r for r in history.quarter_records() if r["gated"] and r["simulator"] == 1]
+        record = late[-1]
+        assert history.adversary.region_table(record["A"])[record["W"]] >= 1
+        record["A"] = 0
+        assert history.adversary.region_table(0)[record["W"]] == 0
+        verdict = report_by_prop(history)["selection-feasibility"]
+        assert not verdict.passed
+        assert verdict.witness == {"round": record["round"], "simulator": 1, "window": record["W"]}
+
     def test_window_stability_checker_catches_a_prefix_disagreement(self):
         # simulator 3 halts, so the live simulators 1 and 2 must agree on the
         # narrowing by simulator 3; one late record of simulator 1 disagrees
@@ -433,6 +460,60 @@ class TestBoundedProperties:
         verdict = report_by_prop(history)["participation-stability"]
         assert not verdict.passed
         assert verdict.witness == {"observed": [(0b111, 0b011), (0b111, 0b111)]}
+
+
+class TestQuarterRecords:
+    @pytest.mark.parametrize("budget", [1, 3, 401])
+    @pytest.mark.parametrize("pattern", [{}, {1: 0}, {2: 1}, {1: 2, 3: 30}, {3: 50}, {1: 0, 2: 0, 3: 99}])
+    def test_slice_equals_the_filter(self, budget, pattern):
+        # at 401 rounds the cut is round 300, and simulator 3 takes its 50th
+        # and 99th rounds at 149 and 296: halts before the cut
+        history = run_bgg_selection(all_nonempty(3), budget=budget, pattern=pattern, gate_mode=GATE_ADAPTIVE)
+        assert_round_order(history)
+        quarter, want = history.quarter_records(), slow_quarter_records(history)
+        assert quarter == want
+        # the slice shares the record dicts: editing one edits the history
+        assert all(a is b for a, b in zip(quarter, want))
+
+    def test_a_run_without_simulators_has_an_empty_quarter(self):
+        history = run_bgg_selection(Adversary(3, ()), budget=10, gate_mode=GATE_ADAPTIVE)
+        assert history.quarter_records() == slow_quarter_records(history) == []
+
+
+class TestReportHaltCounts:
+    """A halt count at or past the rounds a run gives a simulator stops nothing.
+
+    On {{1},{1,2,3},{2},{3}} at 1200 rounds simulator 2 takes the 600 odd
+    rounds.  Under a count of 600 or more its records are those of the run
+    without a halt, so the report checks it there too; 599 halts it before
+    its last round, at 1199, and the report leaves it out.
+    """
+
+    ADV = Adversary.of(3, [[1], [1, 2, 3], [2], [3]])
+
+    def run(self, pattern):
+        return run_bgg_selection(self.ADV, pattern=pattern, budget=1200, gate_mode=GATE_ADAPTIVE)
+
+    def window_stability_after_corruption(self, history):
+        # corrupt the last gated window of simulator 2, inside the final quarter
+        assert all(v.passed for v in selection_report(history))
+        last = next(r for r in reversed(history.records) if r["gated"] and r["simulator"] == 2)
+        assert last["round"] >= 900
+        last["W"] ^= 0b1
+        return report_by_prop(history)["window-stability"]
+
+    @pytest.mark.parametrize("pattern", [None, {2: 600}, {2: 100000}])
+    def test_a_count_past_the_last_round_is_checked(self, pattern):
+        history = self.run(pattern)
+        assert history.records == self.run(None).records
+        verdict = self.window_stability_after_corruption(history)
+        assert not verdict.passed
+        assert verdict.witness["simulator"] == 2
+
+    def test_a_count_before_the_last_round_halts(self):
+        history = self.run({2: 599})
+        assert max(r["round"] for r in history.records if r["simulator"] == 2) == 1197
+        assert self.window_stability_after_corruption(history).passed
 
 
 class TestHaltEdges:
@@ -664,6 +745,8 @@ class TestGoldenLarger:
                     for halted in itertools.combinations(range(1, sims + 1), rsize):
                         pattern = {s: budget // 6 + 3 * s for s in halted}
                         history = run_bgg_selection(adv, pattern=pattern, budget=budget, gate_mode=gate)
+                        assert_round_order(history)
+                        assert history.quarter_records() == slow_quarter_records(history)
                         lines.append(golden_line(history))
         assert len(lines) == 96
         assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == LARGER_DIGEST
