@@ -8,24 +8,31 @@ chain), minimum hitting sets of superset-closed families, the
 superset-closed / symmetric / fair classification, and derivation of an
 adversary's agreement function.
 
-Every question about a family reads a table its Adversary owns: the
-membership table (one byte per mask, 1 at each live set) or a region
-table of set-consensus power.  Restricting twice
-equals restricting to the intersection, so every family the recursion
-visits is the live sets inside some region R.  For a touching mask T, the
-region table gives the power of {S in F : S meets T} restricted to every
-region R.  setcon, the witness chain, the agreement function and the
-fairness verdict read the T = full table; the selection layer's power
-queries read the tables of other touching masks.  Each Adversary keeps its
-own tables, keyed by T, so nothing is cached at module level.
+Every question about a family reads data its Adversary owns, and none
+walks the live sets: the membership table (one byte per mask, 1 at each
+live set), the family as bit planes, or a region table of set-consensus
+power with its level planes.  Restricting twice equals restricting to the
+intersection, so every family the recursion visits is the live sets
+inside some region R.  For a touching mask T, the region table gives the
+power of {S in F : S meets T} restricted to every region R.  setcon, the
+witness chain, the agreement function and the fairness verdict read the
+T = full table; the selection layer's power questions and live-set
+selection read the tables and planes of other touching masks.  Each
+Adversary keeps its own tables, keyed by T, so nothing is cached at
+module level.
 
 The tables come from bit planes (`_plane_table`).  An Adversary also holds
 its family as one 2**n-bit integer F (bit m set iff mask m is live) with
 the n patterns Z_i of the masks that lack process i, built on first use.
 Each level set G_j = {R : s(R) >= j} is one such integer, and a region's
-power is the number of planes that hold it.  Up(X), the superset closure
-of a set of masks, is n shift-and-OR steps, so superset-closure is the
-test Up(F) == F.
+power is the number of planes that hold it; the planes stay beside their
+table (`Adversary.level_plane`).  The live sets inside a region R are
+F AND Sub(R), where Sub(R) is the AND of Z_i over the processes i outside
+R (`Adversary.live_inside`), and the lowest set bit of such an integer is
+its smallest mask.  Up(X), the superset closure of a set of masks, is n
+shift-and-OR steps, so superset-closure is the test Up(F) == F.  `csize`
+and `symmetric_setcon` read F and the Z_i alone, no region table, so they
+stay independent oracles for setcon.
 
 Two lemmas about a region table s let the kernel read it instead of
 rescanning it:
@@ -35,7 +42,8 @@ rescanning it:
   its criterion on it.
 - Witness lemma: a live S inside R has 1 + min_p s(S - p) <= s(S) <= s(R),
   by the recursion and monotonicity.  So only the live sets with
-  s(S) = s(R) can realize s(R), and `setcon_witness` searches only those.
+  s(S) = s(R) can realize s(R), and those are F AND Sub(R) AND G_{s(R)},
+  the integer `setcon_witness` takes the lowest bit of.
 
 Fairness is decided by a local criterion on that one table: every region
 R that is not live and has power s(R) >= 1 must hold more than s(R)
@@ -49,8 +57,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import compress
-from math import comb
 from typing import Iterable, Optional
 
 from .alpha import AgreementFunction
@@ -68,7 +74,8 @@ class Adversary:
     n: int
     live_sets: tuple[ProcessSet, ...]
     membership: bytes = field(init=False, repr=False, compare=False)
-    _tables: dict[int, bytes] = field(default_factory=dict, init=False, repr=False, compare=False)
+    # touching mask -> [region table, G_1, ..., G_s]: the table, then its level planes
+    _tables: dict[int, list] = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not 1 <= self.n <= MAX_UNIVERSE:
@@ -94,14 +101,39 @@ class Adversary:
 
         Entry R is setcon of {S in F : S & touching != 0, S subseteq R},
         indexed by R's bit mask.  Each table is built once and kept on this
-        instance, keyed by the touching mask.
+        instance, keyed by the touching mask, with its level planes.
         """
-        table = self._tables.get(touching)
-        if table is None:
+        entry = self._tables.get(touching)
+        if entry is None:
             if not 0 <= touching < 1 << self.n:
                 raise ValueError(f"touching mask {touching:#x} outside a universe of size {self.n}")
-            table = self._tables[touching] = _plane_table(self.n, *self._lattice, touching)
-        return table
+            entry = self._tables[touching] = _plane_table(self.n, *self._lattice, touching)
+        return entry[0]
+
+    def level_plane(self, touching: int, level: int) -> int:
+        """G_level = {R : region_table(touching)[R] >= level}, as a 2**n-bit integer.
+
+        Every mask for a level of at most 0, and none past the table's
+        largest entry.  The planes are the ones the table was summed from,
+        kept beside it.
+        """
+        self.region_table(touching)  # built with the table
+        levels = self._tables[touching]
+        if level < 1:
+            return (1 << (1 << self.n)) - 1
+        return levels[level] if level < len(levels) else 0
+
+    def live_inside(self, region: int) -> int:
+        """The live sets inside `region`, as a 2**n-bit integer: F AND Sub(R).
+
+        Sub(R), the masks inside R, is the AND of Z_i over the processes i
+        outside R.  Its lowest set bit is the smallest live mask inside R.
+        """
+        family, steps = self._lattice
+        for i, (lacks, _) in enumerate(steps):
+            if not region >> i & 1:
+                family &= lacks
+        return family
 
     @cached_property
     def _lattice(self) -> tuple[int, tuple[tuple[int, int], ...]]:
@@ -184,7 +216,7 @@ def _up(masks: int, steps: tuple[tuple[int, int], ...]) -> int:
     return masks
 
 
-def _plane_table(n: int, family: int, steps: tuple[tuple[int, int], ...], touching: int) -> bytes:
+def _plane_table(n: int, family: int, steps: tuple[tuple[int, int], ...], touching: int) -> list:
     """Power of the live sets meeting `touching`, restricted to every region, by bit planes.
 
     Written over live S inside R, the recursion is s(R) = max of
@@ -200,7 +232,8 @@ def _plane_table(n: int, family: int, steps: tuple[tuple[int, int], ...], touchi
 
     Each plane unpacks to one byte per mask through its binary digits (the
     digit characters' bytes, less ord("0") each), and the table is their
-    sum; entries are at most n, so a byte each.
+    sum; entries are at most n, so a byte each.  Returns the table followed
+    by the planes, [table, G_1, ..., G_s], so index j >= 1 holds G_j.
     """
     size = 1 << n
     missing = -1  # the masks inside the complement of touching
@@ -209,16 +242,20 @@ def _plane_table(n: int, family: int, steps: tuple[tuple[int, int], ...], touchi
             missing &= lacks
     live = family & ~missing
     digits = f"0{size}b"
-    planes = total = 0
+    levels = [b""]  # levels[j] is G_j; index 0 takes the table
+    total = 0
     below = live  # F & D_{j-1}: D_0 holds every mask
     while below:
-        plane = _up(below, steps)
-        planes += 1
+        plane = below  # Up(below): the loop of `_up`, in line on the first-table path
+        for lacks, shift in steps:
+            plane |= (plane & lacks) << shift
+        levels.append(plane)
         total += int.from_bytes(format(plane, digits).encode(), "big")
         below = live
         for lacks, shift in steps:
             below &= lacks | (plane & lacks) << shift
-    return (total - planes * int.from_bytes(b"0" * size, "big")).to_bytes(size, "little")
+    levels[0] = (total - (len(levels) - 1) * int.from_bytes(b"0" * size, "big")).to_bytes(size, "little")
+    return levels
 
 
 def setcon(adversary: Adversary) -> int:
@@ -249,26 +286,24 @@ def setcon_witness(adversary: Adversary) -> SetconWitness:
     Ties in the arg-max live set are broken by smallest bit-mask encoding,
     ties in the arg-min process by smallest id.  By the witness lemma only
     a live S with s(S) = s(R) can realize s(R), and for a live S the
-    recursion makes 1 + min_p s(S - p) = s(S), so each link is the first
-    such S inside R in mask order (a byte search of `level`, which marks
-    each live S with s(S) + 1), and its process is the first p in S with
-    s(S - p) = s(S) - 1.
+    recursion makes 1 + min_p s(S - p) = s(S).  A live S inside R has
+    s(S) <= s(R) = t, so those sets are F AND Sub(R) AND G_t, and each link
+    is the lowest set bit of that integer; its process is the first p in S
+    with s(S - p) = s(S) - 1.  Each region lies inside the one before, so
+    F AND Sub(R) takes one more AND per process a link leaves out.
     """
     n = adversary.n
     full = (1 << n) - 1
     power = adversary.region_table(full)
-    level = bytearray(full + 1)  # s(S) + 1 at each live S, else 0
-    for s in adversary.live_sets:
-        level[s.bits] = power[s.bits] + 1
+    inside, steps = adversary._lattice  # F AND Sub(region)
     chain = []
     region = full
     while power[region]:
         target = power[region]
-        m = level.find(target + 1)  # ascending mask: ties keep the smallest encoding
-        while m >= 0 and m & ~region:
-            m = level.find(target + 1, m + 1)
-        if m < 0:
+        hits = inside & adversary.level_plane(full, target)
+        if not hits:
             raise AssertionError(f"no live set realizes the power of region {region:#x}")
+        m = (hits & -hits).bit_length() - 1  # lowest bit: ties keep the smallest encoding
         rest = m  # ascending id: the arg-min is the first p with s(S - p) = s(S) - 1
         while rest and power[m ^ (rest & -rest)] != target - 1:
             rest &= rest - 1
@@ -276,7 +311,12 @@ def setcon_witness(adversary: Adversary) -> SetconWitness:
         if not low:
             raise AssertionError(f"no process of live set {m:#x} lowers its power")
         chain.append((ProcessSet(n, m), low.bit_length()))
+        left = region ^ m ^ low  # the processes the next region leaves out
         region = m ^ low
+        while left:
+            bit = left & -left
+            inside &= steps[bit.bit_length() - 1][0]
+            left ^= bit
     return SetconWitness(len(chain), tuple(chain))
 
 
@@ -300,9 +340,6 @@ def replay_witness(adversary: Adversary, witness: SetconWitness) -> int:
     return len(witness.chain)
 
 
-_NOT = bytes.maketrans(b"\x00\x01", b"\x01\x00")  # swaps the membership bytes 0 and 1
-
-
 def csize(adversary: Adversary) -> Optional[int]:
     """Minimum hitting-set size of a superset-closed adversary.
 
@@ -311,11 +348,26 @@ def csize(adversary: Adversary) -> Optional[int]:
     complement is not live: csize = n - max{|C| : C not in F}.  The empty
     adversary has no hitting set, and the formula needs superset-closure;
     for either the result is None.
+
+    The dead masks of a superset-closed F are down-closed, so with
+    E_0 = not F and E_{j+1} = (not F) AND the union over i of
+    (E_j AND Z_i) << 2**i, E_j holds the dead sets of size at least j, and
+    the largest dead size is the last j with E_j non-empty.  It reads no
+    region table: an independent oracle for setcon.
     """
     if not adversary.live_sets or not is_superset_closed(adversary):
         return None
-    dead = adversary.membership.translate(_NOT)
-    return adversary.n - max(map(int.bit_count, compress(range(1 << adversary.n), dead)))
+    family, steps = adversary._lattice
+    dead = family ^ ((1 << (1 << adversary.n)) - 1)
+    larger, size = dead, 0  # E_size
+    while True:
+        grown = 0
+        for lacks, shift in steps:
+            grown |= (larger & lacks) << shift
+        larger = dead & grown
+        if not larger:
+            return adversary.n - size
+        size += 1
 
 
 def is_superset_closed(adversary: Adversary) -> bool:
@@ -397,15 +449,19 @@ def is_fair(adversary: Adversary) -> bool:
 def symmetric_setcon(adversary: Adversary) -> Optional[int]:
     """Distinct live-set cardinality count of a symmetric adversary; None for any other.
 
-    Serves as an independent oracle against the setcon recursion.
+    F is symmetric iff the n - 1 swaps of processes i + 1 and i + 2 each
+    map it onto itself.  A swap moves the masks holding i + 2 but not
+    i + 1 down by 2**i places, so it is one test,
+    (F AND Z_i AND not Z_{i+1}) >> 2**i == F AND not Z_i AND Z_{i+1}.  The
+    count is then the number of live prefix masks {1..k}.  It reads no
+    region table: an independent oracle against the setcon recursion.
     """
-    n = adversary.n
-    counts = [0] * (n + 1)  # live sets per size
-    for s in adversary.live_sets:
-        counts[s.bits.bit_count()] += 1
-    if any(count and count != comb(n, k) for k, count in enumerate(counts)):
-        return None
-    return n + 1 - counts.count(0)
+    family, steps = adversary._lattice
+    for (lacks, shift), (next_lacks, _) in zip(steps, steps[1:]):
+        if (family & lacks & ~next_lacks) >> shift != family & next_lacks & ~lacks:
+            return None
+    live = adversary.membership
+    return sum(live[(1 << k) - 1] for k in range(1, adversary.n + 1))
 
 
 def agreement_function(adversary: Adversary) -> AgreementFunction:

@@ -13,9 +13,13 @@ is powered for simulator sid when it lies inside the window and
 `adversary.region_table(active)[s] >= sid` (`powered`), and the level
 α(P) of a participating set P is `adversary.region_table(full)[P]`, the
 table the adversary's agreement function wraps.  `powered` stays the
-named rule that the window and the selection use; a round makes that
-test on its own current set, and the advance to the next process of that
-set, inline, because it does both on every gated round.
+named rule that the window uses; a round makes that test on its own
+current set, and the advance to the next process of that set, inline,
+because it does both on every gated round.  A re-selection asks the same
+rule of every live set at once, through the level planes kept beside the
+table: the powered live sets in window W are F AND Sub(W) AND G_sid
+(`Adversary.live_inside` and `Adversary.level_plane`), one integer whose
+lowest set bit is the smallest mask (`select_live_set`).
 P, A, the gate threshold min(|A|, α(P)) and the table of A depend on the
 status array alone, and nothing writes that array during a run, so
 `run_bgg_selection` reads them once (`status_view`) and hands the same
@@ -196,14 +200,21 @@ def compute_window(sid: int, shared: BGShared, part: int, table: bytes) -> tuple
     return window, tuple(trail)
 
 
-def select_live_set(adversary: Adversary, table: bytes, window: int, part: int, sid: int) -> tuple[int, bool]:
-    """(live set, fallback): the first powered one in the window, else the first in the region."""
-    for s in adversary.live_sets:  # ascending mask: deterministic tie-break
-        if powered(table, s.bits, window, sid):
-            return s.bits, False
-    for s in adversary.live_sets:
-        if s.bits & ~part == 0:
-            return s.bits, True
+def select_live_set(adversary: Adversary, active: int, window: int, part: int, sid: int) -> tuple[int, bool]:
+    """(live set, fallback): the smallest powered one in the window, else the smallest in the region.
+
+    The live sets powered for simulator sid in window W are
+    F AND Sub(W) AND G_sid, with G_sid the level plane of
+    `region_table(active)`, empty when sid exceeds the plane count.  The
+    fallback takes F AND Sub(P).  The lowest set bit is the smallest mask:
+    the deterministic tie-break.
+    """
+    hits = adversary.live_inside(window) & adversary.level_plane(active, sid)
+    if hits:
+        return (hits & -hits).bit_length() - 1, False
+    hits = adversary.live_inside(part)
+    if hits:
+        return (hits & -hits).bit_length() - 1, True
     raise SelectionImpossible(f"no live set fits the participating region {ProcessSet(adversary.n, part)}")
 
 
@@ -271,7 +282,7 @@ def simulator_round(
         stepped = local.p_cur
         reselected = fallback = False
     else:
-        s_cur, fallback = select_live_set(adversary, table, window, part, sid)
+        s_cur, fallback = select_live_set(adversary, active, window, part, sid)
         stepped = local.p_cur = (s_cur & -s_cur).bit_length()  # the lowest member
         local.s_cur = s_cur
         shared.register(sid, stepped, s_cur)

@@ -132,6 +132,18 @@ def _set_text(ps: ProcessSet) -> str:
     return "{" + ",".join(map(str, ps.members())) + "}"
 
 
+def _member_texts(n: int) -> list[str]:
+    """The ids of every mask over {1..n}, ascending and comma-separated, indexed by mask.
+
+    The masks that hold process i are those below 2**(i-1) plus its bit, so
+    each of their texts is an earlier one with i appended.
+    """
+    texts = [""]
+    for i in range(1, n + 1):
+        texts += [f"{text},{i}" if text else str(i) for text in texts]
+    return texts
+
+
 def _out_dir(args) -> Path:
     path = Path(args.out) if args.out else Path("advlab-out")
     try:
@@ -228,9 +240,7 @@ def cmd_alpha(args) -> int:
     adversary = _load_adversary(args.adversary)
     fn = adv_mod.agreement_function(adversary)
     obj = fn.to_json_obj()
-    lines = []
-    for bits in range(1 << fn.n):
-        lines.append(f"alpha({_set_text(ProcessSet(fn.n, bits))})={fn.table[bits]}")
+    lines = [f"alpha({{{text}}})={level}" for text, level in zip(_member_texts(fn.n), fn.table)]
     if args.out:
         path = _out_dir(args) / (Path(args.adversary).stem + ".alpha.json")
         _write(path, json.dumps(obj, sort_keys=True))

@@ -11,7 +11,11 @@ live set, the reference for the package's search of the sets at the
 region's power; `slow_is_superset_closed`: the one-process extension of
 every live set, the reference for the package's Up(F) == F;
 `slow_selection_feasible`: the scan over every live set that the
-selection report's one region-table lookup replaces; `slow_quarter_records`:
+selection report's one region-table lookup replaces; `slow_select_live_set`:
+the scan over every live set that bgg's selection by level planes replaces;
+`slow_csize`: the largest dead mask found by a walk over every mask, the
+reference for the package's size-by-size growth of the dead masks;
+`slow_quarter_records`:
 the filter over every record that the report's slice of the round-ordered
 records replaces; and the `slow_check_*` checkers and `slow_admits_trace`: the
 validity and agreement checkers compare values by one `canonical_json` text
@@ -44,6 +48,7 @@ from typing import Iterable, Optional
 
 from advlab import Adversary, ProcessSet
 from advlab.alpha import AgreementFunction
+from advlab.bgg import SelectionImpossible
 from advlab.checkers import Verdict
 from advlab.protocols import Protocol
 from advlab.sim import Decision, RunTrace, Schedule, _last_index, canonical_json, check_schedulable
@@ -201,6 +206,34 @@ def slow_selection_feasible(adversary: Adversary, active: int, window: int, sid:
     return any(s.bits & ~window == 0 and table[s.bits] >= sid for s in adversary.live_sets)
 
 
+def slow_select_live_set(adversary: Adversary, active: int, window: int, part: int, sid: int) -> tuple[int, bool]:
+    """(live set, fallback): the first live set in mask order inside the window with
+    region_table(active) at least sid, else the first inside the participating region.
+
+    The scan `advlab.bgg.select_live_set` made before it read the level planes;
+    the reference for the planes.  Raises SelectionImpossible when no live set
+    lies inside the region.
+    """
+    table = adversary.region_table(active)
+    for s in adversary.live_sets:  # ascending mask
+        if s.bits & ~window == 0 and table[s.bits] >= sid:
+            return s.bits, False
+    for s in adversary.live_sets:
+        if s.bits & ~part == 0:
+            return s.bits, True
+    raise SelectionImpossible(f"no live set fits the participating region {ProcessSet(adversary.n, part)}")
+
+
+def slow_csize(masks, n: int) -> int:
+    """n minus the size of the largest mask that is not live, by a walk over every mask.
+
+    The minimum hitting-set size of a superset-closed family; the reference
+    for `advlab.csize` where `brute_min_hitting` is too slow (n = 16).
+    """
+    live = set(masks)
+    return n - max(bin(m).count("1") for m in range(1 << n) if m not in live)
+
+
 def slow_quarter_records(history) -> list[dict]:
     """The records of a selection history from round 3·budget // 4 on.
 
@@ -221,6 +254,12 @@ def all_families(n: int):
     for r in range(len(candidates) + 1):
         for picks in itertools.combinations(candidates, r):
             yield frozenset(picks)
+
+
+def cyclic_edge_closure(n: int) -> Adversary:
+    """Every set holding two cyclically adjacent processes i and i + 1 mod n."""
+    edges = [1 << i | 1 << (i + 1) % n for i in range(n)]
+    return Adversary(n, tuple(ProcessSet(n, m) for m in range(1, 1 << n) if any(m & e == e for e in edges)))
 
 
 def upward_closure(masks: frozenset[int], n: int) -> frozenset[int]:

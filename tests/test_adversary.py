@@ -2,6 +2,7 @@
 
 import itertools
 import json
+import math
 import random
 import re
 
@@ -37,9 +38,11 @@ from oracles import (
     brute_setcon,
     brute_superset_closed,
     brute_witness,
+    cyclic_edge_closure,
     distinct_sizes,
     slow_fairness_counterexample,
     slow_is_superset_closed,
+    slow_csize,
     slow_region_powers,
     slow_setcon_witness,
     upward_closure,
@@ -48,12 +51,6 @@ from oracles import (
 
 def family(n, masks):
     return Adversary(n, tuple(ProcessSet(n, m) for m in masks))
-
-
-def cyclic_edge_closure(n):
-    """Every set holding two cyclically adjacent processes i and i + 1 mod n."""
-    edges = [1 << i | 1 << (i + 1) % n for i in range(n)]
-    return family(n, [m for m in range(1, 1 << n) if any(m & e == e for e in edges)])
 
 
 def blocky_family(rng, n):
@@ -162,6 +159,31 @@ class TestAdversaryType:
         assert adv._lattice == (0b11000010, ((0b01010101, 1), (0b00110011, 2), (0b00001111, 4)))
         assert (repr(adv), hash(adv)) == before and adv == twin and hash(twin) == before[1]
         assert "_lattice" not in repr(adv) and "_lattice" not in vars(twin)
+
+    def test_level_planes_are_kept_beside_each_table(self):
+        # G_j holds the regions whose entry is at least j: every mask at j = 0,
+        # none past the largest entry; kept out of equality, hashing and the repr
+        rng = random.Random("level-planes")
+        cases = [(3, masks) for masks in all_families(3)]
+        cases += [(n, frozenset(rng.sample(range(1, 1 << n), rng.randint(1, min(20, (1 << n) - 1))))) for n in (1, 2, 5, 8) for _ in range(4)]
+        for n, masks in cases:
+            adv = family(n, masks)
+            for t in {0, 1, (1 << n) - 1, rng.randrange(1 << n)}:
+                table = adv.region_table(t)
+                for level in range(n + 2):
+                    want = sum(1 << r for r in range(1 << n) if table[r] >= level)
+                    assert adv.level_plane(t, level) == want, (n, sorted(masks), t, level)
+        adv, twin = family(3, [0b111, 0b110, 0b001]), family(3, [0b001, 0b110, 0b111])
+        assert adv.level_plane(0b111, 2) == twin.level_plane(0b111, 2) == 1 << 0b111
+        assert adv == twin and hash(adv) == hash(twin) and "plane" not in repr(adv)
+
+    def test_live_inside(self):
+        rng = random.Random("live-inside")
+        for n in (1, 3, 6):
+            masks = frozenset(rng.sample(range(1, 1 << n), min(10, (1 << n) - 1)))
+            adv = family(n, masks)
+            for region in range(1 << n):
+                assert adv.live_inside(region) == sum(1 << m for m in masks if m & ~region == 0), (n, region)
 
     def test_file_roundtrip(self, unfair_triple):
         obj = adversary_to_json_obj(unfair_triple)
@@ -477,6 +499,60 @@ class TestClassification:
                     masks = frozenset(s.bits for s in adv.live_sets)
                     if masks:
                         assert symmetric_setcon(adv) == distinct_sizes(masks) == len(sizes)
+
+
+class TestClosedFormsByPlanes:
+    """The witness, csize and symmetric_setcon, each a few plane operations,
+    against the slow witness scan, the brute-force hitting set and the
+    distinct sizes."""
+
+    @staticmethod
+    def symmetric(n, masks):
+        sizes = {bin(m).count("1") for m in masks}
+        return len(masks) == sum(math.comb(n, k) for k in sizes)
+
+    def assert_matches_oracles(self, n, masks, hitting=brute_min_hitting):
+        adv = family(n, masks)
+        assert [(s.bits, a) for s, a in setcon_witness(adv).chain] == slow_setcon_witness(n, masks), (n, sorted(masks))
+        closed = bool(masks) and slow_is_superset_closed(n, masks)
+        assert csize(adv) == (hitting(masks, n) if closed else None), (n, sorted(masks))
+        assert symmetric_setcon(adv) == (distinct_sizes(masks) if self.symmetric(n, masks) else None), (n, sorted(masks))
+        return closed, self.symmetric(n, masks)
+
+    @pytest.mark.parametrize("n", range(4, 10))
+    def test_seeded_families(self, n):
+        rng = random.Random(f"closed-forms:{n}")
+        seen = set()
+        for _ in range(6):
+            masks = frozenset(m for m in range(1, 1 << n) if rng.random() < rng.uniform(0.1, 0.7))
+            sparse = frozenset(rng.sample(range(1, 1 << n), rng.randint(1, 4)))
+            closure = upward_closure(sparse, n)
+            sizes = rng.sample(range(1, n + 1), rng.randint(1, n))
+            sym = frozenset(m for m in range(1, 1 << n) if bin(m).count("1") in sizes)
+            # one set less breaks the symmetry, and the closure of one set less breaks nothing
+            cases = [masks, closure, closure - {max(sparse)}, sym, sym - {max(sym)}]
+            for fam in cases:
+                seen.add(self.assert_matches_oracles(n, fam))
+        assert seen >= {(True, False), (False, True), (False, False)}, seen
+
+    def test_structured_families_at_n16(self):
+        cycle = cyclic_edge_closure(16)
+        cases = [(all_nonempty(16), 16, 16), (t_resilient_adversary(16, 8), 9, 9), (cycle, 8, None)]
+        for adv, hitting, sizes in cases:
+            masks = frozenset(s.bits for s in adv.live_sets)
+            assert self.assert_matches_oracles(16, masks, slow_csize) == (True, sizes is not None)
+            assert (csize(adv), symmetric_setcon(adv)) == (hitting, sizes)
+
+    def test_random_upsets_at_n16(self):
+        # criterion 03 checks setcon == csize up to n = 4, and criterion 02
+        # fairness up to n = 5: Up of a seeded sparse family at n = 16
+        rng = random.Random("upsets16")
+        for _ in range(4):
+            sparse = [sum(1 << i for i in rng.sample(range(16), rng.randint(3, 6))) for _ in range(rng.randint(2, 5))]
+            adv = family(16, upward_closure(frozenset(sparse), 16))
+            assert is_superset_closed(adv)
+            assert setcon(adv) == csize(adv), sorted(sparse)
+            assert is_fair(adv), sorted(sparse)
 
 
 class TestFairness:

@@ -3,6 +3,7 @@
 import hashlib
 import itertools
 import random
+import re
 
 import pytest
 
@@ -44,8 +45,10 @@ from advlab.sim import canonical_json
 from oracles import (
     all_families,
     brute_restrict_touching,
+    cyclic_edge_closure,
     brute_setcon,
     slow_quarter_records,
+    slow_select_live_set,
     slow_selection_feasible,
 )
 
@@ -212,18 +215,18 @@ class TestSelection:
 
     def test_smallest_encoding_wins(self):
         adv = fair_example()
-        assert select_live_set(adv, adv.region_table(0b111), 0b111, 0b111, 1) == (0b001, False)
+        assert select_live_set(adv, 0b111, 0b111, 0b111, 1) == (0b001, False)
 
     def test_fallback_branch(self):
         adv = Adversary.of(3, [[1], [2]])
         assert setcon(adv) == 1
         # no live set reaches power 2, so any region member is returned
-        assert select_live_set(adv, adv.region_table(0b111), 0b111, 0b111, 2) == (0b001, True)
+        assert select_live_set(adv, 0b111, 0b111, 0b111, 2) == (0b001, True)
 
     def test_selection_impossible_surfaces(self):
         adv = fair_example()
         with pytest.raises(SelectionImpossible):
-            select_live_set(adv, adv.region_table(0), 0, 0, 1)
+            select_live_set(adv, 0, 0, 0, 1)
 
     @pytest.mark.parametrize(
         "pmem, message",
@@ -750,3 +753,88 @@ class TestGoldenLarger:
                         lines.append(golden_line(history))
         assert len(lines) == 96
         assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == LARGER_DIGEST
+
+
+def same_selection(adversary, active, window, part, sid):
+    """`select_live_set`'s result, checked against `slow_select_live_set`:
+    the same live set and branch, or the same SelectionImpossible."""
+    args = (adversary, active, window, part, sid)
+    try:
+        want = slow_select_live_set(*args)
+    except SelectionImpossible as exc:
+        with pytest.raises(SelectionImpossible, match=f"^{re.escape(str(exc))}$"):
+            select_live_set(*args)
+        raise
+    got = select_live_set(*args)
+    assert got == want, args
+    return got
+
+
+def check_selections_against_the_scan(monkeypatch) -> list:
+    """Route every `select_live_set` call of a round through `same_selection`;
+    returns the list the checked results go to."""
+    checked = []
+
+    def compared(*args):
+        checked.append(same_selection(*args))
+        return checked[-1]
+
+    monkeypatch.setattr(bgg, "select_live_set", compared)
+    return checked
+
+
+class TestSelectionByPlanes:
+    """The level-plane selection equals the scan over every live set it replaced."""
+
+    def test_every_argument_on_every_3_process_family(self):
+        # every active set, participating region, window inside it and id up
+        # to one past the largest plane count: powered picks, fallbacks and
+        # SelectionImpossible alike
+        outcomes = set()
+        for masks in all_families(3):
+            adv = Adversary(3, tuple(ProcessSet(3, m) for m in masks))
+            for active, part, sid in itertools.product(range(8), range(8), range(1, 5)):
+                window = part
+                while True:
+                    try:
+                        outcomes.add(same_selection(adv, active, window, part, sid)[1])
+                    except SelectionImpossible:
+                        outcomes.add("impossible")
+                    if not window:
+                        break
+                    window = (window - 1) & part
+        assert outcomes == {False, True, "impossible"}
+
+    @pytest.mark.parametrize("gate, selections", [(GATE_ADAPTIVE, 304), (GATE_VERBATIM, 128)])
+    def test_criterion_09_sweep(self, monkeypatch, gate, selections):
+        checked = check_selections_against_the_scan(monkeypatch)
+        budget = 400 * 3
+        for masks in all_families(3):
+            adv = Adversary(3, tuple(ProcessSet(3, m) for m in masks))
+            if not is_fair(adv):
+                continue
+            sims = setcon(adv)
+            for rsize in range(sims + 1):
+                for halted in itertools.combinations(range(1, sims + 1), rsize):
+                    pattern = {s: budget // 6 + 3 * s for s in halted}
+                    run_bgg_selection(adv, pattern=pattern, budget=budget, gate_mode=gate)
+        assert len(checked) == selections
+
+    @pytest.mark.parametrize("gate, selections", [(GATE_ADAPTIVE, 192), (GATE_VERBATIM, 48)])
+    def test_golden_larger_families(self, monkeypatch, gate, selections):
+        checked = check_selections_against_the_scan(monkeypatch)
+        for adv in larger_families():
+            sims, budget = setcon(adv), warm_up_budget(adv.n)
+            for rsize in range(sims + 1):
+                for halted in itertools.combinations(range(1, sims + 1), rsize):
+                    pattern = {s: budget // 6 + 3 * s for s in halted}
+                    run_bgg_selection(adv, pattern=pattern, budget=budget, gate_mode=gate)
+        assert len(checked) == selections
+
+    def test_structured_families_at_n16(self, monkeypatch):
+        checked = check_selections_against_the_scan(monkeypatch)
+        for adv in (all_nonempty(16), t_resilient_adversary(16, 8), cyclic_edge_closure(16)):
+            for pattern in ({}, {2: 40}):
+                history = run_bgg_selection(adv, pattern=pattern, budget=1200, gate_mode=GATE_ADAPTIVE)
+                assert history.sim_count == setcon(adv)
+        assert len(checked) == 434
