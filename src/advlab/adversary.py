@@ -8,6 +8,11 @@ chain), minimum hitting sets of superset-closed families, the
 superset-closed / symmetric / fair classification, and derivation of an
 adversary's agreement function.
 
+An Adversary holds its live sets as int bit masks (bit i-1 for process
+i), ascending, and the parser, the family builders and the restrictions
+build them as masks; ProcessSet is the type of the single sets handed
+out, the witness links and the fairness pair.
+
 Every question about a family reads data its Adversary owns, and none
 walks the live sets: the membership table (one byte per mask, 1 at each
 live set), the family as bit planes, or a region table of set-consensus
@@ -67,34 +72,44 @@ from .processes import MAX_UNIVERSE, ProcessSet
 class Adversary:
     """A family of non-empty live sets over the universe {1..n}.
 
-    live_sets is kept canonically sorted by bit mask; duplicates and empty
-    sets are rejected.  membership[m] is 1 exactly when mask m is live.
+    live_sets holds each live set as its bit mask (bit i-1 for process i),
+    ascending; duplicates and the empty mask are rejected.  A ProcessSet
+    element is accepted too and contributes its bits.  membership[m] is 1
+    exactly when mask m is live.
     """
 
     n: int
-    live_sets: tuple[ProcessSet, ...]
+    live_sets: tuple[int, ...]
     membership: bytes = field(init=False, repr=False, compare=False)
     # touching mask -> [region table, G_1, ..., G_s]: the table, then its level planes
     _tables: dict[int, list] = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if not 1 <= self.n <= MAX_UNIVERSE:
-            raise ValueError(f"universe size must be in 1..{MAX_UNIVERSE}, got {self.n}")
-        membership = bytearray(1 << self.n)
-        for s in self.live_sets:
-            if s.n != self.n:
-                raise ValueError(f"live set universe {s.n} does not match adversary universe {self.n}")
-            if not s:
+        n = self.n
+        if not 1 <= n <= MAX_UNIVERSE:
+            raise ValueError(f"universe size must be in 1..{MAX_UNIVERSE}, got {n}")
+        membership = bytearray(1 << n)
+        masks = []
+        for m in self.live_sets:
+            if isinstance(m, ProcessSet):
+                if m.n != n:
+                    raise ValueError(f"live set universe {m.n} does not match adversary universe {n}")
+                m = m.bits
+            if not m:
                 raise ValueError("live sets must be non-empty")
-            if membership[s.bits]:
-                raise ValueError(f"duplicate live set {s}")
-            membership[s.bits] = 1
+            if m >> n:  # negative masks too: their shift is -1
+                raise ValueError(f"mask {m:#x} has bits outside a universe of size {n}")
+            if membership[m]:
+                raise ValueError(f"duplicate live set {ProcessSet(n, m)}")
+            membership[m] = 1
+            masks.append(m)
+        masks.sort()
         object.__setattr__(self, "membership", bytes(membership))
-        object.__setattr__(self, "live_sets", tuple(sorted(self.live_sets, key=lambda s: s.bits)))
+        object.__setattr__(self, "live_sets", tuple(masks))
 
     @classmethod
     def of(cls, n: int, sets: Iterable[Iterable[int]]) -> "Adversary":
-        return cls(n, tuple(s if isinstance(s, ProcessSet) else ProcessSet.of(n, s) for s in sets))
+        return cls(n, tuple(s if isinstance(s, ProcessSet) else ProcessSet.of(n, s).bits for s in sets))
 
     def region_table(self, touching: int) -> bytes:
         """Set-consensus power of the live sets meeting `touching`, for every region.
@@ -155,20 +170,20 @@ class Adversary:
         return family, tuple(steps)
 
     def __repr__(self) -> str:
-        body = ",".join("{" + ",".join(map(str, s.members())) + "}" for s in self.live_sets)
+        body = ",".join("{" + ",".join(map(str, _ids(self.n, m))) + "}" for m in self.live_sets)
         return f"Adversary({self.n}, [{body}])"
 
 
 def all_nonempty(n: int) -> Adversary:
     """The wait-free adversary: every non-empty subset is a live set."""
-    return Adversary(n, tuple(ProcessSet(n, b) for b in range(1, 1 << n)))
+    return Adversary(n, tuple(range(1, 1 << n)))
 
 
 def t_resilient_adversary(n: int, t: int) -> Adversary:
     """Live sets of size >= n - t: at most t processes fail."""
     if not 0 <= t < n:
         raise ValueError(f"resilience must satisfy 0 <= t < n, got t={t}, n={n}")
-    return Adversary(n, tuple(ProcessSet(n, b) for b in range(1, 1 << n) if b.bit_count() >= n - t))
+    return Adversary(n, tuple(b for b in range(1, 1 << n) if b.bit_count() >= n - t))
 
 
 def sizes_adversary(n: int, sizes: Iterable[int]) -> Adversary:
@@ -176,14 +191,15 @@ def sizes_adversary(n: int, sizes: Iterable[int]) -> Adversary:
     wanted = set(sizes)
     if any(not 1 <= k <= n for k in wanted):
         raise ValueError(f"sizes must lie in 1..{n}")
-    return Adversary(n, tuple(ProcessSet(n, b) for b in range(1, 1 << n) if b.bit_count() in wanted))
+    return Adversary(n, tuple(b for b in range(1, 1 << n) if b.bit_count() in wanted))
 
 
 def restrict(adversary: Adversary, region: ProcessSet) -> Adversary:
     """Keep only the live sets contained in region; the universe size is unchanged."""
     if region.n != adversary.n:
         raise ValueError(f"universe mismatch: {region.n} vs {adversary.n}")
-    return Adversary(adversary.n, tuple(s for s in adversary.live_sets if s.issubset(region)))
+    outside = ~region.bits
+    return Adversary(adversary.n, tuple(m for m in adversary.live_sets if not m & outside))
 
 
 def restrict_intersecting(adversary: Adversary, region: ProcessSet, targets: ProcessSet) -> Adversary:
@@ -200,13 +216,16 @@ def restrict_intersecting(adversary: Adversary, region: ProcessSet, targets: Pro
         raise ValueError("universe mismatch between adversary and arguments")
     if not targets.issubset(region):
         raise ValueError(f"targets {targets} must be a subset of region {region}")
-    return Adversary(
-        adversary.n,
-        tuple(s for s in adversary.live_sets if s.issubset(region) and s.bits & targets.bits),
-    )
+    outside, hit = ~region.bits, targets.bits
+    return Adversary(adversary.n, tuple(m for m in adversary.live_sets if not m & outside and m & hit))
 
 
 _DIGITS = bytes.maketrans(b"\x00\x01", b"01")  # membership bytes as binary digits
+
+
+def _ids(n: int, mask: int) -> list[int]:
+    """The processes of a mask over {1..n}, ascending."""
+    return [i + 1 for i in range(n) if mask >> i & 1]
 
 
 def _up(masks: int, steps: tuple[tuple[int, int], ...]) -> int:
@@ -328,7 +347,7 @@ def replay_witness(adversary: Adversary, witness: SetconWitness) -> int:
     """
     current = adversary
     for s, a in witness.chain:
-        if s not in current.live_sets:
+        if s.n != current.n or not current.membership[s.bits]:
             raise ValueError(f"witness live set {s} is not in the restricted family")
         if a not in s:
             raise ValueError(f"witness process {a} is not in live set {s}")
@@ -472,7 +491,8 @@ def agreement_function(adversary: Adversary) -> AgreementFunction:
 
 def adversary_to_json_obj(adversary: Adversary) -> dict:
     """Canonical file form: 1-based ids, ascending inner arrays, sorted outer array."""
-    return {"n": adversary.n, "live_sets": sorted(list(s.members()) for s in adversary.live_sets)}
+    n = adversary.n
+    return {"n": n, "live_sets": sorted(_ids(n, m) for m in adversary.live_sets)}
 
 
 def adversary_from_json_obj(obj: object) -> Adversary:
@@ -523,4 +543,4 @@ def adversary_from_json_obj(obj: object) -> Adversary:
     # an id outside 1..n, else a universe size outside 1..MAX_UNIVERSE
     if outside is not None and (outside[0] == 0 or 1 <= n <= MAX_UNIVERSE):
         raise ValueError(f"process id {outside[1]} outside 1..{n}")
-    return Adversary(n, tuple(ProcessSet(n, mask) for mask in masks))
+    return Adversary(n, tuple(masks))

@@ -240,7 +240,9 @@ def cmd_alpha(args) -> int:
     adversary = _load_adversary(args.adversary)
     fn = adv_mod.agreement_function(adversary)
     obj = fn.to_json_obj()
-    lines = [f"alpha({{{text}}})={level}" for text, level in zip(_member_texts(fn.n), fn.table)]
+    lines = []  # 2**n rows, printed only as text
+    if args.format == "text":
+        lines = [f"alpha({{{text}}})={level}" for text, level in zip(_member_texts(fn.n), fn.table)]
     if args.out:
         path = _out_dir(args) / (Path(args.adversary).stem + ".alpha.json")
         _write(path, json.dumps(obj, sort_keys=True))

@@ -223,7 +223,7 @@ def generate_schedule(adversary, seed: int, budget: int) -> Schedule:
     rng = random.Random(seed)
     below = _draws(rng)
     live = adversary.live_sets[below(len(adversary.live_sets))]
-    extras = [p for p in range(1, adversary.n + 1) if not live.bits >> (p - 1) & 1 and rng.random() < 0.5]
+    extras = [p for p in range(1, adversary.n + 1) if not live >> (p - 1) & 1 and rng.random() < 0.5]
     return _fill_slots(below, adversary.n, budget, live, extras)
 
 
@@ -250,7 +250,7 @@ def generate_admissible_schedule(alpha: alpha_mod.AgreementFunction, seed: int, 
         ids[j] = ids[-1 - i]
     for p in faulty:
         part &= ~(1 << (p - 1))
-    return _fill_slots(below, alpha.n, budget, ProcessSet(alpha.n, part), faulty)
+    return _fill_slots(below, alpha.n, budget, part, faulty)
 
 
 def _draws(rng: random.Random):
@@ -273,12 +273,11 @@ def _draws(rng: random.Random):
     return below
 
 
-def _fill_slots(below, n: int, budget: int, correct: ProcessSet, faulty: list[int]) -> Schedule:
-    """Fair quotas for the correct processes, a short random prefix for each
-    faulty one, random correct activations up to the budget, all shuffled;
-    each faulty process halts at its last slot."""
-    bits = correct.bits
-    correct_ids = [p for p in range(1, n + 1) if bits >> (p - 1) & 1]
+def _fill_slots(below, n: int, budget: int, correct: int, faulty: list[int]) -> Schedule:
+    """Fair quotas for the correct processes (the mask `correct`), a short
+    random prefix for each faulty one, random correct activations up to the
+    budget, all shuffled; each faulty process halts at its last slot."""
+    correct_ids = [p for p in range(1, n + 1) if correct >> (p - 1) & 1]
     count = len(correct_ids)
     quota = budget // (2 * count)
     slots = [p for p in correct_ids for _ in range(quota)]
@@ -291,7 +290,7 @@ def _fill_slots(below, n: int, budget: int, correct: ProcessSet, faulty: list[in
         j = below(i + 1)
         slots[i], slots[j] = slots[j], slots[i]
     halted_at = {p: _last_index(slots, p) for p in faulty}
-    return Schedule(n, tuple(slots), halted_at, correct)
+    return Schedule(n, tuple(slots), halted_at, ProcessSet(n, correct))
 
 
 def _last_index(slots: list[int], pid: int) -> int:

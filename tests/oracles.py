@@ -203,7 +203,7 @@ def slow_selection_feasible(adversary: Adversary, active: int, window: int, sid:
     region_table(active)[window] >= sid; the reference for that lemma.
     """
     table = adversary.region_table(active)
-    return any(s.bits & ~window == 0 and table[s.bits] >= sid for s in adversary.live_sets)
+    return any(m & ~window == 0 and table[m] >= sid for m in adversary.live_sets)
 
 
 def slow_select_live_set(adversary: Adversary, active: int, window: int, part: int, sid: int) -> tuple[int, bool]:
@@ -215,12 +215,12 @@ def slow_select_live_set(adversary: Adversary, active: int, window: int, part: i
     lies inside the region.
     """
     table = adversary.region_table(active)
-    for s in adversary.live_sets:  # ascending mask
-        if s.bits & ~window == 0 and table[s.bits] >= sid:
-            return s.bits, False
-    for s in adversary.live_sets:
-        if s.bits & ~part == 0:
-            return s.bits, True
+    for m in adversary.live_sets:  # ascending mask
+        if m & ~window == 0 and table[m] >= sid:
+            return m, False
+    for m in adversary.live_sets:
+        if m & ~part == 0:
+            return m, True
     raise SelectionImpossible(f"no live set fits the participating region {ProcessSet(adversary.n, part)}")
 
 
@@ -259,7 +259,7 @@ def all_families(n: int):
 def cyclic_edge_closure(n: int) -> Adversary:
     """Every set holding two cyclically adjacent processes i and i + 1 mod n."""
     edges = [1 << i | 1 << (i + 1) % n for i in range(n)]
-    return Adversary(n, tuple(ProcessSet(n, m) for m in range(1, 1 << n) if any(m & e == e for e in edges)))
+    return Adversary(n, tuple(m for m in range(1, 1 << n) if any(m & e == e for e in edges)))
 
 
 def upward_closure(masks: frozenset[int], n: int) -> frozenset[int]:
@@ -445,7 +445,7 @@ def slow_generate_schedule(adversary, seed: int, budget: int) -> Schedule:
     """
     check_schedulable(adversary, budget)
     rng = random.Random(seed)
-    live = rng.choice(adversary.live_sets)
+    live = ProcessSet(adversary.n, rng.choice(adversary.live_sets))
     extras = [p for p in range(1, adversary.n + 1) if p not in live and rng.random() < 0.5]
     return slow_fill_slots(rng, adversary.n, budget, live, extras)
 

@@ -50,7 +50,7 @@ from oracles import (
 
 
 def family(n, masks):
-    return Adversary(n, tuple(ProcessSet(n, m) for m in masks))
+    return Adversary(n, tuple(masks))
 
 
 def blocky_family(rng, n):
@@ -66,7 +66,7 @@ def blocky_family(rng, n):
 def assert_matches_slow_scans(adv, touching=()):
     """The region tables (the full touching mask and the given ones) and the
     witness chain equal the full-scan references, byte for byte."""
-    n, masks = adv.n, [s.bits for s in adv.live_sets]
+    n, masks = adv.n, list(adv.live_sets)
     for t in ((1 << n) - 1, *touching):
         assert adv.region_table(t) == slow_region_powers(n, [m for m in masks if m & t]), (adv, t)
     assert [(s.bits, a) for s, a in setcon_witness(adv).chain] == slow_setcon_witness(n, masks), adv
@@ -117,13 +117,40 @@ class TestProcessSet:
 class TestAdversaryType:
     def test_canonical_order_and_validation(self):
         a = Adversary.of(3, [[2, 3], [1]])
-        assert [s.members() for s in a.live_sets] == [(1,), (2, 3)]
+        assert a.live_sets == (0b001, 0b110)
         with pytest.raises(ValueError):
             Adversary.of(3, [[1], [1]])
         with pytest.raises(ValueError):
             Adversary.of(3, [[]])
         with pytest.raises(ValueError):
             Adversary.of(3, [[4]])
+
+    def test_masks_and_process_sets_build_equal_adversaries(self):
+        for n, masks in [(3, [0b110, 0b001, 0b111]), (16, [1 << 15, 0b11, (1 << 16) - 1])]:
+            by_mask = Adversary(n, tuple(masks))
+            by_set = Adversary(n, tuple(ProcessSet(n, m) for m in masks))
+            by_ids = Adversary.of(n, [ProcessSet(n, m).members() for m in masks])
+            assert by_mask == by_set == by_ids
+            assert hash(by_mask) == hash(by_set) == hash(by_ids)
+            assert repr(by_mask) == repr(by_set) == repr(by_ids)
+            assert by_mask.live_sets == by_set.live_sets == by_ids.live_sets == tuple(sorted(masks))
+
+    @pytest.mark.parametrize(
+        "sets, message",
+        [
+            ((0b001, 0), "live sets must be non-empty"),
+            ((ProcessSet(3, 0),), "live sets must be non-empty"),
+            ((0b001, 0b1000), "mask 0x8 has bits outside a universe of size 3"),
+            ((-1,), "mask -0x1 has bits outside a universe of size 3"),
+            ((0b010, 0b001, 0b010), "duplicate live set ProcessSet(3, {2})"),
+            ((0b001, ProcessSet(3, 0b001)), "duplicate live set ProcessSet(3, {1})"),
+            ((ProcessSet(4, 0b001),), "live set universe 4 does not match adversary universe 3"),
+        ],
+        ids=["zero-mask", "empty-set", "mask-outside", "negative-mask", "duplicate", "duplicate-set", "other-universe"],
+    )
+    def test_constructor_error_texts(self, sets, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            Adversary(3, sets)
 
     def test_region_tables_are_per_instance(self, unfair_triple):
         table = unfair_triple.region_table(0b110)
@@ -239,14 +266,14 @@ class TestAdversaryType:
 class TestRestriction:
     def test_filter_by_subset(self, unfair_triple):
         got = restrict(unfair_triple, ProcessSet.of(3, [1, 2]))
-        assert [s.members() for s in got.live_sets] == [(1,)]
+        assert got.live_sets == (0b001,)
 
     def test_full_region_is_identity(self, unfair_triple):
         assert restrict(unfair_triple, ProcessSet.full(3)) == unfair_triple
 
     def test_other_region(self, unfair_triple):
         got = restrict(unfair_triple, ProcessSet.of(3, [2, 3]))
-        assert [s.members() for s in got.live_sets] == [(2, 3)]
+        assert got.live_sets == (0b110,)
 
     def test_universe_mismatch(self, unfair_triple):
         with pytest.raises(ValueError):
@@ -255,9 +282,9 @@ class TestRestriction:
     def test_intersecting_filter(self, unfair_triple):
         full = ProcessSet.full(3)
         got = restrict_intersecting(unfair_triple, full, ProcessSet.of(3, [2, 3]))
-        assert [s.members() for s in got.live_sets] == [(2, 3), (1, 2, 3)]
+        assert got.live_sets == (0b110, 0b111)
         got = restrict_intersecting(unfair_triple, full, ProcessSet.of(3, [1]))
-        assert [s.members() for s in got.live_sets] == [(1,), (1, 2, 3)]
+        assert got.live_sets == (0b001, 0b111)
 
     def test_intersecting_with_full_targets_is_restrict(self, unfair_triple):
         region = ProcessSet.of(3, [1, 2])
@@ -389,6 +416,14 @@ class TestSetcon:
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             replay_witness(unfair_triple, broken)
 
+    def test_link_over_another_universe_is_named(self, unfair_triple):
+        # the same mask over four processes is not a live set of a 3-process family
+        w = setcon_witness(unfair_triple)
+        broken = type(w)(w.value, ((ProcessSet(4, 0b111), 1), *w.chain[1:]))
+        message = "witness live set ProcessSet(4, {1,2,3}) is not in the restricted family"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            replay_witness(unfair_triple, broken)
+
 
 class TestCsize:
     def test_single_set(self):
@@ -471,11 +506,11 @@ class TestClassification:
         cycle = cyclic_edge_closure(16)
         cases = [all_nonempty(16), t_resilient_adversary(16, 8), cycle, sizes_adversary(16, [1, 16])]
         cases += [Adversary.of(16, [[1], [2, 3]]), Adversary.of(16, [range(1, 17)])]
-        cases.append(family(16, [s.bits for s in cycle.live_sets if s.bits != (1 << 16) - 1]))
+        cases.append(family(16, [m for m in cycle.live_sets if m != (1 << 16) - 1]))
         verdicts = []
         for adv in cases:
             got = is_superset_closed(adv)
-            assert got == slow_is_superset_closed(16, [s.bits for s in adv.live_sets]), adv.live_sets[:3]
+            assert got == slow_is_superset_closed(16, adv.live_sets), adv.live_sets[:3]
             verdicts.append(got)
         assert verdicts == [True, True, True, False, False, True, False]
 
@@ -496,7 +531,7 @@ class TestClassification:
             for r in range(n + 1):
                 for sizes in itertools.combinations(range(1, n + 1), r):
                     adv = sizes_adversary(n, sizes)
-                    masks = frozenset(s.bits for s in adv.live_sets)
+                    masks = frozenset(adv.live_sets)
                     if masks:
                         assert symmetric_setcon(adv) == distinct_sizes(masks) == len(sizes)
 
@@ -539,7 +574,7 @@ class TestClosedFormsByPlanes:
         cycle = cyclic_edge_closure(16)
         cases = [(all_nonempty(16), 16, 16), (t_resilient_adversary(16, 8), 9, 9), (cycle, 8, None)]
         for adv, hitting, sizes in cases:
-            masks = frozenset(s.bits for s in adv.live_sets)
+            masks = frozenset(adv.live_sets)
             assert self.assert_matches_oracles(16, masks, slow_csize) == (True, sizes is not None)
             assert (csize(adv), symmetric_setcon(adv)) == (hitting, sizes)
 

@@ -352,7 +352,8 @@ class TestBoundedProperties:
             adv = Adversary(3, tuple(ProcessSet(3, m) for m in masks))
             for active_bits in range(8):
                 active = ProcessSet(3, active_bits)
-                for s in adv.live_sets:
+                for m in adv.live_sets:
+                    s = ProcessSet(3, m)
                     whole = power_within(adv, s, s & active)
                     for p in s.members():
                         rest = s.without(p)

@@ -1,6 +1,7 @@
 """Command-line interface: outputs, exit codes, file handling."""
 
 import argparse
+import hashlib
 import itertools
 import json
 import os
@@ -15,7 +16,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from advlab import Adversary, AgreementFunction, ProcessSet, adversary_to_json_obj, agreement_function, cli
+from advlab import (
+    Adversary,
+    AgreementFunction,
+    ProcessSet,
+    adversary_from_json_obj,
+    adversary_to_json_obj,
+    agreement_function,
+    all_nonempty,
+    cli,
+)
 from advlab.cli import main
 from advlab.protocols import default_inputs
 from advlab.sim import (
@@ -173,6 +183,77 @@ class TestAlpha:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith(f"error: cannot write {taken}: ")
+
+
+ALPHA_GOLDEN_DIGEST = "bfdf0f6a7d0a6e32919e3f96c82c89d8a9b95fbf24977b8658961108afedf68d"
+
+
+class TestAlphaGolden:
+    """Pins `setcon`, `classify` and `alpha`, text and JSON, and the
+    `alpha --out` file, byte for byte on every 3-process family."""
+
+    def test_outputs_digest(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)  # relative paths keep "wrote tables/..." the same on every run
+        path = Path("family.json")
+        written = Path("tables") / "family.alpha.json"
+        texts = []
+        for masks in all_families(3):
+            live = sorted([p for p in (1, 2, 3) if m >> (p - 1) & 1] for m in masks)
+            path.write_text(json.dumps({"n": 3, "live_sets": live}))
+            for command in ("setcon", "classify", "alpha"):
+                for fmt in ("text", "json"):
+                    argv = [command, "--adversary", str(path), "--format", fmt]
+                    if command == "alpha":
+                        argv += ["--out", "tables"]
+                    assert main(argv) == 0
+                    texts.append(capsys.readouterr().out)
+                    if command == "alpha":
+                        texts.append(written.read_text())
+                        written.unlink()
+        assert len(texts) == 128 * 8
+        assert hashlib.sha256("\n".join(texts).encode()).hexdigest() == ALPHA_GOLDEN_DIGEST
+
+
+@pytest.fixture(scope="module")
+def wf16_obj():
+    return adversary_to_json_obj(all_nonempty(16))
+
+
+@pytest.fixture
+def sets_created(monkeypatch):
+    """A list that gets one entry per ProcessSet created from here on."""
+    created = []
+    check = ProcessSet.__post_init__
+
+    def counted(self):
+        created.append(self.bits)
+        check(self)
+
+    monkeypatch.setattr(ProcessSet, "__post_init__", counted)
+    return created
+
+
+class TestLiveSetsAreMasks:
+    """The 65,535 live sets of the wait-free 16-process file are read,
+    printed and answered as masks: no ProcessSet per live set."""
+
+    def test_parse_repr_and_file_form_create_no_process_set(self, wf16_obj, sets_created):
+        adv = adversary_from_json_obj(wf16_obj)
+        assert repr(adv).startswith("Adversary(16, [{1},{2},{1,2},{3},")
+        assert adversary_to_json_obj(adv) == wf16_obj
+        assert sets_created == []
+
+    @pytest.mark.parametrize("command, most", [("setcon", 16), ("classify", 2), ("alpha", 0)])
+    def test_handlers_create_at_most_their_reported_sets(self, wf16_obj, tmp_path, capsys, sets_created, command, most):
+        # setcon reports one ProcessSet per witness link, classify at most a
+        # counterexample pair, alpha none
+        path = tmp_path / "wf16.json"
+        path.write_text(json.dumps(wf16_obj))
+        assert main([command, "--adversary", str(path), "--format", "json"]) == 0
+        assert len(sets_created) <= most, len(sets_created)
+        obj = json.loads(capsys.readouterr().out)
+        if command == "setcon":
+            assert (obj["setcon"], len(obj["witness"])) == (16, 16)
 
 
 class TestCompare:

@@ -226,7 +226,7 @@ class TestGenerate:
         for seed in range(50):
             sched = generate_schedule(unfair_triple, seed, 60)
             sched.validate()
-            assert sched.correct in unfair_triple.live_sets
+            assert sched.correct.bits in unfair_triple.live_sets
             assert all(p not in sched.correct for p in sched.halted_at)
 
     def test_single_live_set_never_halts(self):
