@@ -56,6 +56,7 @@ from .protocols import (
 from .sim import (
     RunTrace,
     Schedule,
+    TransitionMemo,
     check_schedulable,
     count_schedules,
     enumerate_schedules,
@@ -71,9 +72,14 @@ DEFAULT_SIM_BUDGET = 96
 
 # The fewest runs a campaign shard takes.  A worker costs its call 3.5-4 ms
 # (fork, a cold first run, the pickled result, the reap; a bare fork and
-# read-back took 1.7-2.4 ms), on 2 cores with Python 3.11.7.  A run takes
-# 40-160 us, so a 500-run shard does 20-80 ms of work.  With 400-run shards
-# safe agreement at n = 2 was at times slower on two processes than on one.
+# read-back took 1.7-2.4 ms), on 2 cores with Python 3.11.7.  A seeded run
+# takes 40-160 us, and an enumerated run, whose shard reads repeated program
+# transitions from its own memo, 25-50 us (35-70 us resuming every program),
+# so a 500-run shard does 12-80 ms of work.  With 400-run shards safe
+# agreement at n = 2 was at times slower on two processes than on one.  With
+# the memo, a floor of 300 runs was not resolvably faster on the benchmark's
+# enumerations, and one that split none of them made their job 20-25% slower
+# in wall time.
 MIN_SHARD_RUNS = 500
 
 
@@ -323,6 +329,7 @@ def run_campaign(
     fn: Optional[AgreementFunction],
     max_tail: int,
     trace_dir: Optional[Path] = None,
+    memo: bool = False,
 ) -> CampaignResult:
     """Run a fresh protocol to quiescence on each labelled schedule and check it.
 
@@ -334,7 +341,15 @@ def run_campaign(
     max_tail before every required process decided.  Runs are independent,
     so `_sharded_campaign` can split a stream across processes, run this on
     each part and merge the parts into the result of one call.
+
+    With memo, the runs share one `TransitionMemo`, so a process history
+    that an earlier run took is read instead of resumed; the results and
+    traces are the same.  It pays where histories recur, as under
+    enumeration, where each recurs 40-90 times.  A seeded history recurs
+    1.3-2 times, and the misses, which replay the process's earlier views,
+    cost more than the hits save.
     """
+    transitions = TransitionMemo() if memo else None
     violations: dict[str, int] = {}
     checked: dict[str, int] = {}
     failures: list[dict] = []
@@ -343,7 +358,7 @@ def run_campaign(
         protocol = make_protocol()
         policy = POLICIES[protocol.name]
         required = None if policy.among is None else {p for p in policy.among if p in schedule.correct}
-        trace = run_to_quiescence(protocol, schedule, max_tail=max_tail, required=required)
+        trace = run_to_quiescence(protocol, schedule, max_tail=max_tail, required=required, memo=transitions)
         runs += 1
         taken = len(trace.schedule.steps)
         tail = taken - len(schedule.steps)
@@ -417,6 +432,7 @@ def _sharded_campaign(
     max_tail: int,
     trace_dir: Optional[Path] = None,
     shards: int = 1,
+    memo: bool = False,
 ) -> CampaignResult:
     """run_campaign over a labelled stream split into shards, one process each.
 
@@ -427,15 +443,15 @@ def _sharded_campaign(
     the campaign runs again in this process over the whole stream, the call
     that shards == 1 makes, so its result or its earliest error is one
     process's; the trace files of runs after an error may then differ from
-    one process's.
+    one process's.  memo is run_campaign's; each shard makes its own.
     """
     if shards > 1:
         results = _shard_results(
-            lambda k: run_campaign(make_protocol, shard_stream(k, shards), fn, max_tail, trace_dir), shards
+            lambda k: run_campaign(make_protocol, shard_stream(k, shards), fn, max_tail, trace_dir, memo), shards
         )
         if results is not None:
             return _merge(results)
-    return run_campaign(make_protocol, shard_stream(0, 1), fn, max_tail, trace_dir)
+    return run_campaign(make_protocol, shard_stream(0, 1), fn, max_tail, trace_dir, memo)
 
 
 def _shard_results(run_shard: Callable[[int], CampaignResult], shards: int) -> Optional[list[CampaignResult]]:
@@ -504,16 +520,16 @@ def _protocol_factory(policy: Policy, fn, n: int, inputs: dict[int, int]) -> Cal
     return lambda: policy.make(n, inputs, fn)
 
 
-def _campaign(args, make, fn, runs: int, shard_stream, trace_dir: Optional[Path] = None) -> int:
+def _campaign(args, make, fn, runs: int, shard_stream, trace_dir: Optional[Path] = None, memo: bool = False) -> int:
     """Run and report a campaign of `runs` runs; with trace_dir, each run's trace goes there.
 
-    shard_stream is as for `_sharded_campaign`, which gets as many shards as
-    `_shard_count` gives.  The caller makes trace_dir only once the
+    shard_stream and memo are as for `_sharded_campaign`, which gets as many
+    shards as `_shard_count` gives.  The caller makes trace_dir only once the
     arguments have passed their checks, so an input error leaves nothing
     behind.
     """
     name = args.protocol
-    result = _sharded_campaign(make, shard_stream, fn, args.tail, trace_dir, shards=_shard_count(runs))
+    result = _sharded_campaign(make, shard_stream, fn, args.tail, trace_dir, _shard_count(runs), memo)
     counts = sorted(result.violations.items())
     obj = {
         "protocol": name,
@@ -583,10 +599,10 @@ def cmd_enumerate(args) -> int:
     from itertools import islice
 
     def shard_stream(k: int, shards: int):
-        # skipping another shard's schedule costs a few us, against at least 60 us for a run
+        # skipping another shard's schedule costs a few us, against at least 25 us for a run
         return islice(enumerate(enumerate_schedules(args.n, args.steps, args.halts)), k, None, shards)
 
-    return _campaign(args, make, fn, count, shard_stream)
+    return _campaign(args, make, fn, count, shard_stream, memo=True)
 
 
 def cmd_check(args) -> int:

@@ -29,7 +29,19 @@ from .sim import Schedule
 
 
 class Protocol:
-    """A protocol instance: arity, per-process inputs, and per-process programs."""
+    """A protocol instance: arity, per-process inputs, and per-process programs.
+
+    `program(pid)` is a fresh generator per run.  Its contract, which lets a
+    campaign read a transition from a `TransitionMemo` instead of resuming
+    the program (`run_to_quiescence`): the values it yields and returns and
+    the `statuses[pid]` it sets depend only on its pid, the constructor's
+    arguments and the views it is sent; it writes no other entry of
+    `statuses` and no other state that outlives the run; it never mutates a
+    value it yielded, since snapshots and later runs share it; and it
+    yields plain data (None, bools, ints, floats, strings, and lists, tuples
+    and dicts of them), so that two payloads with one repr are
+    interchangeable.
+    """
 
     name = "protocol"
 

@@ -6,7 +6,10 @@ is a generator that yields the value its next update writes and receives
 the view its following snapshot reads.  The executor is one function,
 `run_to_quiescence`: it keeps the shared memory as a list of n cells,
 resumes each program once per write-snapshot pair, and runs the given
-schedule and then its completion tail in one loop.  Faulty processes are
+schedule and then its completion tail in one loop.  A `TransitionMemo`
+shared by the runs of one campaign lets a run read a program's transition
+from an earlier run that sent the process the same views, instead of
+resuming the program.  Faulty processes are
 modeled as halting after a chosen step index; "takes infinitely many steps"
 has no other finite encoding.  Schedules come from a seeded generator
 constrained by an adversary, from a direct admissibility-driven generator,
@@ -108,11 +111,134 @@ class RunTrace:
         return self.schedule.n
 
 
+# The most transitions a TransitionMemo holds before it starts over, between
+# two runs.  Adaptive set consensus under the wait-free table, every schedule
+# with one halt at most, in one process (Python 3.11.7): 3 processes at 4
+# steps each (80,850 runs) grow 7,110 transitions and 20.5 MB peak RSS, where
+# a run without the memo stays at 17.9 MB; 4 processes at 3 steps (813,120
+# runs) grow 31,076 and 29.4 MB, about 370 bytes a transition with the
+# payloads they hold.  At this bound that enumeration starts over once, at
+# 25.5 MB and no measurable cost in time.
+MEMO_TRANSITIONS = 20_000
+
+
+class _Transition:
+    """One resumption of a program: the value it yielded (the pending write)
+    or returned (the decision), its process's status after it (None when
+    the program set none), and the transitions that follow, keyed by the
+    ids of the cells of the next view."""
+
+    __slots__ = ("value", "decided", "status", "after")
+
+    def __init__(self, value: object, decided: bool, status: Optional[str]):
+        self.value = value
+        self.decided = decided
+        self.status = status
+        self.after: dict[tuple[int, ...], _Transition] = {}
+
+
+class TransitionMemo:
+    """The program transitions of one campaign's runs, a tree per process.
+
+    By the `Protocol` contract a program's writes, decision and status
+    depend only on its pid, its protocol's constructor arguments and the
+    views it is sent, so one memo serves only protocols built with the same
+    arguments: `run_campaign` makes one per call.  A process's root is its
+    program's first yield; a child is keyed by the ids of the view's cells.
+    Every value a cell holds is a value the memo holds, so while the memo
+    lives equal keys mean the same cell objects.  The memo keeps payloads
+    with one repr as one object, so views of equal payloads have one key
+    too, whichever runs wrote them.  Once the memo holds MEMO_TRANSITIONS it
+    starts over, but only when a run begins: the cells of a running run hold
+    the memo's values.
+    """
+
+    def __init__(self) -> None:
+        self.roots: dict[int, _Transition] = {}
+        self.values: dict[str, object] = {}
+        self.size = 0
+
+    def begin_run(self) -> None:
+        if self.size >= MEMO_TRANSITIONS:
+            self.roots = {}
+            self.values = {}
+            self.size = 0
+
+    def add(self, value: object, decided: bool, status: Optional[str]) -> _Transition:
+        self.size += 1
+        if not decided:  # a decision is never written to a cell
+            value = self.values.setdefault(repr(value), value)
+        return _Transition(value, decided, status)
+
+
+class _MemoisedProgram:
+    """`protocol.program(pid)` as the executor drives it (`next`, then `send`
+    per snapshot), with each transition read from the memo where it has one.
+
+    The program itself is made at the first transition the memo lacks: it
+    is sent the views the run sent the process before, read from the run's
+    snapshot events, and then the new one.  A transition the program made
+    has no children yet, so from then on every transition of the run is the
+    program's.  A transition read from the memo does not set the process's
+    status; `settle` does, for the last.
+    """
+
+    __slots__ = ("memo", "protocol", "pid", "ids", "events", "at", "program")
+
+    def __init__(self, memo: TransitionMemo, protocol: "Protocol", pid: int, ids: list[int], events: list[Event]):
+        self.memo = memo
+        self.protocol = protocol
+        self.pid = pid
+        self.ids = ids  # the executor's ids of the cells' values: the key of the view it sends
+        self.events = events  # the run's events so far, the snapshot being sent last
+        self.program = None
+
+    def __next__(self) -> object:
+        at = self.memo.roots.get(self.pid)
+        if at is None:
+            self.program = self.protocol.program(self.pid)
+            value = next(self.program)  # a StopIteration is the executor's ProtocolFault
+            at = self.memo.roots[self.pid] = self.memo.add(value, False, self.protocol.statuses.get(self.pid))
+        self.at = at
+        return at.value
+
+    def send(self, view: tuple) -> object:
+        at = self.at.after.get(tuple(self.ids))
+        if at is None:
+            at = self._resume(view)
+        self.at = at
+        if at.decided:
+            raise StopIteration(at.value)
+        return at.value
+
+    def _resume(self, view: tuple) -> _Transition:
+        program = self.program
+        if program is None:
+            program = self.program = self.protocol.program(self.pid)
+            next(program)
+            for e in self.events[:-1]:
+                if e.pid == self.pid and e.kind == "snapshot":
+                    program.send(e.payload)
+        try:
+            value, decided = program.send(view), False
+        except StopIteration as stop:
+            value, decided = stop.value, True
+        at = self.memo.add(value, decided, self.protocol.statuses.get(self.pid))
+        self.at.after[tuple(self.ids)] = at
+        return at
+
+    def settle(self) -> None:
+        """Set the process's status to what its last transition left."""
+        if self.at.status is not None:
+            self.protocol.statuses[self.pid] = self.at.status
+
+
 def run_to_quiescence(
     protocol: "Protocol",
     schedule: Schedule,
     max_tail: int = 512,
     required: Optional[set[int]] = None,
+    memo: Optional[TransitionMemo] = None,
 ) -> RunTrace:
     """Execute the schedule, then keep cycling correct processes fairly.
 
@@ -128,6 +254,16 @@ def run_to_quiescence(
     after max_tail extra activations; with max_tail=0 the run is exactly the
     given schedule.  The trace's schedule reflects the steps actually taken.
 
+    With a memo, a process's program is a `_MemoisedProgram`: a transition
+    that a run of the memo took from the same view history is read, not
+    resumed, and the trace is the one the programs themselves give.  This
+    holds under the `Protocol` contract: a program's writes, decision and
+    status depend only on its pid, its protocol's constructor arguments and
+    the views it is sent; it writes only `statuses[pid]`; it never mutates a
+    value it yielded; and what it yields is plain data, so that two payloads
+    with one repr are interchangeable.  Every run given one memo must use a
+    protocol built with the same arguments.
+
     Per-process state is three flat lists indexed by pid: the program (None
     before the process's first activation, False once it decided), the
     value its next write stores, and whether that value is written but not
@@ -138,6 +274,9 @@ def run_to_quiescence(
     schedule.validate()
     n = schedule.n
     cells: list[object] = [None] * n
+    if memo is not None:
+        memo.begin_run()
+        ids = [id(None)] * n  # the id of each cell's value: a view's key in the memo
     programs: list = [None] * (n + 1)
     pending: list = [None] * (n + 1)
     wrote = [False] * (n + 1)
@@ -158,7 +297,7 @@ def run_to_quiescence(
             steps.append(pid)
         program = programs[pid]
         if program is None:
-            program = protocol.program(pid)
+            program = protocol.program(pid) if memo is None else _MemoisedProgram(memo, protocol, pid, ids, events)
             try:
                 pending[pid] = next(program)
             except StopIteration:
@@ -169,6 +308,8 @@ def run_to_quiescence(
             continue
         if not wrote[pid]:
             cells[pid - 1] = value = pending[pid]
+            if memo is not None:
+                ids[pid - 1] = id(value)
             record(new(Event, (idx, pid, "update", value)))
             wrote[pid] = True
             continue
@@ -182,6 +323,10 @@ def run_to_quiescence(
             decisions.append(new(Decision, (idx, pid, stop.value)))
             waiting.discard(pid)
     extended = Schedule(n, tuple(steps), dict(schedule.halted_at), schedule.correct)
+    if memo is not None:
+        for program in programs:
+            if program:  # neither absent (None) nor decided (False)
+                program.settle()
     # A participating process is "decided", else has its protocol status, else is "running".
     statuses = protocol.statuses
     final = {
@@ -345,14 +490,15 @@ def count_schedules(n: int, steps_per_process: int, halts_allowed: int) -> int:
 
 
 def _check_enumeration(n: int, steps_per_process: int, halts_allowed: int) -> None:
-    if n * steps_per_process > MAX_ENUMERATION_STEPS:
-        raise ValueError(f"total step count {n * steps_per_process} exceeds the bound {MAX_ENUMERATION_STEPS}")
+    """Each size on its own first, so the message names the size at fault; the bound last."""
+    if not 1 <= n <= MAX_UNIVERSE:
+        raise ValueError(f"universe size must be in 1..{MAX_UNIVERSE}, got {n}")
     if steps_per_process < 1:
         raise ValueError("steps_per_process must be at least 1")
     if halts_allowed < 0:
         raise ValueError("halts_allowed must be non-negative")
-    if not 1 <= n <= MAX_UNIVERSE:
-        raise ValueError(f"universe size must be in 1..{MAX_UNIVERSE}, got {n}")
+    if n * steps_per_process > MAX_ENUMERATION_STEPS:
+        raise ValueError(f"total step count {n * steps_per_process} exceeds the bound {MAX_ENUMERATION_STEPS}")
 
 
 def _interleavings(counts: dict[int, int]) -> Iterator[list[int]]:

@@ -25,12 +25,15 @@ from advlab import (
     agreement_function,
     all_nonempty,
     cli,
+    t_resilient_adversary,
 )
+from advlab import sim
 from advlab.cli import main
 from advlab.protocols import default_inputs
 from advlab.sim import (
     ProtocolFault,
     Schedule,
+    canonical_json,
     enumerate_schedules,
     generate_schedule,
     run_to_quiescence,
@@ -573,6 +576,15 @@ class TestEnumerate:
         assert main(["enumerate", "--n", n, "--steps", "1"]) == 2
         assert capsys.readouterr().err == f"error: universe size must be in 1..16, got {n}\n"
 
+    @pytest.mark.parametrize("protocol", [[], ["--protocol", "safe-agreement"]])
+    @pytest.mark.parametrize("n, steps", [("-2", "-8"), ("20", "1")])
+    def test_bad_universe_is_named_before_the_step_bound(self, capsys, protocol, n, steps):
+        # -2 * -8 = 16 steps would exceed the bound of 14; 20 * 1 would not
+        assert main(["enumerate", "--n", n, "--steps", steps] + protocol) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: universe size must be in 1..16, got {n}\n"
+
     @pytest.mark.parametrize(
         "protocol, fn, activations, tail",
         [
@@ -973,6 +985,101 @@ class TestCampaignEngine:
         witnesses = json.loads((out_dir / "witnesses.json").read_text())
         assert {w["property"] for w in witnesses} == {"k-agreement"}
         assert {w["run"] for w in witnesses} == {"1", "2", "3", "4"}
+
+
+class TestTransitionMemo:
+    """A campaign that reads program transitions from a memo gives the result
+    and the traces of one that resumes every program."""
+
+    TABLES = {
+        "k-concurrent-3-2": AgreementFunction.k_concurrent(3, 2),
+        # criterion 07's five tables
+        "unfair-triple": agreement_function(Adversary.of(3, [[1], [2, 3], [1, 2, 3]])),
+        "fair-nonstructured": agreement_function(Adversary.of(3, [[1], [2], [3], [1, 3], [2, 3], [1, 2, 3]])),
+        "one-resilient-3": agreement_function(t_resilient_adversary(3, 1)),
+        "wait-free-3": AgreementFunction.wait_free(3),
+        "t-resilient-3-1": AgreementFunction.t_resilient(3, 1),
+    }
+
+    @staticmethod
+    def campaign(monkeypatch, make, size, fn, memo):
+        """run_campaign's result over every schedule of size, and per run the
+        digest of the trace's canonical JSON, its statuses and the memo's size
+        when the run began."""
+        runs = []
+
+        def recording(*args, **kwargs):
+            given = kwargs.get("memo")
+            before = None if given is None else given.size
+            trace = run_to_quiescence(*args, **kwargs)
+            text = canonical_json(trace_to_json_obj(trace))
+            runs.append((hashlib.sha256(text.encode()).hexdigest(), trace.statuses, before))
+            return trace
+
+        monkeypatch.setattr(cli, "run_to_quiescence", recording)
+        result = cli.run_campaign(make, enumerate(enumerate_schedules(*size)), fn, 120, memo=memo)
+        return result, runs
+
+    @pytest.mark.parametrize(
+        "protocol, table, size",
+        [
+            ("alpha-setcons", "k-concurrent-3-2", (3, 3, 1)),
+            ("adaptive", "unfair-triple", (3, 3, 1)),
+            ("adaptive", "fair-nonstructured", (3, 3, 1)),
+            ("adaptive", "one-resilient-3", (3, 3, 1)),
+            ("adaptive", "wait-free-3", (3, 3, 1)),
+            ("adaptive", "t-resilient-3-1", (3, 3, 1)),
+            ("safe-agreement", None, (2, 6, 1)),
+            ("cons23", None, (3, 3, 1)),
+        ],
+    )
+    def test_memo_gives_the_plain_campaign(self, monkeypatch, protocol, table, size):
+        n = size[0]
+        fn = self.TABLES.get(table)
+        make = lambda: cli.POLICIES[protocol].make(n, default_inputs(n), fn)
+        plain, plain_runs = self.campaign(monkeypatch, make, size, fn, memo=False)
+        memoised, memo_runs = self.campaign(monkeypatch, make, size, fn, memo=True)
+        assert memoised == plain
+        assert [run[:2] for run in memo_runs] == [run[:2] for run in plain_runs]
+        # a bound of a few transitions: the memo starts over between most runs
+        monkeypatch.setattr(sim, "MEMO_TRANSITIONS", 3)
+        bounded, bounded_runs = self.campaign(monkeypatch, make, size, fn, memo=True)
+        assert bounded == plain
+        assert [run[:2] for run in bounded_runs] == [run[:2] for run in plain_runs]
+        assert sum(run[2] >= 3 for run in bounded_runs) > len(bounded_runs) // 2
+
+    def test_failures_match(self, monkeypatch):
+        # a 5-step tail leaves processes undecided, so termination fails
+        fn = AgreementFunction.wait_free(3)
+        make = lambda: cli.POLICIES["adaptive"].make(3, default_inputs(3), fn)
+        schedules = list(enumerate(enumerate_schedules(3, 2, 1)))
+        plain = cli.run_campaign(make, schedules, fn, 5)
+        assert plain.failures
+        assert cli.run_campaign(make, schedules, fn, 5, memo=True) == plain
+
+    def test_enumerate_reads_a_memo_and_simulate_does_not(self, wf3_file, monkeypatch, capsys):
+        memos = []
+
+        def spy(*args, **kwargs):
+            memos.append(kwargs.get("memo"))
+            return run_to_quiescence(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "run_to_quiescence", spy)
+        monkeypatch.setattr(cli, "_shard_count", lambda runs: 1)
+        common = ["--protocol", "adaptive", "--alpha", wf3_file, "--format", "json"]
+        assert main(["enumerate", "--n", "3", "--steps", "2", "--halts", "1"] + common) == 0
+        enumerated = len(memos)
+        assert enumerated > 1 and isinstance(memos[0], sim.TransitionMemo)
+        assert all(memo is memos[0] for memo in memos[:enumerated])
+        assert main(["simulate", "--seeds", "5", "--budget", "24"] + common) == 0
+        assert memos[enumerated:] == [None] * 5
+        capsys.readouterr()
+
+    def test_program_that_decides_before_writing_is_a_fault_with_a_memo_too(self):
+        memo = sim.TransitionMemo()
+        for _ in range(2):
+            with pytest.raises(ProtocolFault, match="process 2 decided without taking a step"):
+                run_to_quiescence(TestSharding.StepFreeBeyondOne(2, default_inputs(2)), Schedule(2, (1, 2)), memo=memo)
 
 
 class TestCheckRoundTrip:

@@ -203,6 +203,11 @@ class TestEnumerate:
             ((2, 2, -1), "halts_allowed must be non-negative"),
             ((0, 1, 0), "universe size must be in 1..16, got 0"),
             ((-1, 1, 0), "universe size must be in 1..16, got -1"),
+            # the sizes are checked one by one before the bound on their product
+            ((-2, -8, 0), "universe size must be in 1..16, got -2"),
+            ((20, 1, 0), "universe size must be in 1..16, got 20"),
+            ((3, -8, 0), "steps_per_process must be at least 1"),
+            ((3, 5, -1), "halts_allowed must be non-negative"),
         ],
     )
     def test_closed_form_count_rejects_what_the_stream_rejects(self, size, message):
