@@ -9,9 +9,10 @@ superset-closed / symmetric / fair classification, and derivation of an
 adversary's agreement function.
 
 An Adversary holds its live sets as int bit masks (bit i-1 for process
-i), ascending, and the parser, the family builders and the restrictions
-build them as masks; ProcessSet is the type of the single sets handed
-out, the witness links and the fairness pair.
+i), ascending, and every set this module takes or hands out is such a
+mask: restriction regions, witness links and the fairness pair.  The
+parser, the family builders and the restrictions build masks only; a
+ProcessSet is built on an error path alone, for its message.
 
 Every question about a family reads data its Adversary owns, and none
 walks the live sets: the membership table (one byte per mask, 1 at each
@@ -65,7 +66,7 @@ from functools import cached_property
 from typing import Iterable, Optional
 
 from .alpha import AgreementFunction
-from .processes import MAX_UNIVERSE, ProcessSet
+from .processes import MAX_UNIVERSE, ProcessSet, check_mask, check_universe, ids_of, mask_of
 
 
 @dataclass(frozen=True)
@@ -74,8 +75,9 @@ class Adversary:
 
     live_sets holds each live set as its bit mask (bit i-1 for process i),
     ascending; duplicates and the empty mask are rejected.  A ProcessSet
-    element is accepted too and contributes its bits.  membership[m] is 1
-    exactly when mask m is live.
+    element is accepted too and contributes its bits (the benchmark's
+    families are built so, ROADMAP item 1).  membership[m] is 1 exactly
+    when mask m is live.
     """
 
     n: int
@@ -86,8 +88,7 @@ class Adversary:
 
     def __post_init__(self) -> None:
         n = self.n
-        if not 1 <= n <= MAX_UNIVERSE:
-            raise ValueError(f"universe size must be in 1..{MAX_UNIVERSE}, got {n}")
+        check_universe(n)
         membership = bytearray(1 << n)
         masks = []
         for m in self.live_sets:
@@ -109,7 +110,8 @@ class Adversary:
 
     @classmethod
     def of(cls, n: int, sets: Iterable[Iterable[int]]) -> "Adversary":
-        return cls(n, tuple(s if isinstance(s, ProcessSet) else ProcessSet.of(n, s).bits for s in sets))
+        """The adversary of live sets given as process ids."""
+        return cls(n, tuple(mask_of(n, s) for s in sets))
 
     def region_table(self, touching: int) -> bytes:
         """Set-consensus power of the live sets meeting `touching`, for every region.
@@ -170,7 +172,7 @@ class Adversary:
         return family, tuple(steps)
 
     def __repr__(self) -> str:
-        body = ",".join("{" + ",".join(map(str, _ids(self.n, m))) + "}" for m in self.live_sets)
+        body = ",".join("{" + ",".join(map(str, ids_of(self.n, m))) + "}" for m in self.live_sets)
         return f"Adversary({self.n}, [{body}])"
 
 
@@ -194,16 +196,15 @@ def sizes_adversary(n: int, sizes: Iterable[int]) -> Adversary:
     return Adversary(n, tuple(b for b in range(1, 1 << n) if b.bit_count() in wanted))
 
 
-def restrict(adversary: Adversary, region: ProcessSet) -> Adversary:
-    """Keep only the live sets contained in region; the universe size is unchanged."""
-    if region.n != adversary.n:
-        raise ValueError(f"universe mismatch: {region.n} vs {adversary.n}")
-    outside = ~region.bits
+def restrict(adversary: Adversary, region: int) -> Adversary:
+    """Keep only the live sets inside the region mask; the universe size is unchanged."""
+    check_mask(adversary.n, region)
+    outside = ~region
     return Adversary(adversary.n, tuple(m for m in adversary.live_sets if not m & outside))
 
 
-def restrict_intersecting(adversary: Adversary, region: ProcessSet, targets: ProcessSet) -> Adversary:
-    """Live sets inside region that intersect targets; requires targets subseteq region.
+def restrict_intersecting(adversary: Adversary, region: int, targets: int) -> Adversary:
+    """Live sets inside the region mask that meet the targets mask; requires targets subseteq region.
 
     The library does not call this: `Adversary.region_table(T)` gives the
     power of every such restriction at once.  The tests use this set-valued
@@ -212,20 +213,15 @@ def restrict_intersecting(adversary: Adversary, region: ProcessSet, targets: Pro
     name the benchmark's tracer hooks, here and in `advlab.bgg`, and leaves
     the library when the tracer is repointed (ROADMAP item 1).
     """
-    if region.n != adversary.n or targets.n != adversary.n:
-        raise ValueError("universe mismatch between adversary and arguments")
-    if not targets.issubset(region):
-        raise ValueError(f"targets {targets} must be a subset of region {region}")
-    outside, hit = ~region.bits, targets.bits
-    return Adversary(adversary.n, tuple(m for m in adversary.live_sets if not m & outside and m & hit))
+    n = adversary.n
+    check_mask(n, region)
+    check_mask(n, targets)
+    if targets & ~region:
+        raise ValueError(f"targets {ProcessSet(n, targets)} must be a subset of region {ProcessSet(n, region)}")
+    return Adversary(n, tuple(m for m in adversary.live_sets if not m & ~region and m & targets))
 
 
 _DIGITS = bytes.maketrans(b"\x00\x01", b"01")  # membership bytes as binary digits
-
-
-def _ids(n: int, mask: int) -> list[int]:
-    """The processes of a mask over {1..n}, ascending."""
-    return [i + 1 for i in range(n) if mask >> i & 1]
 
 
 def _up(masks: int, steps: tuple[tuple[int, int], ...]) -> int:
@@ -289,14 +285,14 @@ def setcon(adversary: Adversary) -> int:
 
 @dataclass(frozen=True)
 class SetconWitness:
-    """A chain of (live set, removed process) pairs realizing the recursion.
+    """A chain of (live set mask, removed process) pairs realizing the recursion.
 
     The chain has exactly `value` links; replaying it from the original
     adversary reaches the empty family.
     """
 
     value: int
-    chain: tuple[tuple[ProcessSet, int], ...]
+    chain: tuple[tuple[int, int], ...]
 
 
 def setcon_witness(adversary: Adversary) -> SetconWitness:
@@ -329,7 +325,7 @@ def setcon_witness(adversary: Adversary) -> SetconWitness:
         low = rest & -rest
         if not low:
             raise AssertionError(f"no process of live set {m:#x} lowers its power")
-        chain.append((ProcessSet(n, m), low.bit_length()))
+        chain.append((m, low.bit_length()))
         left = region ^ m ^ low  # the processes the next region leaves out
         region = m ^ low
         while left:
@@ -345,13 +341,16 @@ def replay_witness(adversary: Adversary, witness: SetconWitness) -> int:
     Each link's live set must belong to the family restricted so far and
     contain the removed process; the final restriction must be empty.
     """
+    n = adversary.n
     current = adversary
     for s, a in witness.chain:
-        if s.n != current.n or not current.membership[s.bits]:
-            raise ValueError(f"witness live set {s} is not in the restricted family")
-        if a not in s:
-            raise ValueError(f"witness process {a} is not in live set {s}")
-        current = restrict(current, s.without(a))
+        if not 0 <= s < 1 << n:
+            raise ValueError(f"witness live set mask {s:#x} is outside a universe of size {n}")
+        if not current.membership[s]:
+            raise ValueError(f"witness live set {ProcessSet(n, s)} is not in the restricted family")
+        if not 1 <= a <= n or not s >> (a - 1) & 1:
+            raise ValueError(f"witness process {a} is not in live set {ProcessSet(n, s)}")
+        current = restrict(current, s & ~(1 << (a - 1)))
     if current.live_sets:
         raise ValueError("witness chain ends before the family is exhausted")
     if witness.value != len(witness.chain):
@@ -400,8 +399,8 @@ def is_symmetric(adversary: Adversary) -> bool:
     return symmetric_setcon(adversary) is not None
 
 
-def fairness_counterexample(adversary: Adversary) -> Optional[tuple[ProcessSet, ProcessSet]]:
-    """First (P, Q) with setcon of the Q-intersecting restriction below min(|Q|, setcon(A|P)).
+def fairness_counterexample(adversary: Adversary) -> Optional[tuple[int, int]]:
+    """First (P, Q), as masks, with setcon of the Q-intersecting restriction below min(|Q|, setcon(A|P)).
 
     Returns None when the adversary is fair.  Q = empty is skipped: both
     sides are 0 there by convention.  The reported pair is the smallest
@@ -456,7 +455,7 @@ def fairness_counterexample(adversary: Adversary) -> Optional[tuple[ProcessSet, 
             low = rest & -rest
             targets |= low
             rest ^= low
-        return ProcessSet(n, region), ProcessSet(n, targets)
+        return region, targets
     return None
 
 
@@ -492,7 +491,7 @@ def agreement_function(adversary: Adversary) -> AgreementFunction:
 def adversary_to_json_obj(adversary: Adversary) -> dict:
     """Canonical file form: 1-based ids, ascending inner arrays, sorted outer array."""
     n = adversary.n
-    return {"n": n, "live_sets": sorted(_ids(n, m) for m in adversary.live_sets)}
+    return {"n": n, "live_sets": sorted(ids_of(n, m) for m in adversary.live_sets)}
 
 
 def adversary_from_json_obj(obj: object) -> Adversary:
@@ -539,7 +538,7 @@ def adversary_from_json_obj(obj: object) -> Adversary:
         raise ValueError("outer array is not sorted lexicographically")
     if duplicate:  # in a sorted array, duplicates are neighbours
         raise ValueError("duplicate live sets are rejected")
-    # ProcessSet's own checks, in the order one set per array would raise them:
+    # mask_of's own checks, in the order one call per array would raise them:
     # an id outside 1..n, else a universe size outside 1..MAX_UNIVERSE
     if outside is not None and (outside[0] == 0 or 1 <= n <= MAX_UNIVERSE):
         raise ValueError(f"process id {outside[1]} outside 1..{n}")

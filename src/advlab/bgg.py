@@ -74,7 +74,7 @@ from .adversary import Adversary, adversary_to_json_obj
 # stay until the tracer is repointed (ROADMAP item 1).
 from .adversary import agreement_function, restrict_intersecting, setcon  # noqa: F401
 from .checkers import Verdict
-from .processes import ProcessSet
+from .processes import ProcessSet, check_mask
 
 SUCCESS = "SUCCESS"
 BLOCKED = "BLOCKED"
@@ -161,16 +161,15 @@ def status_view(adversary: Adversary, pmem: list) -> tuple[int, int, int, bytes]
     return part, active, gate_threshold(adversary, part, active), adversary.region_table(active)
 
 
-def power_within(adversary: Adversary, region: ProcessSet, active: ProcessSet) -> int:
-    """Set-consensus power of the region's live sets that touch the active processes.
+def power_within(adversary: Adversary, region: int, active: int) -> int:
+    """Set-consensus power of the region mask's live sets that touch the active mask.
 
     The library does not call this: rounds read the region table through
     `powered`.  It stays because the benchmark's tracer hooks this name,
     and leaves when the tracer is repointed (ROADMAP item 1).
     """
-    if region.n != adversary.n or active.n != adversary.n:
-        raise ValueError("universe mismatch between adversary and arguments")
-    return adversary.region_table(active.bits)[region.bits]
+    check_mask(adversary.n, region)  # the table checks the active mask
+    return adversary.region_table(active)[region]
 
 
 def powered(table: bytes, s: int, window: int, sid: int) -> bool:

@@ -42,7 +42,7 @@ from .checkers import (
     check_termination,
     check_validity,
 )
-from .processes import ProcessSet
+from .processes import ids_of
 from .protocols import (
     AdaptiveSetConsensus,
     Cons23,
@@ -134,8 +134,8 @@ def _emit(args, obj: dict, lines: list[str]) -> None:
         os.close(devnull)
 
 
-def _set_text(ps: ProcessSet) -> str:
-    return "{" + ",".join(map(str, ps.members())) + "}"
+def _set_text(ids: list[int]) -> str:
+    return "{" + ",".join(map(str, ids)) + "}"
 
 
 def _member_texts(n: int) -> list[str]:
@@ -193,13 +193,10 @@ def cmd_setcon(args) -> int:
     adversary = _load_adversary(args.adversary)
     witness = adv_mod.setcon_witness(adversary)
     value = witness.value
-    obj: dict = {
-        "setcon": value,
-        "witness": [{"live_set": list(s.members()), "removed": a} for s, a in witness.chain],
-    }
+    links = [(ids_of(adversary.n, s), a) for s, a in witness.chain]
+    obj: dict = {"setcon": value, "witness": [{"live_set": ids, "removed": a} for ids, a in links]}
     lines = [f"setcon={value}"]
-    for s, a in witness.chain:
-        lines.append(f"witness: pick {_set_text(s)} drop {a}")
+    lines += [f"witness: pick {_set_text(ids)} drop {a}" for ids, a in links]
     hitting = adv_mod.csize(adversary)
     if hitting is not None:
         obj["csize"] = hitting
@@ -224,17 +221,12 @@ def cmd_classify(args) -> int:
         f"fair={str(pair is None).lower()}",
     ]
     if pair is not None:
-        region, targets = pair
+        region, targets = (ids_of(adversary.n, m) for m in pair)
         # By the fairness criterion (`fairness_counterexample`), the reported
         # Q has |Q| = s(P), and α(Q, P) = |Q| - 1 at the first violating P.
         bound = len(targets)
         got = bound - 1
-        obj["counterexample"] = {
-            "P": list(region.members()),
-            "Q": list(targets.members()),
-            "setcon_PQ": got,
-            "bound": bound,
-        }
+        obj["counterexample"] = {"P": region, "Q": targets, "setcon_PQ": got, "bound": bound}
         lines.append(
             f"counterexample: P={_set_text(region)} Q={_set_text(targets)} setcon_PQ={got} bound={bound}"
         )
@@ -520,18 +512,28 @@ def _protocol_factory(policy: Policy, fn, n: int, inputs: dict[int, int]) -> Cal
     return lambda: policy.make(n, inputs, fn)
 
 
-def _campaign(args, make, fn, runs: int, shard_stream, trace_dir: Optional[Path] = None, memo: bool = False) -> int:
+def _campaign(
+    args,
+    make,
+    fn,
+    runs: int,
+    shard_stream,
+    trace_dir: Optional[Path] = None,
+    memo: bool = False,
+    header: Optional[dict] = None,
+) -> int:
     """Run and report a campaign of `runs` runs; with trace_dir, each run's trace goes there.
 
     shard_stream and memo are as for `_sharded_campaign`, which gets as many
     shards as `_shard_count` gives.  The caller makes trace_dir only once the
     arguments have passed their checks, so an input error leaves nothing
-    behind.
+    behind.  The header's fields open the JSON report.
     """
     name = args.protocol
     result = _sharded_campaign(make, shard_stream, fn, args.tail, trace_dir, _shard_count(runs), memo)
     counts = sorted(result.violations.items())
     obj = {
+        **(header or {}),
         "protocol": name,
         "runs": result.runs,
         "violations": dict(counts),
@@ -570,15 +572,16 @@ def cmd_simulate(args) -> int:
     make = _protocol_factory(policy, fn, n, inputs)
     trace_dir = _out_dir(args) if args.out else None
     base = args.seed
+    header = {"seed": base, "seeds": args.seeds, "budget": budget}
     if args.format == "text":
-        print(f"seed={base} seeds={args.seeds} budget={budget}")
+        print(" ".join(f"{key}={value}" for key, value in header.items()))
     seeds = range(base, base + args.seeds)
 
     def shard_stream(k: int, shards: int):
         # each shard generates only its own seeds' schedules
         return ((seed, generate(model, seed, budget)) for seed in seeds[k::shards])
 
-    return _campaign(args, make, fn, args.seeds, shard_stream, trace_dir)
+    return _campaign(args, make, fn, args.seeds, shard_stream, trace_dir, header=header)
 
 
 def cmd_enumerate(args) -> int:

@@ -215,7 +215,12 @@ class EmbeddedAgreement:
 
     One instance space per distinct participation estimate, living in the
     same cells as the calling protocol; the instance count is the agreement
-    level of the estimate.  Do not share one subroutine across executions.
+    level of the estimate.  It keeps no state of its own, so one instance
+    may serve every execution of a campaign.  A stateful subroutine, such
+    as the ideal objects of `tests/oracles.py::OracleAgreement`, must be
+    fresh per execution; its shared objects break the `Protocol` contract
+    that `TransitionMemo` relies on, so a campaign that uses one must not
+    pass `memo=True`.
     """
 
     def __init__(self, fn: AgreementFunction):
@@ -248,9 +253,9 @@ class AdaptiveSetConsensus(Protocol):
     there the process only waits for participation to grow.  Estimates are
     bit masks; the instance space of an estimate is keyed by str(mask).
 
-    The subroutine must be a fresh EmbeddedAgreement, or another object with
-    its `fn` and `run`, per execution; it is given the estimate's level, read
-    from its `fn`.
+    The subroutine is an EmbeddedAgreement, or another object with its `fn`
+    and `run`; it is given the estimate's level, read from its `fn`.  A
+    stateful one must be fresh per execution (see `EmbeddedAgreement`).
     """
 
     name = "adaptive"

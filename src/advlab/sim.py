@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, Iterator, NamedTuple, Optional, TYPE_CHECKING
 
 from . import alpha as alpha_mod
-from .processes import MAX_UNIVERSE, ProcessSet
+from .processes import MAX_UNIVERSE, ProcessSet, mask_of
 
 if TYPE_CHECKING:  # pragma: no cover
     from .protocols import Protocol
@@ -601,5 +601,5 @@ def trace_from_json_obj(obj: dict) -> RunTrace:
     inputs = _by_pid("inputs", obj["inputs"])
     statuses = _by_pid("statuses", obj["statuses"])
     for pids in ([d.pid for d in decisions], inputs, statuses):
-        ProcessSet.of(n, pids)  # raises on an id outside 1..n
+        mask_of(n, pids)  # raises on an id outside 1..n
     return RunTrace(schedule, inputs, events, decisions, participating, statuses)

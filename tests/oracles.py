@@ -150,7 +150,7 @@ def slow_fairness_counterexample(adversary: Adversary):
             q_bits = (q_bits - 1) & p_bits
         for q_bits in reversed(descending):  # ascending; each Q's table is built on first use
             if adversary.region_table(q_bits)[p_bits] != min(q_bits.bit_count(), base[p_bits]):
-                return ProcessSet(n, p_bits), ProcessSet(n, q_bits)
+                return p_bits, q_bits
     return None
 
 
@@ -329,7 +329,7 @@ def slow_check_validity(trace: RunTrace) -> Verdict:
     step, and at one step the first listed.  Built from that definition:
     every invalid decision with its (step, list position), then the least.
     """
-    allowed = {canonical_json(trace.inputs[p]) for p in trace.participating if p in trace.inputs}
+    allowed = {canonical_json(trace.inputs[p]) for p in trace.participating.members() if p in trace.inputs}
     invalid = [
         ((d.step, i), d) for i, d in enumerate(trace.decisions) if canonical_json(d.value) not in allowed
     ]
@@ -403,7 +403,7 @@ def has_decided(trace: RunTrace, pid: int) -> bool:
 def slow_check_termination(trace: RunTrace, among: Optional[Iterable[int]] = None) -> Verdict:
     """Every correct participant decided (optionally restricted to a client set)."""
     scope = set(among) if among is not None else None
-    for pid in trace.schedule.correct:
+    for pid in trace.schedule.correct.members():
         if pid not in trace.participating:
             continue
         if scope is not None and pid not in scope:
@@ -426,12 +426,12 @@ def slow_admits_trace(alpha: AgreementFunction, trace: RunTrace) -> bool:
     part = trace.participating
     if part.n != alpha.n:
         raise ValueError(f"universe mismatch: trace n={part.n}, alpha n={alpha.n}")
-    if len(part) == 0:
+    if not part.bits:
         return False
     level = alpha.table[part.bits]
     if level < 1:
         return False
-    halted_undecided = [p for p in part if p in trace.schedule.halted_at and not has_decided(trace, p)]
+    halted_undecided = [p for p in part.members() if p in trace.schedule.halted_at and not has_decided(trace, p)]
     return len(halted_undecided) <= level - 1
 
 
@@ -504,7 +504,7 @@ def truncate_trace(trace: RunTrace, step: int) -> RunTrace:
     )
     participating = ProcessSet.of(trace.n, {e.pid for e in events})
     decided = {d.pid for d in decisions}
-    final = {pid: "decided" if pid in decided else "running" for pid in participating}
+    final = {pid: "decided" if pid in decided else "running" for pid in participating.members()}
     return RunTrace(prefix, dict(trace.inputs), events, decisions, participating, final)
 
 

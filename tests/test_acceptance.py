@@ -16,7 +16,6 @@ from contextlib import contextmanager
 from advlab import (
     Adversary,
     AgreementFunction,
-    ProcessSet,
     agreement_function,
     csize,
     fairness_counterexample,
@@ -103,15 +102,15 @@ def test_criterion_01_counterexample_reproduction(tmp_path):
 def test_criterion_02_structured_families_are_fair():
     with criterion(2, "structured-families-are-fair", 300.0):
         for masks in all_families(3):
-            adv = Adversary(3, tuple(ProcessSet(3, m) for m in masks))
+            adv = Adversary(3, tuple(masks))
             if is_superset_closed(adv) or is_symmetric(adv):
                 assert is_fair(adv), masks
         for masks in superset_closed_families(4):
-            adv = Adversary(4, tuple(ProcessSet(4, m) for m in masks))
+            adv = Adversary(4, tuple(masks))
             assert is_superset_closed(adv)
             assert is_fair(adv), masks
         for masks in symmetric_families(4):
-            adv = Adversary(4, tuple(ProcessSet(4, m) for m in masks))
+            adv = Adversary(4, tuple(masks))
             assert is_symmetric(adv)
             assert is_fair(adv), masks
         # An upset of 2^[5] is U0 | {S + 5 : S in U1} for upsets U0 subseteq U1 of
@@ -123,7 +122,7 @@ def test_criterion_02_structured_families_are_fair():
         families5 = {low | {s | 0b10000 for s in high} for low, high in pairs if high and 0 not in low}
         assert len(families5) == 7579  # without the empty family and the one holding the empty set
         for masks in families5:
-            adv = Adversary(5, tuple(ProcessSet(5, m) for m in masks))
+            adv = Adversary(5, tuple(masks))
             assert is_superset_closed(adv)
             assert is_fair(adv), sorted(masks)
 
@@ -131,43 +130,40 @@ def test_criterion_02_structured_families_are_fair():
 def test_criterion_03_setcon_oracle_equivalence():
     with criterion(3, "setcon-oracle-equivalence", 300.0):
         for masks in all_families(3):
-            adv = Adversary(3, tuple(ProcessSet(3, m) for m in masks))
+            adv = Adversary(3, tuple(masks))
             assert setcon(adv) == brute_setcon(masks), masks
         for n in (3, 4):
             for masks in superset_closed_families(n):
                 if not masks:
                     continue
-                adv = Adversary(n, tuple(ProcessSet(n, m) for m in masks))
+                adv = Adversary(n, tuple(masks))
                 assert setcon(adv) == csize(adv), (n, masks)
             for masks in symmetric_families(n):
                 if not masks:
                     continue
-                adv = Adversary(n, tuple(ProcessSet(n, m) for m in masks))
+                adv = Adversary(n, tuple(masks))
                 assert setcon(adv) == symmetric_setcon(adv), (n, masks)
 
 
 def test_criterion_04_power_bound_sweep():
     with criterion(4, "power-bound-sweep", 300.0):
         for masks in all_families(3):
-            adv = Adversary(3, tuple(ProcessSet(3, m) for m in masks))
-            for p_bits in range(1, 8):
-                region = ProcessSet(3, p_bits)
+            adv = Adversary(3, tuple(masks))
+            for region in range(1, 8):
                 base = setcon(restrict(adv, region))
-                q_bits = p_bits
-                while q_bits:
-                    targets = ProcessSet(3, q_bits)
+                targets = region
+                while targets:
                     got = setcon(restrict_intersecting(adv, region, targets))
-                    assert got <= min(len(targets), base), (masks, p_bits, q_bits)
-                    q_bits = (q_bits - 1) & p_bits
+                    assert got <= min(targets.bit_count(), base), (masks, region, targets)
+                    targets = (targets - 1) & region
         rng = random.Random(20240801)
         for _ in range(10_000):
             fam = frozenset(m for m in range(1, 16) if rng.random() < 0.35)
-            adv = Adversary(4, tuple(ProcessSet(4, m) for m in fam))
-            p_bits = rng.randrange(1, 16)
-            q_bits = rng.choice([q for q in range(1, p_bits + 1) if q & ~p_bits == 0])
-            region, targets = ProcessSet(4, p_bits), ProcessSet(4, q_bits)
+            adv = Adversary(4, tuple(fam))
+            region = rng.randrange(1, 16)
+            targets = rng.choice([q for q in range(1, region + 1) if q & ~region == 0])
             got = setcon(restrict_intersecting(adv, region, targets))
-            assert got <= min(len(targets), setcon(restrict(adv, region)))
+            assert got <= min(targets.bit_count(), setcon(restrict(adv, region)))
 
 
 def test_criterion_05_fair_nonstructured_example():
@@ -218,7 +214,7 @@ def test_criterion_07_adaptive_campaign():
 def test_criterion_08_round_robin_construction():
     with criterion(8, "round-robin-construction", 600.0):
         fn = AgreementFunction.k_concurrent(3, 2)
-        assert fn.table[ProcessSet.full(3).bits] == 2
+        assert fn.table[0b111] == 2
 
         def round_robin():
             return RoundRobinSetConsensus(3, default_inputs(3), fn)
@@ -236,7 +232,7 @@ def test_criterion_09_selection_property_suite():
     with criterion(9, "selection-property-suite", 600.0):
         budget = 400 * 3
         for masks in all_families(3):
-            adv = Adversary(3, tuple(ProcessSet(3, m) for m in masks))
+            adv = Adversary(3, tuple(masks))
             if not is_fair(adv):
                 continue
             fn = agreement_function(adv)
@@ -257,7 +253,7 @@ def test_criterion_09_selection_property_suite():
 def test_criterion_10_derived_functions_monotonic():
     with criterion(10, "derived-functions-monotonic", 60.0):
         for masks in all_families(3):
-            adv = Adversary(3, tuple(ProcessSet(3, m) for m in masks))
+            adv = Adversary(3, tuple(masks))
             assert agreement_function(adv).is_monotonic(), masks
 
 
@@ -267,7 +263,7 @@ def test_criterion_11_fairness_census_n4():
         for masks in all_families(4):
             if not masks:
                 continue
-            adv = Adversary(4, tuple(ProcessSet(4, m) for m in masks))
+            adv = Adversary(4, tuple(masks))
             pair = fairness_counterexample(adv)
             assert pair == slow_fairness_counterexample(adv), sorted(masks)
             fair += pair is None

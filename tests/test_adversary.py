@@ -31,6 +31,7 @@ from advlab import (
     t_resilient_adversary,
 )
 from advlab.adversary import restrict_intersecting
+from advlab.processes import ids_of, mask_of
 from oracles import (
     all_families,
     brute_fair,
@@ -69,29 +70,17 @@ def assert_matches_slow_scans(adv, touching=()):
     n, masks = adv.n, list(adv.live_sets)
     for t in ((1 << n) - 1, *touching):
         assert adv.region_table(t) == slow_region_powers(n, [m for m in masks if m & t]), (adv, t)
-    assert [(s.bits, a) for s, a in setcon_witness(adv).chain] == slow_setcon_witness(n, masks), adv
+    assert list(setcon_witness(adv).chain) == slow_setcon_witness(n, masks), adv
 
 
 class TestProcessSet:
     def test_members_roundtrip(self):
         s = ProcessSet.of(4, [2, 4])
         assert s.members() == (2, 4)
-        assert s.bits == 0b1010
-        assert 2 in s and 1 not in s
-        assert len(s) == 2
-
-    def test_set_algebra(self):
-        a = ProcessSet.of(3, [1, 2])
-        b = ProcessSet.of(3, [2, 3])
-        assert (a | b).members() == (1, 2, 3)
-        assert (a & b).members() == (2,)
-        assert (a - b).members() == (1,)
-        assert not a.issubset(b)
-        assert (a & b).issubset(a)
-
-    def test_universe_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            ProcessSet.of(3, [1]) | ProcessSet.of(4, [1])
+        assert s.bits == 0b1010 == mask_of(4, [4, 2])
+        assert ids_of(4, s.bits) == [2, 4]
+        assert 2 in s and 1 not in s and 0 not in s and 5 not in s
+        assert repr(s) == "ProcessSet(4, {2,4})"
 
     def test_bounds(self):
         with pytest.raises(ValueError):
@@ -106,12 +95,26 @@ class TestProcessSet:
     @given(st.integers(1, 6), st.data())
     def test_matches_python_sets(self, n, data):
         xs = data.draw(st.sets(st.integers(1, n)))
-        ys = data.draw(st.sets(st.integers(1, n)))
-        a, b = ProcessSet.of(n, xs), ProcessSet.of(n, ys)
-        assert set((a | b).members()) == xs | ys
-        assert set((a & b).members()) == xs & ys
-        assert set((a - b).members()) == xs - ys
-        assert a.issubset(b) == (xs <= ys)
+        mask = mask_of(n, xs)
+        assert ids_of(n, mask) == sorted(xs) == list(ProcessSet(n, mask).members())
+        assert {p for p in range(0, n + 2) if p in ProcessSet(n, mask)} == xs
+
+    @pytest.mark.parametrize(
+        "n, ids, message",
+        [
+            (3, [1, 4], "process id 4 outside 1..3"),
+            (3, [0], "process id 0 outside 1..3"),
+            (0, [1], "process id 1 outside 1..0"),
+            (17, [1], "universe size must be in 1..16, got 17"),
+            (17, [18], "process id 18 outside 1..17"),
+            (0, [], "universe size must be in 1..16, got 0"),
+        ],
+    )
+    def test_mask_of_checks_ids_then_the_universe(self, n, ids, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            mask_of(n, ids)
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            ProcessSet.of(n, ids)
 
 
 class TestAdversaryType:
@@ -129,7 +132,7 @@ class TestAdversaryType:
         for n, masks in [(3, [0b110, 0b001, 0b111]), (16, [1 << 15, 0b11, (1 << 16) - 1])]:
             by_mask = Adversary(n, tuple(masks))
             by_set = Adversary(n, tuple(ProcessSet(n, m) for m in masks))
-            by_ids = Adversary.of(n, [ProcessSet(n, m).members() for m in masks])
+            by_ids = Adversary.of(n, [ids_of(n, m) for m in masks])
             assert by_mask == by_set == by_ids
             assert hash(by_mask) == hash(by_set) == hash(by_ids)
             assert repr(by_mask) == repr(by_set) == repr(by_ids)
@@ -265,36 +268,43 @@ class TestAdversaryType:
 
 class TestRestriction:
     def test_filter_by_subset(self, unfair_triple):
-        got = restrict(unfair_triple, ProcessSet.of(3, [1, 2]))
+        got = restrict(unfair_triple, 0b011)
         assert got.live_sets == (0b001,)
 
     def test_full_region_is_identity(self, unfair_triple):
-        assert restrict(unfair_triple, ProcessSet.full(3)) == unfair_triple
+        assert restrict(unfair_triple, 0b111) == unfair_triple
 
     def test_other_region(self, unfair_triple):
-        got = restrict(unfair_triple, ProcessSet.of(3, [2, 3]))
+        got = restrict(unfair_triple, 0b110)
         assert got.live_sets == (0b110,)
 
     def test_universe_mismatch(self, unfair_triple):
-        with pytest.raises(ValueError):
-            restrict(unfair_triple, ProcessSet.of(4, [1]))
+        # a region or target mask with bits past process 3, or a negative one
+        for mask, text in ((0b1000, "0x8"), (-1, "-0x1")):
+            message = f"mask {text} has bits outside a universe of size 3"
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                restrict(unfair_triple, mask)
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                restrict_intersecting(unfair_triple, mask, 0b001)
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                restrict_intersecting(unfair_triple, 0b111, mask)
 
     def test_intersecting_filter(self, unfair_triple):
-        full = ProcessSet.full(3)
-        got = restrict_intersecting(unfair_triple, full, ProcessSet.of(3, [2, 3]))
+        got = restrict_intersecting(unfair_triple, 0b111, 0b110)
         assert got.live_sets == (0b110, 0b111)
-        got = restrict_intersecting(unfair_triple, full, ProcessSet.of(3, [1]))
+        got = restrict_intersecting(unfair_triple, 0b111, 0b001)
         assert got.live_sets == (0b001, 0b111)
 
     def test_intersecting_with_full_targets_is_restrict(self, unfair_triple):
-        region = ProcessSet.of(3, [1, 2])
+        region = 0b011
         assert restrict_intersecting(unfair_triple, region, region) == restrict(
             unfair_triple, region
         )
 
     def test_targets_outside_region_rejected(self, unfair_triple):
-        with pytest.raises(ValueError):
-            restrict_intersecting(unfair_triple, ProcessSet.of(3, [1, 2]), ProcessSet.of(3, [3]))
+        message = "targets ProcessSet(3, {3}) must be a subset of region ProcessSet(3, {1,2})"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            restrict_intersecting(unfair_triple, 0b011, 0b100)
 
 
 class TestSetcon:
@@ -340,7 +350,7 @@ class TestSetcon:
 
     def test_witness_matches_brute_chain_on_all_n3_families(self):
         for masks in all_families(3):
-            chain = [(s.bits, a) for s, a in setcon_witness(family(3, masks)).chain]
+            chain = list(setcon_witness(family(3, masks)).chain)
             assert chain == brute_witness(masks), masks
 
     @pytest.mark.parametrize("n", [4, 5])
@@ -349,7 +359,7 @@ class TestSetcon:
         for _ in range(40):
             density = rng.uniform(0.1, 0.7)
             masks = frozenset(m for m in range(1, 1 << n) if rng.random() < density)
-            chain = [(s.bits, a) for s, a in setcon_witness(family(n, masks)).chain]
+            chain = list(setcon_witness(family(n, masks)).chain)
             assert chain == brute_witness(masks), sorted(masks)
 
     def test_fast_paths_match_slow_scans_on_all_n3_families(self):
@@ -389,8 +399,7 @@ class TestSetcon:
         w1 = setcon_witness(unfair_triple)
         w2 = setcon_witness(unfair_triple)
         assert w1 == w2
-        assert w1.chain[0][0].members() == (1, 2, 3)
-        assert w1.chain[0][1] == 1
+        assert w1.chain == ((0b111, 1), (0b110, 2))
 
     def test_bad_witness_rejected(self, unfair_triple):
         w = setcon_witness(unfair_triple)
@@ -402,27 +411,29 @@ class TestSetcon:
         "value, second, message",
         [
             # {1} is live, but not inside {2,3}, the region the first link leaves
-            (2, ([1], 1), "witness live set ProcessSet(3, {1}) is not in the restricted family"),
-            (2, ([2, 3], 1), "witness process 1 is not in live set ProcessSet(3, {2,3})"),
-            (3, ([2, 3], 2), "witness value does not match its chain length"),
+            (2, (0b001, 1), "witness live set ProcessSet(3, {1}) is not in the restricted family"),
+            (2, (0b110, 1), "witness process 1 is not in live set ProcessSet(3, {2,3})"),
+            (2, (0b110, 0), "witness process 0 is not in live set ProcessSet(3, {2,3})"),
+            (2, (0b110, 4), "witness process 4 is not in live set ProcessSet(3, {2,3})"),
+            (3, (0b110, 2), "witness value does not match its chain length"),
         ],
-        ids=["set-outside-region", "process-outside-set", "value-mismatch"],
+        ids=["set-outside-region", "process-outside-set", "process-0", "process-past-n", "value-mismatch"],
     )
     def test_each_bad_link_is_named(self, unfair_triple, value, second, message):
         w = setcon_witness(unfair_triple)
-        assert [(s.members(), a) for s, a in w.chain] == [((1, 2, 3), 1), ((2, 3), 2)]
-        members, a = second
-        broken = type(w)(value, (w.chain[0], (ProcessSet.of(3, members), a)))
+        assert w.chain == ((0b111, 1), (0b110, 2))
+        broken = type(w)(value, (w.chain[0], second))
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             replay_witness(unfair_triple, broken)
 
     def test_link_over_another_universe_is_named(self, unfair_triple):
-        # the same mask over four processes is not a live set of a 3-process family
+        # a mask over four processes, or a negative one, is not a live set of a 3-process family
         w = setcon_witness(unfair_triple)
-        broken = type(w)(w.value, ((ProcessSet(4, 0b111), 1), *w.chain[1:]))
-        message = "witness live set ProcessSet(4, {1,2,3}) is not in the restricted family"
-        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-            replay_witness(unfair_triple, broken)
+        for mask, text in ((0b1111, "0xf"), (-1, "-0x1")):
+            broken = type(w)(w.value, ((mask, 1), *w.chain[1:]))
+            message = f"witness live set mask {text} is outside a universe of size 3"
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                replay_witness(unfair_triple, broken)
 
 
 class TestCsize:
@@ -548,7 +559,7 @@ class TestClosedFormsByPlanes:
 
     def assert_matches_oracles(self, n, masks, hitting=brute_min_hitting):
         adv = family(n, masks)
-        assert [(s.bits, a) for s, a in setcon_witness(adv).chain] == slow_setcon_witness(n, masks), (n, sorted(masks))
+        assert list(setcon_witness(adv).chain) == slow_setcon_witness(n, masks), (n, sorted(masks))
         closed = bool(masks) and slow_is_superset_closed(n, masks)
         assert csize(adv) == (hitting(masks, n) if closed else None), (n, sorted(masks))
         assert symmetric_setcon(adv) == (distinct_sizes(masks) if self.symmetric(n, masks) else None), (n, sorted(masks))
@@ -596,8 +607,7 @@ class TestFairness:
         witness = fairness_counterexample(unfair_triple)
         assert witness is not None
         region, targets = witness
-        assert region.members() == (1, 2)
-        assert targets.members() == (2,)
+        assert (region, targets) == (0b011, 0b010)
         base = setcon(restrict(unfair_triple, region))
         got = setcon(restrict_intersecting(unfair_triple, region, targets))
         assert (base, got) == (1, 0)
@@ -648,7 +658,7 @@ class TestFairness:
         assert is_fair(cyclic_edge_closure(16))
         # {1..15} is the first region past the live {1..14}; only removing 15 keeps its power
         sparse = Adversary.of(16, [range(1, 15)])
-        assert fairness_counterexample(sparse) == (ProcessSet.of(16, range(1, 16)), ProcessSet.of(16, [15]))
+        assert fairness_counterexample(sparse) == ((1 << 15) - 1, 1 << 14)
         assert not is_fair(Adversary.of(16, [[1], range(2, 17)]))
 
     @settings(max_examples=60, deadline=None)
@@ -665,22 +675,20 @@ class TestFairness:
         pair = fairness_counterexample(adv)
         if pair is not None:
             region, targets = pair
-            assert targets.issubset(region) and len(targets) == power[region.bits]
-            assert adv.region_table(targets.bits)[region.bits] == power[region.bits] - 1
+            assert targets & ~region == 0 and targets.bit_count() == power[region]
+            assert adv.region_table(targets)[region] == power[region] - 1
 
     def test_power_bound_property_all_n3(self):
         # The intersecting restriction never beats min(|targets|, restricted power).
         for masks in all_families(3):
             adv = family(3, masks)
-            for p_bits in range(1, 8):
-                region = ProcessSet(3, p_bits)
+            for region in range(1, 8):
                 base = setcon(restrict(adv, region))
-                q_bits = p_bits
-                while q_bits:
-                    targets = ProcessSet(3, q_bits)
+                targets = region
+                while targets:
                     got = setcon(restrict_intersecting(adv, region, targets))
-                    assert got <= min(len(targets), base)
-                    q_bits = (q_bits - 1) & p_bits
+                    assert got <= min(targets.bit_count(), base)
+                    targets = (targets - 1) & region
 
 
 class TestAgreementFunctionDerivation:

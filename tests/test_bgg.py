@@ -9,7 +9,6 @@ import pytest
 
 from advlab import (
     Adversary,
-    ProcessSet,
     agreement_function,
     all_nonempty,
     bgg,
@@ -143,9 +142,8 @@ class TestComputeWindow:
     def test_hand_traced_narrowing_partial_set(self):
         adv = fair_example()
         shared = BGShared.fresh(3, 2)
-        full = ProcessSet.full(3)
         shared.selections[2] = (1, 0b101)
-        assert power_within(adv, ProcessSet.of(3, [1, 3]), full) == 2
+        assert power_within(adv, 0b101, 0b111) == 2
         assert compute_window(1, shared, 0b111, adv.region_table(0b111)) == (0b100, ((2, 0b100),))
 
     def test_window_only_shrinks_along_the_trail(self):
@@ -307,7 +305,7 @@ class TestSimulatorRound:
         later = [r for r in sim2 if r["result"] == SUCCESS and r["stepped"] == 1]
         assert later, "the blocked step should eventually succeed"
         sim1 = [r for r in history.records if r["simulator"] == 1]
-        assert any(r["reselected"] and 1 not in ProcessSet(3, r["s_cur"]).members() for r in sim1)
+        assert any(r["reselected"] and not r["s_cur"] & 0b001 for r in sim1)
 
 
 class TestBoundedProperties:
@@ -349,36 +347,35 @@ class TestBoundedProperties:
         # removing one process from a live set costs at most one power level,
         # for every family and every active-set restriction
         for masks in all_families(3):
-            adv = Adversary(3, tuple(ProcessSet(3, m) for m in masks))
-            for active_bits in range(8):
-                active = ProcessSet(3, active_bits)
-                for m in adv.live_sets:
-                    s = ProcessSet(3, m)
+            adv = Adversary(3, tuple(masks))
+            for active in range(8):
+                for s in adv.live_sets:
                     whole = power_within(adv, s, s & active)
-                    for p in s.members():
-                        rest = s.without(p)
-                        assert power_within(adv, rest, rest & active) >= whole - 1
+                    for p in range(3):
+                        if s >> p & 1:
+                            rest = s & ~(1 << p)
+                            assert power_within(adv, rest, rest & active) >= whole - 1
 
     def test_power_within_matches_brute_on_every_region_and_active_set(self):
         rng = random.Random("power-within")
         sampled = [(3, masks) for masks in all_families(3)]
         sampled += [(4, frozenset(rng.sample(range(1, 16), rng.randint(1, 12)))) for _ in range(20)]
         for n, masks in sampled:
-            adv = Adversary(n, tuple(ProcessSet(n, m) for m in masks))
+            adv = Adversary(n, tuple(masks))
             for region in range(1 << n):
                 for active in range(1 << n):
-                    got = power_within(adv, ProcessSet(n, region), ProcessSet(n, active))
+                    got = power_within(adv, region, active)
                     assert got == brute_setcon(brute_restrict_touching(masks, region, region & active))
 
     def test_feasibility_lookup_matches_the_live_set_scan(self):
         # some live s inside W has region_table(A)[s] >= sid exactly when
         # region_table(A)[W] >= sid: the lemma selection feasibility reads
         rng = random.Random("feasibility-lemma")
-        families = [Adversary(3, tuple(ProcessSet(3, m) for m in masks)) for masks in all_families(3)]
+        families = [Adversary(3, tuple(masks)) for masks in all_families(3)]
         for n, count in ((4, 12), (5, 6), (6, 3)):
             for _ in range(count):
                 density = rng.uniform(0.1, 0.7)
-                families.append(Adversary(n, tuple(ProcessSet(n, m) for m in range(1, 1 << n) if rng.random() < density)))
+                families.append(Adversary(n, tuple(m for m in range(1, 1 << n) if rng.random() < density)))
         for adv in families:
             size = 1 << adv.n
             for active in range(size):
@@ -390,11 +387,14 @@ class TestBoundedProperties:
                         )
 
     def test_power_within_rejects_universe_mismatch(self):
+        # a region or active mask with bits past process 3, or a negative one
         adv = all_nonempty(3)
-        with pytest.raises(ValueError):
-            power_within(adv, ProcessSet.full(4), ProcessSet.full(3))
-        with pytest.raises(ValueError):
-            power_within(adv, ProcessSet.full(3), ProcessSet.full(4))
+        with pytest.raises(ValueError, match="^mask 0xf has bits outside a universe of size 3$"):
+            power_within(adv, 0b1111, 0b111)
+        with pytest.raises(ValueError, match="^mask -0x1 has bits outside a universe of size 3$"):
+            power_within(adv, -1, 0b111)
+        with pytest.raises(ValueError, match="^touching mask 0xf outside a universe of size 3$"):
+            power_within(adv, 0b111, 0b1111)
 
     def test_window_stability_checker_catches_drift(self):
         adv = fair_example()
@@ -593,7 +593,7 @@ class TestSelectionPropertySweep:
     def test_every_fair_family_every_halt_pattern(self):
         # compressed version of the acceptance sweep: shorter budget, n=3
         for masks in all_families(3):
-            adv = Adversary(3, tuple(ProcessSet(3, m) for m in masks))
+            adv = Adversary(3, tuple(masks))
             if not is_fair(adv):
                 continue
             fn = agreement_function(adv)
@@ -666,7 +666,7 @@ def golden_runs():
     3-process family, fair or not, under both gates, three initial status
     arrays and every halt pattern."""
     for masks in all_families(3):
-        adv = Adversary(3, tuple(ProcessSet(3, m) for m in sorted(masks)))
+        adv = Adversary(3, tuple(masks))
         sims = setcon(adv)
         for gate in (GATE_ADAPTIVE, GATE_VERBATIM):
             for pmem in GOLDEN_PMEMS:
@@ -733,7 +733,7 @@ def larger_families():
         yield sizes_adversary(n, (2, n - 1))
         for generators in ((0b0011, 0b1100), (0b0011, 0b0110, 0b1100)):
             masks = [m for m in range(1, 1 << n) if any(m & g == g for g in generators)]
-            yield Adversary(n, tuple(ProcessSet(n, m) for m in masks))
+            yield Adversary(n, tuple(masks))
 
 
 class TestGoldenLarger:
@@ -793,7 +793,7 @@ class TestSelectionByPlanes:
         # SelectionImpossible alike
         outcomes = set()
         for masks in all_families(3):
-            adv = Adversary(3, tuple(ProcessSet(3, m) for m in masks))
+            adv = Adversary(3, tuple(masks))
             for active, part, sid in itertools.product(range(8), range(8), range(1, 5)):
                 window = part
                 while True:
@@ -811,7 +811,7 @@ class TestSelectionByPlanes:
         checked = check_selections_against_the_scan(monkeypatch)
         budget = 400 * 3
         for masks in all_families(3):
-            adv = Adversary(3, tuple(ProcessSet(3, m) for m in masks))
+            adv = Adversary(3, tuple(masks))
             if not is_fair(adv):
                 continue
             sims = setcon(adv)

@@ -47,7 +47,7 @@ def hand_trace(n, steps, decisions, inputs, halted=None):
     schedule = Schedule(n, tuple(steps), {p: last.get(p, -1) for p in halted})
     events = [Event(i, p, "update" if i % 2 == 0 else "snapshot", None) for i, p in enumerate(steps)]
     participating = ProcessSet.of(n, set(steps))
-    statuses = {p: "running" for p in participating}
+    statuses = {p: "running" for p in participating.members()}
     for _, p, _v in decisions:
         statuses[p] = "decided"
     return RunTrace(

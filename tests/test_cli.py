@@ -25,8 +25,14 @@ from advlab import (
     agreement_function,
     all_nonempty,
     cli,
+    fairness_counterexample,
+    replay_witness,
+    restrict,
+    setcon_witness,
     t_resilient_adversary,
 )
+from advlab.adversary import restrict_intersecting
+from advlab.bgg import power_within
 from advlab import sim
 from advlab.cli import main
 from advlab.protocols import default_inputs
@@ -40,7 +46,7 @@ from advlab.sim import (
     trace_to_json_obj,
 )
 
-from oracles import EchoProtocol, all_families
+from oracles import EchoProtocol, all_families, cyclic_edge_closure
 
 
 @pytest.fixture
@@ -136,7 +142,7 @@ class TestClassify:
         path = tmp_path / "family.json"
         unfair = 0
         for masks in all_families(3):
-            adv = Adversary(3, tuple(ProcessSet(3, m) for m in sorted(masks)))
+            adv = Adversary(3, tuple(masks))
             path.write_text(json.dumps(adversary_to_json_obj(adv)))
             assert main(["classify", "--adversary", str(path), "--format", "json"]) == 0
             obj = json.loads(capsys.readouterr().out)
@@ -145,9 +151,9 @@ class TestClassify:
             unfair += 1
             pair = obj["counterexample"]
             region = ProcessSet.of(3, pair["P"]).bits
-            targets = ProcessSet.of(3, pair["Q"])
-            assert pair["setcon_PQ"] == adv.region_table(targets.bits)[region]
-            assert pair["bound"] == min(len(targets), adv.region_table(7)[region])
+            targets = ProcessSet.of(3, pair["Q"]).bits
+            assert pair["setcon_PQ"] == adv.region_table(targets)[region]
+            assert pair["bound"] == min(targets.bit_count(), adv.region_table(7)[region])
         assert unfair > 0
 
     @pytest.mark.parametrize(
@@ -217,9 +223,52 @@ class TestAlphaGolden:
         assert hashlib.sha256("\n".join(texts).encode()).hexdigest() == ALPHA_GOLDEN_DIGEST
 
 
+# sha256 of `setcon --format json` and `classify --format json` on four
+# 16-process families, taken before the witness links and the fairness pair
+# became masks.  star16, every set holding process 1 plus {2, 3}, is the
+# unfair one: its classify output carries a counterexample.
+GOLDEN_16_DIGESTS = {
+    ("wf16", "setcon"): "c938c0c2272e303b576f5397175f78288b031e1d99ae3f84c17467cb3eb52d12",
+    ("wf16", "classify"): "4f2d316b57b2677b45c73e43b0f37124e6850f5724c8a64fae3f7b78244d4f85",
+    ("res8-16", "setcon"): "ccd514fc6667512338aa91a9f896575cbec30706bbf67b46f43325b77be68b55",
+    ("res8-16", "classify"): "4f2d316b57b2677b45c73e43b0f37124e6850f5724c8a64fae3f7b78244d4f85",
+    ("cycle16", "setcon"): "d50a1ca4345415861e0d1f14199de6b47eae76c8e0f30a34aa332715df84ab8e",
+    ("cycle16", "classify"): "8d69267fda50126462330f5be27a42915e164881810cd1602cd348b1575d64f1",
+    ("star16", "setcon"): "7572cb39c5d3df5d3f3c69257248b553dd472d51777d812a6ecec467546927c6",
+    ("star16", "classify"): "1c612abaf14bc6890a2fee9c388860e4cd1b00f8d575db136bcc813ff68c0cfe",
+}
+
+
 @pytest.fixture(scope="module")
 def wf16_obj():
     return adversary_to_json_obj(all_nonempty(16))
+
+
+@pytest.fixture(scope="module")
+def files16(tmp_path_factory, wf16_obj):
+    """The adversary files of GOLDEN_16_DIGESTS, by family name."""
+    families = {
+        "res8-16": t_resilient_adversary(16, 8),
+        "cycle16": cyclic_edge_closure(16),
+        "star16": Adversary(16, tuple(m for m in range(1, 1 << 16) if m & 1 or m == 6)),
+    }
+    objs = {"wf16": wf16_obj, **{name: adversary_to_json_obj(a) for name, a in families.items()}}
+    root = tmp_path_factory.mktemp("families16")
+    paths = {}
+    for name, obj in objs.items():
+        paths[name] = root / f"{name}.json"
+        paths[name].write_text(json.dumps(obj))
+    return paths
+
+
+class TestGolden16:
+    """Pins `setcon` (the whole witness list) and `classify` JSON at n = 16."""
+
+    @pytest.mark.parametrize("family, command", sorted(GOLDEN_16_DIGESTS))
+    def test_outputs_digest(self, files16, capsys, family, command):
+        assert main([command, "--adversary", str(files16[family]), "--format", "json"]) == 0
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_16_DIGESTS[family, command]
 
 
 @pytest.fixture
@@ -247,16 +296,29 @@ class TestLiveSetsAreMasks:
         assert sets_created == []
 
     @pytest.mark.parametrize("command, most", [("setcon", 16), ("classify", 2), ("alpha", 0)])
-    def test_handlers_create_at_most_their_reported_sets(self, wf16_obj, tmp_path, capsys, sets_created, command, most):
-        # setcon reports one ProcessSet per witness link, classify at most a
-        # counterexample pair, alpha none
-        path = tmp_path / "wf16.json"
-        path.write_text(json.dumps(wf16_obj))
-        assert main([command, "--adversary", str(path), "--format", "json"]) == 0
-        assert len(sets_created) <= most, len(sets_created)
+    def test_handlers_create_at_most_their_reported_sets(self, files16, capsys, sets_created, command, most):
+        # `most` is the number of sets each handler reports: setcon's 16 witness
+        # links on wf16, classify's pair P, Q on star16, none for alpha.  The
+        # handlers format masks, so they create no ProcessSet at all.
+        family = "star16" if command == "classify" else "wf16"
+        assert main([command, "--adversary", str(files16[family]), "--format", "json"]) == 0
+        assert sets_created == []
         obj = json.loads(capsys.readouterr().out)
-        if command == "setcon":
-            assert (obj["setcon"], len(obj["witness"])) == (16, 16)
+        assert len(obj.get("witness", ())) + 2 * ("counterexample" in obj) == most
+
+    def test_alpha_and_bgg_layers_create_no_process_set(self, files16, sets_created):
+        # what the adversary layer takes and hands out is a mask: a witness
+        # chain, its replay, a fairness pair, both restrictions, Adversary.of
+        # and bgg's power_within build no ProcessSet
+        adversaries = [adversary_from_json_obj(json.loads(files16[name].read_text())) for name in ("wf16", "star16")]
+        adversaries.append(Adversary.of(16, [[1], [2, 3], range(1, 17)]))
+        for adv in adversaries:
+            witness = setcon_witness(adv)
+            assert replay_witness(adv, witness) == witness.value
+            assert restrict(adv, 0b111).live_sets == restrict_intersecting(adv, 0b111, 0b111).live_sets
+            assert power_within(adv, 0b111, 0b110) <= 2
+        assert [fairness_counterexample(adv) for adv in adversaries] == [None, (0b1110, 0b1000), (0b011, 0b010)]
+        assert sets_created == []
 
 
 class TestCompare:
@@ -355,6 +417,16 @@ class TestSimulate:
         assert main(argv) == 0
         assert capsys.readouterr().out.startswith("seed=1 seeds=3 budget=72\n")
 
+    def test_json_output_carries_the_header(self, unfair_file, capsys):
+        # the text header's seed, seeds and budget, the default budget included
+        argv = ["simulate", "--protocol", "adaptive", "--adversary", unfair_file, "--seeds", "2", "--seed", "5"]
+        assert main(argv) == 0
+        header = capsys.readouterr().out.splitlines()[0]
+        assert main(argv + ["--format", "json"]) == 0
+        obj = json.loads(capsys.readouterr().out)
+        assert header == f"seed={obj['seed']} seeds={obj['seeds']} budget={obj['budget']}"
+        assert (obj["seed"], obj["seeds"], obj["runs"]) == (5, 2, 2)
+
     INPUT_ERRORS = {
         "inputs": "--inputs needs 3 comma-separated values, got 2",
         "budget": "budget must be at least 2n = 6",
@@ -420,6 +492,7 @@ class TestSimulate:
         assert main(argv + ["--format", "json"]) == 0
         obj = json.loads(capsys.readouterr().out)
         assert (obj["runs"], obj["activations"], obj["tail_activations"]) == (200, 3819, 619)
+        assert (obj["seed"], obj["seeds"], obj["budget"]) == (1, 200, 16)
 
     def test_negative_tail_exits_2(self, resilient_file, capsys):
         argv = ["simulate", "--protocol", "adaptive", "--adversary", resilient_file, "--tail", "-5"]
@@ -745,7 +818,7 @@ class TestCheckCommand:
             {1: 5, 2: 7},
             [Event(0, 1, "update", {"val": 5}), Event(1, 2, "update", {"val": 7})],
             [Decision(1, 2, 999)],
-            ProcessSet.full(2),
+            ProcessSet(2, 0b11),
             {1: "running", 2: "decided"},
         )
         path = tmp_path / "trace.json"
@@ -1631,7 +1704,7 @@ class TestFuzz:
     # as the file checks.
     FAMILIES = st.integers(1, 3).flatmap(
         lambda n: st.sets(st.integers(1, (1 << n) - 1), min_size=1, max_size=7).map(
-            lambda masks: Adversary.of(n, [ProcessSet(n, m).members() for m in masks])
+            lambda masks: Adversary(n, tuple(masks))
         )
     )
     PROTOCOLS = st.sampled_from(sorted(cli.POLICIES))

@@ -116,7 +116,7 @@ class TestSafeAgreement:
             if not safe_agreement_unsafe_halt(sched):
                 continue
             trace = run_to_quiescence(SafeAgreement(2, default_inputs(2)), sched, max_tail=30)
-            correct = next(iter(sched.correct))
+            correct = sched.correct.members()[0]
             if correct not in decided(trace):
                 assert trace.statuses[correct] == "blocked"
                 blocked += 1
@@ -208,6 +208,37 @@ class TestAdaptiveSetConsensus:
         assert decided(trace).keys() == {2, 3}
         assert {d.value for d in trace.decisions} <= {5, 8}
         assert len({d.value for d in trace.decisions}) == 1  # level is 1 at {2,3}
+
+    def test_one_embedded_subroutine_serves_a_whole_campaign(self, unfair_triple):
+        # EmbeddedAgreement keeps no state, so one instance shared by every run
+        # of a campaign, with or without the transition memo, gives the result
+        # and the decisions of a fresh one per run
+        for fn in (agreement_function(unfair_triple), AgreementFunction.wait_free(3)):
+            shared = EmbeddedAgreement(fn)
+            makers = (adaptive(fn), lambda: AdaptiveSetConsensus(3, default_inputs(3), shared))
+            seeded = [(seed, generate_admissible_schedule(fn, seed, 48)) for seed in range(150)]
+            enumerated = list(enumerate(enumerate_schedules(3, 2, 1)))
+            for stream in (seeded, enumerated):
+                fresh = run_campaign(makers[0], stream, fn, max_tail=200)
+                assert fresh.runs == len(stream) and fresh.failures == []
+                for memo in (False, True):
+                    assert run_campaign(makers[1], stream, fn, max_tail=200, memo=memo) == fresh
+            for _, sched in seeded[:40]:
+                fresh, reused = (run_to_quiescence(make(), sched, max_tail=200) for make in makers)
+                assert fresh.decisions == reused.decisions
+
+    def test_one_oracle_subroutine_carries_state_across_runs(self):
+        # OracleAgreement's ideal objects outlive a run: one shared instance
+        # changes later runs' decisions, so it must be fresh per run
+        fn = AgreementFunction.wait_free(3)
+        shared = OracleAgreement(fn)
+        makers = (adaptive(fn, OracleAgreement), lambda: AdaptiveSetConsensus(3, default_inputs(3), shared))
+        changed = 0
+        for seed in range(40):
+            sched = generate_admissible_schedule(fn, seed, 48)
+            fresh, reused = (run_to_quiescence(make(), sched, max_tail=200) for make in makers)
+            changed += fresh.decisions != reused.decisions
+        assert changed > 0
 
     def test_lock_level_flow(self):
         fn = AgreementFunction.wait_free(3)

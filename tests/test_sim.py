@@ -49,7 +49,7 @@ class TestSchedule:
             sched.validate()
 
     def test_validation_catches_halted_and_correct_overlap(self):
-        sched = Schedule(2, (1, 2), {2: 1}, ProcessSet.full(2))
+        sched = Schedule(2, (1, 2), {2: 1}, ProcessSet(2, 0b11))
         with pytest.raises(ValueError):
             sched.validate()
 
@@ -248,8 +248,8 @@ class TestGenerate:
     def test_fairness_quota(self, unfair_triple):
         for seed in range(30):
             sched = generate_schedule(unfair_triple, seed, 60)
-            quota = 60 // (2 * len(sched.correct))
-            for p in sched.correct:
+            quota = 60 // (2 * sched.correct.bits.bit_count())
+            for p in sched.correct.members():
                 assert sched.steps.count(p) >= quota
 
     def test_rejects_bad_inputs(self, unfair_triple):
