@@ -28,17 +28,19 @@ Adversary keeps its own tables, keyed by T, so nothing is cached at
 module level.
 
 The tables come from bit planes (`_plane_table`).  An Adversary also holds
-its family as one 2**n-bit integer F (bit m set iff mask m is live) with
-the n patterns Z_i of the masks that lack process i, built on first use.
-Each level set G_j = {R : s(R) >= j} is one such integer, and a region's
-power is the number of planes that hold it; the planes stay beside their
-table (`Adversary.level_plane`).  The live sets inside a region R are
-F AND Sub(R), where Sub(R) is the AND of Z_i over the processes i outside
-R (`Adversary.live_inside`), and the lowest set bit of such an integer is
-its smallest mask.  Up(X), the superset closure of a set of masks, is n
-shift-and-OR steps, so superset-closure is the test Up(F) == F.  `csize`
-and `symmetric_setcon` read F and the Z_i alone, no region table, so they
-stay independent oracles for setcon.
+its family as one 2**n-bit integer F (bit m set iff mask m is live), built
+on first use.  The n patterns Z_i of the masks that lack process i depend
+on n alone: they are built once, at import, with the other constants of
+each universe size (`_UNIVERSES`), and every Adversary of that size
+shares them.  Each level set G_j = {R : s(R) >= j} is one such integer,
+and a region's power is the number of planes that hold it; the planes
+stay beside their table (`Adversary.level_plane`).  The live sets inside
+a region R are F AND Sub(R), where Sub(R) is the AND of Z_i over the
+processes i outside R (`Adversary.live_inside`), and the lowest set bit
+of such an integer is its smallest mask.  Up(X), the superset closure of
+a set of masks, is n shift-and-OR steps, so superset-closure is the test
+Up(F) == F.  `csize` and `symmetric_setcon` read F and the Z_i alone, no
+region table, so they stay independent oracles for setcon.
 
 Two lemmas about a region table s let the kernel read it instead of
 rescanning it:
@@ -63,7 +65,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable, Optional
+from typing import Iterable, NamedTuple, Optional
 
 from .alpha import AgreementFunction
 from .processes import MAX_UNIVERSE, ProcessSet, check_mask, check_universe, ids_of, mask_of
@@ -124,7 +126,7 @@ class Adversary:
         if entry is None:
             if not 0 <= touching < 1 << self.n:
                 raise ValueError(f"touching mask {touching:#x} outside a universe of size {self.n}")
-            entry = self._tables[touching] = _plane_table(self.n, *self._lattice, touching)
+            entry = self._tables[touching] = _plane_table(self.n, self._lattice[0], touching)
         return entry[0]
 
     def level_plane(self, touching: int, level: int) -> int:
@@ -137,7 +139,7 @@ class Adversary:
         self.region_table(touching)  # built with the table
         levels = self._tables[touching]
         if level < 1:
-            return (1 << (1 << self.n)) - 1
+            return _UNIVERSES[self.n].full
         return levels[level] if level < len(levels) else 0
 
     def live_inside(self, region: int) -> int:
@@ -154,22 +156,13 @@ class Adversary:
 
     @cached_property
     def _lattice(self) -> tuple[int, tuple[tuple[int, int], ...]]:
-        """(F, steps), built on first use and kept out of equality and the repr.
+        """(F, steps): F built on first use and kept out of equality and the repr.
 
-        F has bit m set iff mask m is live.  steps[i] is (Z_i, 2**i), where
-        Z_i has bit m set iff m lacks process i: blocks of 2**i ones and
-        2**i zeros.  Z_{n-1} is the lower half of the masks, and
-        Z_{i-1} = Z_i ^ (Z_i << 2**(i-1)) splits each block in two.
+        F has bit m set iff mask m is live.  steps[i] is (Z_i, 2**i), the
+        universe's shared steps (`_UNIVERSES`).
         """
-        size = 1 << self.n
         family = int(self.membership[::-1].translate(_DIGITS), 2)  # base 2: no digit limit
-        lacks = (1 << (size >> 1)) - 1
-        steps = []
-        for i in range(self.n - 1, -1, -1):
-            steps.append((lacks, 1 << i))
-            lacks ^= lacks << (1 << i >> 1)
-        steps.reverse()
-        return family, tuple(steps)
+        return family, _UNIVERSES[self.n].steps
 
     def __repr__(self) -> str:
         body = ",".join("{" + ",".join(map(str, ids_of(self.n, m))) + "}" for m in self.live_sets)
@@ -224,6 +217,42 @@ def restrict_intersecting(adversary: Adversary, region: int, targets: int) -> Ad
 _DIGITS = bytes.maketrans(b"\x00\x01", b"01")  # membership bytes as binary digits
 
 
+class _Universe(NamedTuple):
+    """The constants of one universe size n, shared by every Adversary of that size."""
+
+    steps: tuple[tuple[int, int], ...]  # (Z_i, 2**i) for i = 0..n-1
+    full: int  # every mask: 2**n ones
+    digits: str  # the format spec that writes a plane as 2**n binary digits
+    zeros: int  # 2**n "0" digit bytes, read big-endian: the offset of a zero digit
+
+
+def _universes() -> tuple[Optional[_Universe], ...]:
+    """_Universe(n) at index n = 1..MAX_UNIVERSE.
+
+    Z_i has bit m set iff m lacks process i: blocks of 2**i ones and 2**i
+    zeros.  At the largest size, Z_{top-1} is the lower half of the masks and
+    Z_{i-1} = Z_i ^ (Z_i << 2**(i-1)) splits each block in two.  The Z_i of
+    a smaller n are the low 2**n bits of those patterns.
+    """
+    top = MAX_UNIVERSE
+    lacks = [0] * top
+    lacks[top - 1] = (1 << (1 << (top - 1))) - 1
+    for i in range(top - 1, 0, -1):
+        lacks[i - 1] = lacks[i] ^ (lacks[i] << (1 << (i - 1)))
+    universes: list[Optional[_Universe]] = [None]
+    zeros = ord("0")  # one "0" digit, read big-endian
+    for n in range(1, top + 1):
+        size = 1 << n
+        full = (1 << size) - 1
+        zeros |= zeros << (4 * size)  # the 2**(n-1) digits so far, twice
+        steps = tuple((lacks[i] & full, 1 << i) for i in range(n))
+        universes.append(_Universe(steps, full, f"0{size}b", zeros))
+    return tuple(universes)
+
+
+_UNIVERSES = _universes()
+
+
 def _up(masks: int, steps: tuple[tuple[int, int], ...]) -> int:
     """Up(X): every superset within the universe of a mask in X, by one step per process."""
     for lacks, shift in steps:
@@ -231,7 +260,7 @@ def _up(masks: int, steps: tuple[tuple[int, int], ...]) -> int:
     return masks
 
 
-def _plane_table(n: int, family: int, steps: tuple[tuple[int, int], ...], touching: int) -> list:
+def _plane_table(n: int, family: int, touching: int) -> list:
     """Power of the live sets meeting `touching`, restricted to every region, by bit planes.
 
     Written over live S inside R, the recursion is s(R) = max of
@@ -250,13 +279,12 @@ def _plane_table(n: int, family: int, steps: tuple[tuple[int, int], ...], touchi
     sum; entries are at most n, so a byte each.  Returns the table followed
     by the planes, [table, G_1, ..., G_s], so index j >= 1 holds G_j.
     """
-    size = 1 << n
+    steps, _, digits, zeros = _UNIVERSES[n]
     missing = -1  # the masks inside the complement of touching
     for i, (lacks, _) in enumerate(steps):
         if touching >> i & 1:
             missing &= lacks
     live = family & ~missing
-    digits = f"0{size}b"
     levels = [b""]  # levels[j] is G_j; index 0 takes the table
     total = 0
     below = live  # F & D_{j-1}: D_0 holds every mask
@@ -269,7 +297,7 @@ def _plane_table(n: int, family: int, steps: tuple[tuple[int, int], ...], touchi
         below = live
         for lacks, shift in steps:
             below &= lacks | (plane & lacks) << shift
-    levels[0] = (total - (len(levels) - 1) * int.from_bytes(b"0" * size, "big")).to_bytes(size, "little")
+    levels[0] = (total - (len(levels) - 1) * zeros).to_bytes(1 << n, "little")
     return levels
 
 
@@ -376,7 +404,7 @@ def csize(adversary: Adversary) -> Optional[int]:
     if not adversary.live_sets or not is_superset_closed(adversary):
         return None
     family, steps = adversary._lattice
-    dead = family ^ ((1 << (1 << adversary.n)) - 1)
+    dead = family ^ _UNIVERSES[adversary.n].full
     larger, size = dead, 0  # E_size
     while True:
         grown = 0

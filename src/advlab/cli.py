@@ -99,7 +99,9 @@ def _load_json(path: str):
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return json.load(fh)
-    except (OSError, json.JSONDecodeError, RecursionError) as exc:  # RecursionError: nested too deep
+    # ValueError: not UTF-8, not JSON, or an integer literal past the int-string limit;
+    # RecursionError: nested too deep
+    except (OSError, ValueError, RecursionError) as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
 
 

@@ -15,6 +15,9 @@ selection report's one region-table lookup replaces; `slow_select_live_set`:
 the scan over every live set that bgg's selection by level planes replaces;
 `slow_csize`: the largest dead mask found by a walk over every mask, the
 reference for the package's size-by-size growth of the dead masks;
+`slow_universe_constants` and `slow_plane_digits`: the per-universe
+patterns and digit constants read from strings of binary digits, the
+reference for the package's shift-built constants;
 `slow_quarter_records`:
 the filter over every record that the report's slice of the round-ordered
 records replaces; and the `slow_check_*` checkers and `slow_admits_trace`: the
@@ -171,6 +174,27 @@ def slow_region_powers(n: int, masks) -> bytes:
         below = [table[region & ~(1 << i)] for i in range(n) if region >> i & 1]
         table[region] = max(max(below), live[region] * (1 + min(below)))
     return bytes(table)
+
+
+def slow_plane_digits(n: int, plane: int) -> str:
+    """A 2**n-bit integer as 2**n binary digits, mask 2**n - 1 first: digit m from bit m."""
+    return "".join("1" if plane >> m & 1 else "0" for m in reversed(range(1 << n)))
+
+
+def slow_universe_constants(n: int) -> tuple[tuple[tuple[int, int], ...], int, int]:
+    """(steps, all-ones, zero-digit offset) of a universe of size n, read from digit strings.
+
+    steps[i] is (Z_i, 2**i), with Z_i read from 2**n binary digits whose
+    digit for mask m is 1 iff m lacks process i; the all-ones integer is 2**n
+    "1" digits; the offset is the bytes of 2**n "0" digits read big-endian,
+    from its hex form.  The reference for `advlab.adversary._UNIVERSES`.
+    """
+    size = 1 << n
+    steps = []
+    for i in range(n):
+        digits = "".join("0" if m >> i & 1 else "1" for m in reversed(range(size)))
+        steps.append((int(digits, 2), 2**i))
+    return tuple(steps), int("1" * size, 2), int(b"0".hex() * size, 16)
 
 
 def slow_setcon_witness(n: int, masks) -> list[tuple[int, int]]:

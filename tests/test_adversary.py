@@ -30,8 +30,8 @@ from advlab import (
     symmetric_setcon,
     t_resilient_adversary,
 )
-from advlab.adversary import restrict_intersecting
-from advlab.processes import ids_of, mask_of
+from advlab.adversary import _UNIVERSES, restrict_intersecting
+from advlab.processes import MAX_UNIVERSE, ids_of, mask_of
 from oracles import (
     all_families,
     brute_fair,
@@ -45,7 +45,9 @@ from oracles import (
     slow_is_superset_closed,
     slow_csize,
     slow_region_powers,
+    slow_plane_digits,
     slow_setcon_witness,
+    slow_universe_constants,
     upward_closure,
 )
 
@@ -189,6 +191,23 @@ class TestAdversaryType:
         assert adv._lattice == (0b11000010, ((0b01010101, 1), (0b00110011, 2), (0b00001111, 4)))
         assert (repr(adv), hash(adv)) == before and adv == twin and hash(twin) == before[1]
         assert "_lattice" not in repr(adv) and "_lattice" not in vars(twin)
+
+    def test_universe_constants_match_digit_strings(self):
+        # built at import for every size, each checked against strings of binary digits
+        assert len(_UNIVERSES) == MAX_UNIVERSE + 1 and _UNIVERSES[0] is None
+        rng = random.Random("universe-constants")
+        for n in range(1, MAX_UNIVERSE + 1):
+            steps, full, zeros = slow_universe_constants(n)
+            universe = _UNIVERSES[n]
+            assert (universe.steps, universe.full, universe.zeros) == (steps, full, zeros), n
+            for plane in (0, 1, full, steps[0][0], rng.getrandbits(1 << n)):
+                assert format(plane, universe.digits) == slow_plane_digits(n, plane), n
+
+    def test_adversaries_of_one_size_share_the_steps(self):
+        adv, other = family(4, [0b0011]), family(4, [0b1100, 0b1111])
+        assert adv._lattice[1] is other._lattice[1] is _UNIVERSES[4].steps
+        assert adv._lattice[0] == 1 << 0b0011 and other._lattice[0] == 1 << 0b1100 | 1 << 0b1111
+        assert family(5, [0b0011])._lattice[1] is _UNIVERSES[5].steps
 
     def test_level_planes_are_kept_beside_each_table(self):
         # G_j holds the regions whose entry is at least j: every mask at j = 0,

@@ -1574,10 +1574,28 @@ class TestCommonMachinery:
         assert "unrecognized arguments: --out" in capsys.readouterr().err
         assert not (tmp_path / "x").exists()
 
-    @pytest.mark.parametrize("command", ["setcon", "compare", "check"])
-    def test_deeply_nested_json_exits_2(self, tmp_path, capsys, command):
-        path = tmp_path / "deep.json"
-        path.write_text("[" * 100_000 + "]" * 100_000)
+    @pytest.mark.parametrize(
+        "command, content",
+        [
+            pytest.param(command, content, id=command if content == "deep" else f"{command}-{content}")
+            for content in ("deep", "not-utf8", "long-int")
+            for command in ("setcon", "compare", "check")
+        ],
+    )
+    def test_deeply_nested_json_exits_2(self, tmp_path, capsys, command, content):
+        # files that are not UTF-8 JSON: nested too deeply, not UTF-8, or an
+        # integer literal past the interpreter's int-string limit
+        if content == "deep":
+            data = b"[" * 100_000 + b"]" * 100_000
+        elif content == "not-utf8":
+            data = b'{"n": 3, "live_sets": [["\xff"]]}'
+        else:
+            limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else 0
+            if not limit:
+                pytest.skip("this interpreter has no int-string limit")
+            data = b'{"n": ' + b"1" * (limit + 1) + b', "live_sets": []}'
+        path = tmp_path / "bad.json"
+        path.write_bytes(data)
         argv = {
             "setcon": ["setcon", "--adversary", str(path)],
             "compare": ["compare", str(path), str(path)],
